@@ -6,20 +6,30 @@ slotted events, array-backed monitors) landed.  Every float in the fixture
 is a ``float.hex()`` string, and every comparison here is exact equality:
 the optimizations must reproduce the original per-message timings — not
 just the means — bit for bit, for every seed, on every execution backend.
+
+The ``workload_*`` entries pin one closed-loop workload class each (hot-spot
+destinations, bursty arrivals, node churn, link outages, drop policies).
+They were captured from the generator-based processors, before every
+closed-loop workload moved onto one flat event loop, and hold every
+:class:`~repro.simulation.simulator.SimulationResult` field as
+``float.hex()`` plus the measured messages' timing rows.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.cluster.presets import paper_evaluation_system
 from repro.des.rng import RandomStreams
+from repro.experiments.scenarios import PaperParameters, get_scenario
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.parallel import SweepEngine, SweepTask
 from repro.parallel.backends import ProcessPoolBackend, SerialBackend, SocketBackend
+from repro.simulation.faults import FaultSpec
 from repro.simulation.runner import run_message_trace_task, run_simulation_task
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 from repro.simulation.trace_simulator import TraceDrivenSimulator, TraceSimulationConfig
@@ -45,6 +55,58 @@ def golden() -> dict:
 
 def _system():
     return paper_evaluation_system(2, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=8)
+
+
+#: Closed-loop workload classes pinned by the ``workload_<name>`` fixture
+#: entries: each registered scenario workload (destinations, arrivals,
+#: faults) that the three ``multicluster_*`` entries do not cover, plus
+#: ``both-drop`` (node *and* link faults under the drop policy), which no
+#: scenario runs.  Value: (scenario, failures override or None, messages).
+WORKLOAD_CASES = {
+    "hotspot": ("hotspot", None, 200),
+    "bursty-hyper": ("bursty-hyper", None, 200),
+    "bursty-erlang": ("bursty-erlang", None, 200),
+    "das2-churn": ("das2-churn", None, 200),
+    "llnl-failures": ("llnl-failures", None, 200),
+    "case-1-lossy": ("case-1-lossy", None, 200),
+    "both-drop": (
+        "case-1", FaultSpec(mtbf_s=15.0, mttr_s=1.5, targets="both", policy="drop"), 200,
+    ),
+}
+
+#: Shrinks the paper-platform scenarios to 16 nodes, so a few hundred
+#: messages span many failure/repair cycles (the DAS-2 and LLNL presets
+#: keep their fixed shapes).
+SMALL_PLATFORM = PaperParameters(total_processors=16)
+
+
+def workload_task_args(name: str) -> tuple:
+    """``(system, config, destination_policy, arrival_factory)`` of one case."""
+    scenario_name, failures, messages = WORKLOAD_CASES[name]
+    scenario = get_scenario(scenario_name)
+    system = scenario.system(scenario.smoke_cluster_counts[0], SMALL_PLATFORM)
+    policy = None
+    if scenario.destination_policy is not None:
+        policy = scenario.destination_policy([c.num_processors for c in system.clusters])
+    config = SimulationConfig(
+        architecture=scenario.default_architecture,
+        message_bytes=512.0,
+        num_messages=messages,
+        seed=31,
+        failures=failures if failures is not None else scenario.default_failures,
+    )
+    return system, config, policy, scenario.arrival_factory
+
+
+def hexed(value):
+    """``value`` with every float (nested in dicts/dataclasses) as ``float.hex()``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if is_dataclass(value):
+        return {field.name: hexed(getattr(value, field.name)) for field in fields(value)}
+    return value
 
 
 def _assert_simulation_matches(golden_case: dict, system, config, policy=None) -> None:
@@ -97,6 +159,16 @@ class TestGoldenMultiClusterSimulator:
             SimulationConfig(num_messages=150, seed=5),
             LocalizedDestinations([4, 4], locality=0.5),
         )
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_CASES))
+    def test_workload_class(self, golden, name):
+        """Every SimulationResult field (availability and drops included)
+        and every measured message's timing, per workload class."""
+        expected = golden[f"workload_{name}"]
+        args = workload_task_args(name)
+        assert hexed(run_simulation_task(*args)) == expected["result"]
+        rows = run_message_trace_task(*args)
+        assert [list(row) for row in rows] == expected["messages"]
 
 
 class TestGoldenTraceDrivenSimulator:
@@ -223,8 +295,13 @@ class TestGoldenAcrossBackends:
 
     def test_serial_pool_socket_reproduce_golden(self, golden):
         expected = [
-            (m["ident"], m["created"], m["completed"])
-            for m in golden["multicluster_nonblocking_exponential"]["messages"]
+            [
+                (m["ident"], m["created"], m["completed"])
+                for m in golden["multicluster_nonblocking_exponential"]["messages"]
+            ]
+        ] + [
+            [tuple(row) for row in golden[f"workload_{name}"]["messages"]]
+            for name in WORKLOAD_CASES
         ]
         # A library-level task (not a test closure) so socket worker
         # daemons — fresh processes — can import and unpickle it.
@@ -233,6 +310,9 @@ class TestGoldenAcrossBackends:
                 fn=run_message_trace_task,
                 args=(_system(), SimulationConfig(num_messages=250, seed=1234)),
             )
+        ] + [
+            SweepTask(fn=run_message_trace_task, args=workload_task_args(name))
+            for name in WORKLOAD_CASES
         ]
         engines = {
             "serial": SweepEngine(backend=SerialBackend()),
@@ -242,17 +322,15 @@ class TestGoldenAcrossBackends:
             ),
         }
         for name, engine in engines.items():
-            (per_message,) = engine.run(tasks)
-            assert per_message == expected, f"{name} backend diverged from the golden trace"
+            per_task = engine.run(tasks)
+            assert per_task == expected, f"{name} backend diverged from the golden trace"
 
-    def test_vectorized_task_identical_on_every_backend(self):
-        """The vectorized closed-loop task — the unit of work engine_mode=auto
-        ships — returns the same SimulationResult as the DES task on serial,
-        pool and socket backends (full dataclass equality, so per-field
-        bit-identity)."""
-        config = SimulationConfig(num_messages=250, seed=1234)
-        reference = run_simulation_task(_system(), config)
-        tasks = [SweepTask(fn=run_vectorized_simulation_task, args=(_system(), config))]
+    def test_vectorized_task_identical_on_every_backend(self, golden):
+        """The closed-loop task on a fault workload (node and link drops)
+        returns the golden SimulationResult — every field, availability and
+        drop count included — on serial, pool and socket backends."""
+        expected = golden["workload_both-drop"]["result"]
+        tasks = [SweepTask(fn=run_simulation_task, args=workload_task_args("both-drop"))]
         engines = {
             "serial": SweepEngine(backend=SerialBackend()),
             "pool": SweepEngine(backend=ProcessPoolBackend(jobs=2)),
@@ -262,4 +340,4 @@ class TestGoldenAcrossBackends:
         }
         for name, engine in engines.items():
             (result,) = engine.run(tasks)
-            assert result == reference, f"{name} backend diverged from the DES result"
+            assert hexed(result) == expected, f"{name} backend diverged from the golden result"
