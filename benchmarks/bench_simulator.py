@@ -38,7 +38,7 @@ from repro.experiments.scenarios import CASE_1, PAPER_PARAMETERS, build_scenario
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 from repro.simulation.trace_simulator import TraceDrivenSimulator, TraceSimulationConfig
-from repro.simulation.vectorized_replay import VectorizedClosedLoopSimulator, replay_trace
+from repro.simulation.vectorized_replay import replay_trace
 from repro.workload.messages import generate_trace
 
 
@@ -84,14 +84,6 @@ def _vectorized_replay(system, trace) -> int:
     """One event-loop-free trace replay (same inputs as ``_trace_replay``)."""
     result = replay_trace(system, trace, TraceSimulationConfig(seed=3))
     return result.completed_messages
-
-
-def _vectorized_closed_loop(system, messages: int, seed: int = 1) -> int:
-    """One closed-loop run on the lean vectorized engine."""
-    sim = VectorizedClosedLoopSimulator(
-        system, SimulationConfig(num_messages=messages, seed=seed)
-    )
-    return sim.run().measured_messages
 
 
 def _figure_grid(cluster_counts: tuple) -> int:
@@ -142,15 +134,6 @@ def test_vectorized_replay_throughput(benchmark):
     completed = benchmark(lambda: _vectorized_replay(system, trace))
     assert completed == 1_000
     benchmark.extra_info["messages_per_sec"] = completed / benchmark.stats.stats.min
-
-
-@pytest.mark.benchmark(group="simulator")
-def test_vectorized_closed_loop_throughput(benchmark):
-    """Lean-engine closed-loop messages/second (same workload as the DES row)."""
-    system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
-    measured = benchmark(lambda: _vectorized_closed_loop(system, 1_000))
-    assert measured > 0
-    benchmark.extra_info["messages_per_sec"] = 1_000 / benchmark.stats.stats.min
 
 
 @pytest.mark.benchmark(group="simulator")
@@ -230,14 +213,6 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
         "name": "simulator_vectorized_replay",
         "seconds": round(seconds, 6),
         "messages_per_sec": round(completed / seconds, 1),
-    })
-
-    measured = _vectorized_closed_loop(system, messages)
-    seconds = _best_of(lambda: _vectorized_closed_loop(system, messages), repeats)
-    results.append({
-        "name": "simulator_vectorized_closed_loop",
-        "seconds": round(seconds, 6),
-        "messages_per_sec": round(measured / seconds, 1),
     })
 
     points = _figure_grid(grid_counts)

@@ -149,7 +149,7 @@ def _interval_from_payload(data: Any):
 
 
 def _simulation_result_to_payload(result) -> Dict[str, Any]:
-    return {
+    payload = {
         "mean_latency_s": _hex(result.mean_latency_s),
         "confidence_interval": _interval_to_payload(result.confidence_interval),
         "mean_local_latency_s": _hex(result.mean_local_latency_s),
@@ -166,6 +166,12 @@ def _simulation_result_to_payload(result) -> Dict[str, Any]:
             None if result.latency_summary is None else _hex_map(result.latency_summary)
         ),
     }
+    # Fault columns only on fault-enabled runs, so fault-free payloads keep
+    # their historical bytes.
+    if result.availability is not None:
+        payload["availability"] = _hex_map(result.availability)
+        payload["dropped_messages"] = int(result.dropped_messages)
+    return payload
 
 
 def _simulation_result_from_payload(data: Any):
@@ -174,6 +180,7 @@ def _simulation_result_from_payload(data: Any):
     if not isinstance(data, dict):
         raise CachePayloadError(f"simulation result must be an object, got {data!r}")
     summary = data.get("latency_summary")
+    availability = data.get("availability")
     return SimulationResult(
         mean_latency_s=_unhex(data.get("mean_latency_s")),
         confidence_interval=_interval_from_payload(data.get("confidence_interval")),
@@ -188,6 +195,10 @@ def _simulation_result_from_payload(data: Any):
         seed=_int(data.get("seed"), "seed"),
         stats_mode=str(data.get("stats_mode", "array")),
         latency_summary=None if summary is None else _unhex_map(summary, "latency_summary"),
+        availability=(
+            None if availability is None else _unhex_map(availability, "availability")
+        ),
+        dropped_messages=_int(data.get("dropped_messages", 0), "dropped_messages"),
     )
 
 

@@ -85,7 +85,6 @@ from .experiments.ablations import (
 from .experiments.blocking_ratio import run_blocking_ratio_study
 from .experiments.figures import FIGURE_SPECS, run_figure
 from .experiments.pipeline import (
-    ENGINE_MODES,
     ExperimentRunner,
     ExperimentSpec,
     build_plan,
@@ -414,14 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--smoke", action="store_true",
                       help="use the scenario's tiny smoke spec (scenario-name form only)")
     runp.add_argument("--csv", type=str, default=None, help="write the points to a CSV file")
-    runp.add_argument(
-        "--engine-mode", choices=list(ENGINE_MODES), default=None, dest="engine_mode",
-        help="override the spec's simulation engine: 'auto' picks the "
-             "vectorized closed-loop engine for state-independent workloads "
-             "(bit-identical, faster) and the DES otherwise; 'des' forces "
-             "the event-driven simulator; 'vectorized' fails fast when the "
-             "workload is not vectorizable",
-    )
     add_stats_mode_flag(runp, default=None)
     add_histogram_range_flag(runp)
     add_backend_flags(runp)
@@ -678,8 +669,6 @@ def _load_run_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["stats_mode"] = args.stats_mode
     if args.histogram_range is not None:
         overrides["histogram_range"] = args.histogram_range
-    if args.engine_mode is not None:
-        overrides["engine_mode"] = args.engine_mode
     return dataclass_replace(spec, **overrides) if overrides else spec
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,7 +77,6 @@ from .scenarios import (
 
 __all__ = [
     "EXPERIMENT_MODES",
-    "ENGINE_MODES",
     "ExperimentSpec",
     "PlanPoint",
     "SimulationPlan",
@@ -94,9 +94,6 @@ __all__ = [
 
 #: Valid values of :attr:`ExperimentSpec.mode`.
 EXPERIMENT_MODES = ("analysis", "simulate", "both")
-
-#: Valid values of :attr:`ExperimentSpec.engine_mode` (``None`` ≡ ``"auto"``).
-ENGINE_MODES = ("auto", "des", "vectorized")
 
 #: Label callback signature: ``label(point, rep_index, rep_config) -> str``.
 LabelFn = Callable[["PlanPoint", int, SimulationConfig], str]
@@ -167,19 +164,6 @@ class ExperimentSpec:
         block always wins over the scenario default.  Omitted from the
         JSON form when ``None``, so existing specs and cache keys are
         untouched.
-    engine_mode:
-        Simulation engine selection.  ``"auto"`` (the meaning of the
-        ``None`` default) routes each campaign to the vectorized
-        closed-loop engine (:mod:`repro.simulation.vectorized_replay`)
-        when the workload is state independent — renewal arrivals, no
-        failures, default uniform destinations — and to the DES
-        otherwise; ``"des"`` always takes the event-driven simulator;
-        ``"vectorized"`` insists on the vectorized engine and fails fast
-        (listing the blockers) when the workload is ineligible.  Both
-        engines are bit-identical, so the mode only changes how fast the
-        numbers are computed, never their values.  ``None`` is omitted
-        from the JSON form, keeping existing specs and cache keys
-        untouched.
     """
 
     scenario: str
@@ -196,7 +180,6 @@ class ExperimentSpec:
     stats_mode: str = "array"
     histogram_range: Optional[Tuple[float, float]] = None
     failures: Optional[FaultSpec] = None
-    engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Coerce JSON-borne lists into tuples so specs stay hashable and
@@ -231,10 +214,6 @@ class ExperimentSpec:
         if self.stats_mode not in STATS_MODES:
             raise ExperimentError(
                 f"stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}"
-            )
-        if self.engine_mode is not None and self.engine_mode not in ENGINE_MODES:
-            raise ExperimentError(
-                f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
             )
         if self.histogram_range is not None:
             try:
@@ -321,9 +300,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ExperimentSpec":
-        """Build a spec from a JSON dictionary, rejecting unknown keys."""
+        """Build a spec from a JSON dictionary, rejecting unknown keys.
+
+        The retired ``engine_mode`` key is still accepted for one release:
+        every closed-loop workload now runs on the one simulator loop, so
+        the key is dropped with a :class:`DeprecationWarning` and the spec
+        (and its cache key) equals one written without it.
+        """
         if not isinstance(data, dict):
             raise ExperimentError(f"a spec must be a JSON object, got {type(data).__name__}")
+        if "engine_mode" in data:
+            warnings.warn(
+                "the spec field 'engine_mode' is deprecated and ignored: "
+                "every closed-loop workload runs on the one simulator loop",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {key: value for key, value in data.items() if key != "engine_mode"}
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -489,7 +482,6 @@ def build_simulation_plan(
     label: LabelFn,
     destination_policy=None,
     arrival_factory=None,
-    task_fn: Callable[..., Any] = run_simulation_task,
 ) -> SimulationPlan:
     """Expand per-point master configs into seeded, labelled sweep tasks.
 
@@ -531,7 +523,7 @@ def build_simulation_plan(
                 args = (system, rep_config, policy, arrival_factory)
             tasks.append(
                 SweepTask(
-                    fn=task_fn,
+                    fn=run_simulation_task,
                     args=args,
                     label=label(point, rep_index, rep_config),
                 )
@@ -619,42 +611,12 @@ def build_plan(
             )
             for point, point_seed in zip(points, point_seeds)
         ]
-        # Engine routing: "auto" takes the vectorized closed-loop engine
-        # whenever the workload is state independent (bit-identical to the
-        # DES, just faster) and the DES otherwise; "vectorized" fails fast
-        # with the blocker list rather than silently falling back.
-        engine_mode = spec.engine_mode if spec.engine_mode is not None else "auto"
-        task_fn: Callable[..., Any] = run_simulation_task
-        if engine_mode != "des":
-            from ..simulation.vectorized_replay import (
-                run_vectorized_simulation_task,
-                vectorization_blockers,
-            )
-
-            blockers = vectorization_blockers(
-                arrival_factory=scenario.arrival_factory, failures=failures
-            )
-            if scenario.destination_policy is not None:
-                # A scenario-level policy is a factory, not a built policy;
-                # conservatively refused even if it would build uniform.
-                blockers.append(
-                    "scenario declares a custom destination policy "
-                    "(only the default uniform policy vectorizes)"
-                )
-            if not blockers:
-                task_fn = run_vectorized_simulation_task
-            elif engine_mode == "vectorized":
-                raise ExperimentError(
-                    "engine_mode='vectorized' but the workload cannot be "
-                    "vectorized: " + "; ".join(blockers)
-                )
         simulation = build_simulation_plan(
             point_runs,
             replications=spec.replications,
             label=label if label is not None else _default_label(spec, architecture),
             destination_policy=scenario.destination_policy,
             arrival_factory=scenario.arrival_factory,
-            task_fn=task_fn,
         )
 
     return ExperimentPlan(

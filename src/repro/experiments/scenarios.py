@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..cluster.presets import das2_like_system, llnl_like_system, paper_evaluation_system
 from ..cluster.system import MultiClusterSystem
@@ -227,31 +227,6 @@ class Scenario:
             workload.append("custom arrivals")
         extras = f" [{', '.join(workload)}]" if workload else ""
         return f"{self.name}: {self.description}{extras}"
-
-    def vectorization_blockers(self) -> List[str]:
-        """Reasons this scenario's workload refuses the vectorized engine.
-
-        Empty when the scenario is state independent (renewal arrivals, no
-        default failures, uniform destinations) and therefore eligible for
-        :mod:`repro.simulation.vectorized_replay` under
-        ``engine_mode="auto"``.  A scenario-level ``destination_policy`` is
-        a *factory*, not a built policy, so it is conservatively refused
-        even if it would build the uniform default — refusing an eligible
-        workload costs only speed, accepting an ineligible one would be
-        silently wrong.  Note a spec-level ``failures`` block can still
-        force the DES for a scenario this reports eligible.
-        """
-        from ..simulation.vectorized_replay import vectorization_blockers
-
-        reasons = vectorization_blockers(
-            arrival_factory=self.arrival_factory, failures=self.default_failures
-        )
-        if self.destination_policy is not None:
-            reasons.append(
-                "scenario declares a custom destination policy "
-                "(only the default uniform policy vectorizes)"
-            )
-        return reasons
 
 
 #: All registered scenarios by name (insertion-ordered).

@@ -19,14 +19,7 @@ from .trace_simulator import (
     TraceSimulationConfig,
     TraceSimulationResult,
 )
-from .vectorized_replay import (
-    VectorizedClosedLoopSimulator,
-    can_vectorize,
-    replay_trace,
-    run_vectorized_point,
-    run_vectorized_simulation_task,
-    vectorization_blockers,
-)
+from .vectorized_replay import replay_trace
 
 __all__ = [
     "Message",
@@ -51,9 +44,4 @@ __all__ = [
     "TraceSimulationConfig",
     "TraceSimulationResult",
     "replay_trace",
-    "VectorizedClosedLoopSimulator",
-    "vectorization_blockers",
-    "can_vectorize",
-    "run_vectorized_simulation_task",
-    "run_vectorized_point",
 ]

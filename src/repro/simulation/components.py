@@ -13,7 +13,7 @@ is exponentially distributed with the mean given by the §5 network models
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, List, Optional
+from typing import Any, List, Optional
 
 from ..des.core import Environment
 from ..des.events import AbsoluteTimeout, Event
@@ -96,14 +96,16 @@ class ServiceCenterSim:
 
     # -- behaviour ------------------------------------------------------------------
 
-    def begin(self, message: Message) -> AbsoluteTimeout:
+    def begin(self, message: Message, value: Any = None) -> Optional[AbsoluteTimeout]:
         """Admit ``message`` and return the event of its departure.
 
         This is the hot path: it draws the service time, computes the
         departure time from the virtual queue and schedules a single
-        absolute-time event.  Per-visit bookkeeping (occupancy decrement,
-        served/busy counters) runs in a callback when the event fires,
-        before any waiting process resumes.
+        absolute-time event carrying ``value``.  Per-visit bookkeeping
+        (occupancy decrement, served/busy counters) runs in the event's
+        first callback when it fires, before anything waiting on it.  The
+        always-up centre admits every message; a fault-prone centre under
+        the drop policy returns ``None`` for a lost message.
         """
         env = self.env
         now = env._now
@@ -117,26 +119,9 @@ class ServiceCenterSim:
         depart = start + service_time
         self._next_free = depart
         self._in_service.append((start, service_time))
-        event = AbsoluteTimeout(env, depart)
+        event = AbsoluteTimeout(env, depart, value)
         event.callbacks.append(self._departed)
         return event
-
-    def try_begin(self, message: Message) -> Optional[AbsoluteTimeout]:
-        """Admit ``message`` unconditionally (the always-up centre never drops).
-
-        Uniform admission interface shared with
-        :class:`~repro.simulation.faults.FaultyServiceCenterSim`, whose drop
-        policy may return ``None`` instead of a departure event.
-        """
-        return self.begin(message)
-
-    def serve(self, message: Message) -> Generator[Event, None, None]:
-        """Process generator: pass ``message`` through this service centre.
-
-        Equivalent to ``yield self.begin(message)``; kept for callers that
-        compose centres with ``yield from``.
-        """
-        yield self.begin(message)
 
     def _departed(self, _event: Event) -> None:
         """Commit one departure (runs as the departure event's callback)."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..des.events import AbsoluteTimeout
 from ..des.rng import RandomStreams, VariateGenerator
@@ -264,8 +264,9 @@ class FaultyServiceCenterSim(ServiceCenterSim):
     ``finish(max(now, next_free), service_time)``, so queued work resumes
     on repair in arrival order and the per-visit bookkeeping charges the
     full occupied span (service + overlapped downtime).  With ``"drop"``
-    admission is gated instead: :meth:`try_begin` loses messages that
-    arrive while the centre is down and service itself is undisturbed.
+    admission is gated instead: :meth:`begin` loses messages that arrive
+    while the centre is down (returning ``None``) and service itself is
+    undisturbed.
     """
 
     __slots__ = ("schedule", "policy", "dropped")
@@ -278,9 +279,13 @@ class FaultyServiceCenterSim(ServiceCenterSim):
         self.policy = policy
         self.dropped = 0
 
-    def begin(self, message: Message) -> AbsoluteTimeout:
+    def begin(self, message: Message, value: Any = None) -> Optional[AbsoluteTimeout]:
+        """Admit ``message``, or return ``None`` if the drop policy loses it."""
         if self.policy != "stall":
-            return super().begin(message)
+            if self.schedule.is_down(self.env._now):
+                self.dropped += 1
+                return None
+            return super().begin(message, value)
         env = self.env
         now = env._now
         occupancy = self.occupancy
@@ -295,16 +300,9 @@ class FaultyServiceCenterSim(ServiceCenterSim):
         # Charge the occupied span (service + overlapped downtime) so
         # utilization reflects the degraded server.
         self._in_service.append((start, depart - start))
-        event = AbsoluteTimeout(env, depart)
+        event = AbsoluteTimeout(env, depart, value)
         event.callbacks.append(self._departed)
         return event
-
-    def try_begin(self, message: Message) -> Optional[AbsoluteTimeout]:
-        """Admit ``message`` unless the drop policy loses it to an outage."""
-        if self.policy == "drop" and self.schedule.is_down(self.env._now):
-            self.dropped += 1
-            return None
-        return self.begin(message)
 
 
 class FaultInjector:

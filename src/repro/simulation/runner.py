@@ -170,9 +170,9 @@ def run_message_trace_task(
     """
     simulator = MultiClusterSimulator(system, config, destination_policy, arrival_factory)
     if config.stats_mode != "array":
-        # The processors bind ``self.sink.record`` lazily (at their first
-        # resume inside run()), so replacing the sink here — constructing it
-        # consumes no event ids — keeps the run byte-identical.
+        # run() reads ``self.sink`` when it starts, so replacing the sink
+        # here — constructing it consumes no event ids — keeps the run
+        # byte-identical.
         simulator.sink = _TraceRecordingSink(
             simulator.env,
             config.num_messages,

@@ -23,11 +23,12 @@ extension is validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from heapq import heappop
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.system import MultiClusterSystem
 from ..des.core import Environment
-from ..des.events import Event
+from ..des.events import Timeout
 from ..des.rng import RandomStreams
 from ..errors import ConfigurationError, SimulationError
 from ..network.models import build_network_model
@@ -37,7 +38,7 @@ from ..stats.sinks import STATS_MODES, validate_histogram_range
 from ..workload.arrivals import ArrivalProcess
 from ..workload.destinations import DestinationPolicy, UniformDestinations
 from .components import LatencySink, ServiceCenterSim
-from .faults import FaultInjector, FaultSpec, FaultyServiceCenterSim
+from .faults import FaultInjector, FaultSchedule, FaultSpec, FaultyServiceCenterSim
 from .message import Message
 
 #: Signature of the optional per-processor arrival-process factory: it maps
@@ -48,8 +49,15 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "MultiClusterSimulator",
-    "collect_simulation_result",
 ]
+
+# Kinds of the closed loop's events; each event's value is
+# ``(kind, processor index, message or None)``.
+_THINK = 0  # a think time ended: the source sends its next request
+_SEND = 1  # a churned source was repaired: it sends without re-checking
+_HOP1 = 2  # source-ECN1 departure of a remote message
+_HOP2 = 3  # ICN2 departure of a remote message
+_DONE = 4  # last departure (ICN1 or destination ECN1): the message completes
 
 
 @dataclass(frozen=True)
@@ -219,72 +227,6 @@ class SimulationResult:
         return out
 
 
-def collect_simulation_result(
-    sink: LatencySink,
-    centers: Sequence,
-    now: float,
-    config: SimulationConfig,
-    faults: Optional[FaultInjector] = None,
-) -> SimulationResult:
-    """Fold a finished run's sink and service centres into a result.
-
-    Shared by :class:`MultiClusterSimulator` and the lean engine in
-    :mod:`repro.simulation.vectorized_replay`; ``centers`` is any sequence
-    of objects exposing ``name``/``utilization(now)``/``mean_occupancy(now)``
-    in the canonical ``[*icn1, *ecn1, icn2]`` order (dict insertion order is
-    part of the golden fixtures).
-    """
-    if sink.measured == 0:
-        raise SimulationError("simulation finished without measuring any messages")
-
-    # Both sink implementations expose the StatsSink protocol; in array
-    # mode batch_means_interval delegates to the historical batch_means
-    # call on the full value array, keeping the result bit-identical.
-    ci: Optional[ConfidenceInterval] = None
-    if sink.latencies.count >= config.batch_count:
-        ci = sink.latencies.batch_means_interval(config.batch_count)
-
-    remote_count = sink.remote_latencies.count
-    measured = sink.measured
-
-    utilizations: Dict[str, float] = {}
-    occupancies: Dict[str, float] = {}
-    for center in centers:
-        utilizations[center.name] = center.utilization(now)
-        occupancies[center.name] = center.mean_occupancy(now)
-
-    availability: Optional[Dict[str, float]] = None
-    dropped = 0
-    if faults is not None:
-        availability = faults.availability(now)
-        dropped = faults.node_dropped
-        for center in centers:
-            if isinstance(center, FaultyServiceCenterSim):
-                dropped += center.dropped
-
-    return SimulationResult(
-        mean_latency_s=sink.latencies.mean(),
-        confidence_interval=ci,
-        mean_local_latency_s=(
-            sink.local_latencies.mean() if sink.local_latencies.count else 0.0
-        ),
-        mean_remote_latency_s=(
-            sink.remote_latencies.mean() if sink.remote_latencies.count else 0.0
-        ),
-        measured_messages=measured,
-        completed_messages=sink.completed,
-        remote_fraction=remote_count / measured if measured else 0.0,
-        simulated_time_s=now,
-        utilizations=utilizations,
-        mean_occupancies=occupancies,
-        seed=config.seed,
-        stats_mode=config.stats_mode,
-        latency_summary=sink.latencies.summary(),
-        availability=availability,
-        dropped_messages=dropped,
-    )
-
-
 class MultiClusterSimulator:
     """Discrete-event simulator of an HMSCS system."""
 
@@ -330,8 +272,6 @@ class MultiClusterSimulator:
             batch_count=self.config.batch_count,
             histogram_range=self.config.histogram_range,
         )
-        self._message_counter = 0
-        self._start_processors()
 
     # -- construction -----------------------------------------------------------------
 
@@ -387,180 +327,187 @@ class MultiClusterSimulator:
         )
         self.icn2 = self._make_center("icn2", icn2_model.service_time(m), "service-icn2")
 
-    def _start_processors(self) -> None:
-        make = self._processor if self.faults is None else self._processor_faulty
-        for cluster_idx, size in enumerate(self.cluster_sizes):
-            for proc_idx in range(size):
-                self.env.process(make(cluster_idx, proc_idx))
-
-    # -- processes ---------------------------------------------------------------------
-
-    def _processor(self, cluster_idx: int, proc_idx: int) -> Generator[Event, None, None]:
-        """Closed-loop processor: think, send one request, wait for the reply.
-
-        This loop is the simulator's hot path: arrivals come from a batched
-        exponential stream, destinations from the policy's batched chooser
-        (both bit-identical to the per-call draws), and the service-centre
-        hops are single-yield ``begin`` events rather than ``yield from``
-        delegation through sub-generators.
-        """
-        cluster = self.system.clusters[cluster_idx]
-        rate = cluster.processor_type.scaled_rate(self.config.generation_rate)
-        arrival_rng = self._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
-        dest_rng = self._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
-        source = (cluster_idx, proc_idx)
-
-        if self.arrival_factory is None:
-            next_interarrival = arrival_rng.exponential_rate_stream(rate)
-        else:
-            # The arrival stream's sole consumer is this sampler, so batched
-            # processes stay bit-identical to their scalar draw sequence.
-            next_interarrival = self.arrival_factory(rate).sampler(arrival_rng)
-        choose = self.destination_policy.chooser(source, dest_rng)
-        env = self.env
-        timeout = env.timeout
-        icn1_begin = self.icn1[cluster_idx].begin
-        ecn1_begin = self.ecn1[cluster_idx].begin
-        icn2_begin = self.icn2.begin
-        ecn1 = self.ecn1
-        message_bytes = self.config.message_bytes
-        record = self.sink.record
-
-        # Flattened remote chain: the two intermediate hops run as plain
-        # event callbacks instead of generator resumes, so a remote message
-        # costs one process resume (at the final hop) instead of three.  The
-        # closed loop has at most one outstanding message per processor, so
-        # the chain state lives in these cells; ``proxy`` is a never-scheduled
-        # Event the generator parks on — creating it consumes no event id and
-        # each hop's AbsoluteTimeout is still created at exactly the same
-        # point as the generator version, so the (time, priority, eid) pop
-        # order — and therefore every golden trace — is byte-identical.
-        chain: List = [None, 0]
-        proxy = Event(env)
-
-        def _hop3(_event: Event) -> None:
-            final = ecn1[chain[1]].begin(chain[0])
-            final.callbacks.extend(proxy.callbacks)
-
-        def _hop2(_event: Event) -> None:
-            hop = icn2_begin(chain[0])
-            hop.callbacks.append(_hop3)
-
-        while True:
-            yield timeout(next_interarrival())
-            destination = choose()
-            message = Message(
-                ident=self._message_counter,
-                source=source,
-                destination=destination,
-                size_bytes=message_bytes,
-                created_at=env._now,
-            )
-            self._message_counter += 1
-
-            if destination[0] == cluster_idx:
-                # Intra-cluster: a single pass through the cluster's ICN1.
-                yield icn1_begin(message)
-            else:
-                # Inter-cluster: source ECN1 -> ICN2 -> destination ECN1.
-                chain[0] = message
-                chain[1] = destination[0]
-                proxy.callbacks = []
-                first = ecn1_begin(message)
-                first.callbacks.append(_hop2)
-                yield proxy
-
-            message.completed_at = env._now
-            record(message)
-
-    def _processor_faulty(self, cluster_idx: int, proc_idx: int) -> Generator[Event, None, None]:
-        """Fault-aware twin of :meth:`_processor` (used only when faults are on).
-
-        Kept separate so the always-up hot path stays byte-identical; the
-        extra per-message work is the node-churn wait and per-hop admission,
-        which under the ``"drop"`` policy may lose the message mid-path (the
-        closed-loop source then simply starts its next think time).
-        """
-        cluster = self.system.clusters[cluster_idx]
-        rate = cluster.processor_type.scaled_rate(self.config.generation_rate)
-        arrival_rng = self._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
-        dest_rng = self._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
-        source = (cluster_idx, proc_idx)
-
-        if self.arrival_factory is None:
-            next_interarrival = arrival_rng.exponential_rate_stream(rate)
-        else:
-            next_interarrival = self.arrival_factory(rate).sampler(arrival_rng)
-        choose = self.destination_policy.chooser(source, dest_rng)
-        env = self.env
-        timeout = env.timeout
-        faults = self.faults
-        spec = faults.spec
-        drop = spec.policy == "drop"
-        node_sched = faults.node_schedule(cluster_idx, proc_idx) if spec.on_nodes else None
-        icn1 = self.icn1[cluster_idx]
-        ecn1_src = self.ecn1[cluster_idx]
-        icn2 = self.icn2
-        ecn1 = self.ecn1
-        message_bytes = self.config.message_bytes
-        record = self.sink.record
-
-        while True:
-            yield timeout(next_interarrival())
-            if node_sched is not None:
-                now = env._now
-                up = node_sched.next_up(now)
-                if up > now:
-                    # Churn: a down node generates nothing until repaired.
-                    yield timeout(up - now)
-            destination = choose()
-            if drop and spec.on_nodes and destination != source:
-                if faults.node_schedule(*destination).is_down(env._now):
-                    faults.node_dropped += 1
-                    continue
-            message = Message(
-                ident=self._message_counter,
-                source=source,
-                destination=destination,
-                size_bytes=message_bytes,
-                created_at=env._now,
-            )
-            self._message_counter += 1
-
-            if destination[0] == cluster_idx:
-                event = icn1.try_begin(message)
-                if event is None:
-                    continue
-                yield event
-            else:
-                event = ecn1_src.try_begin(message)
-                if event is None:
-                    continue
-                yield event
-                event = icn2.try_begin(message)
-                if event is None:
-                    continue
-                yield event
-                event = ecn1[destination[0]].try_begin(message)
-                if event is None:
-                    continue
-                yield event
-
-            message.completed_at = env._now
-            record(message)
-
     # -- running -----------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Run until the configured number of messages has completed."""
-        self.env.run(until=self.sink.done)
+        """Run until the configured number of messages has completed.
+
+        Every processor is a closed-loop source: it thinks (draws an
+        inter-arrival time), sends one request — through its cluster's
+        ICN1, or source ECN1 -> ICN2 -> destination ECN1 — and blocks until
+        the request completes (assumption 4).  One flat loop pops the
+        environment's event queue and plays every source's part.  Each
+        event is created with its ``(kind, processor, message)`` hop state
+        as its value, so no per-source coroutine is needed.
+
+        Same-instant ordering contract:
+
+        * events at one instant run in the order they were created (the
+          kernel's ``(time, priority, event id)`` heap key; every event here
+          has NORMAL priority);
+        * a departure's centre bookkeeping runs before the message is
+          admitted to its next hop;
+        * a completion is recorded, and may trigger the stop event, before
+          the source draws its next think time — so the run stops ahead of
+          any event created after the completion at that instant.
+
+        Before the loop, each source consumes the one event id a kernel
+        process's start event takes, so event ids, and with them every tie,
+        match the golden fixtures bit for bit.
+
+        With faults on, a source whose node is down waits for its repair
+        before sending, and under the ``"drop"`` policy a message addressed
+        to a down node, or arriving at a down centre, is lost and counted;
+        its source then starts its next think time.
+        """
+        env = self.env
+        config = self.config
+        queue = env._queue
+        # Read at run time: run_message_trace_task swaps the sink in after
+        # construction.
+        sink = self.sink
+        done = sink.done
+        record = sink.record
+        icn1 = self.icn1
+        ecn1 = self.ecn1
+        icn2 = self.icn2
+        message_bytes = config.message_bytes
+        faults = self.faults
+        on_nodes = faults is not None and faults.spec.on_nodes
+        drop_on_nodes = on_nodes and faults.spec.policy == "drop"
+
+        sources: List[Tuple[int, int]] = []
+        think: List[Callable[[], float]] = []
+        choosers: List[Callable[[], Tuple[int, int]]] = []
+        churn: List[Optional[FaultSchedule]] = []
+        next_eid = env._eid.__next__
+        for cluster_idx, cluster in enumerate(self.system.clusters):
+            rate = cluster.processor_type.scaled_rate(config.generation_rate)
+            for proc_idx in range(cluster.num_processors):
+                next_eid()  # the source's process start event
+                source = (cluster_idx, proc_idx)
+                arrival_rng = self._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
+                dest_rng = self._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
+                if self.arrival_factory is None:
+                    think.append(arrival_rng.exponential_rate_stream(rate))
+                else:
+                    # The stream's sole consumer is this sampler, so batched
+                    # processes stay bit-identical to their scalar draws.
+                    think.append(self.arrival_factory(rate).sampler(arrival_rng))
+                choosers.append(self.destination_policy.chooser(source, dest_rng))
+                churn.append(faults.node_schedule(*source) if on_nodes else None)
+                sources.append(source)
+        for proc, draw in enumerate(think):
+            Timeout(env, draw(), (_THINK, proc, None))
+
+        ident = 0
+        while True:
+            at, _, _, event = heappop(queue)
+            env._now = at
+            if event is done:
+                done.callbacks = None  # processed, as the kernel marks it
+                break
+            kind, proc, message = event._value
+            if kind == _DONE:
+                event.callbacks[0](event)  # the centre's departure bookkeeping
+                message.completed_at = at
+                record(message)
+                Timeout(env, think[proc](), (_THINK, proc, None))
+                continue
+            if kind == _HOP1:
+                event.callbacks[0](event)
+                hop = icn2.begin(message, (_HOP2, proc, message))
+            elif kind == _HOP2:
+                event.callbacks[0](event)
+                hop = ecn1[message.destination[0]].begin(message, (_DONE, proc, message))
+            else:
+                if on_nodes and kind == _THINK:
+                    up = churn[proc].next_up(at)
+                    if up > at:
+                        # Churn: a down node generates nothing until repaired.
+                        Timeout(env, up - at, (_SEND, proc, None))
+                        continue
+                source = sources[proc]
+                destination = choosers[proc]()
+                if (
+                    drop_on_nodes
+                    and destination != source
+                    and faults.node_schedule(*destination).is_down(at)
+                ):
+                    faults.node_dropped += 1
+                    Timeout(env, think[proc](), (_THINK, proc, None))
+                    continue
+                message = Message(
+                    ident=ident,
+                    source=source,
+                    destination=destination,
+                    size_bytes=message_bytes,
+                    created_at=at,
+                )
+                ident += 1
+                if destination[0] == source[0]:
+                    hop = icn1[source[0]].begin(message, (_DONE, proc, message))
+                else:
+                    hop = ecn1[source[0]].begin(message, (_HOP1, proc, message))
+            if hop is None:  # the drop policy lost the message at a down centre
+                Timeout(env, think[proc](), (_THINK, proc, None))
+
         return self._collect_result()
 
     def _collect_result(self) -> SimulationResult:
-        return collect_simulation_result(
-            self.sink,
-            [*self.icn1, *self.ecn1, self.icn2],
-            self.env.now,
-            self.config,
-            faults=self.faults,
+        """Fold the finished run's sink and service centres into a result."""
+        sink = self.sink
+        config = self.config
+        now = self.env.now
+        if sink.measured == 0:
+            raise SimulationError("simulation finished without measuring any messages")
+
+        # Both sink implementations expose the StatsSink protocol; in array
+        # mode batch_means_interval delegates to the historical batch_means
+        # call on the full value array, keeping the result bit-identical.
+        ci: Optional[ConfidenceInterval] = None
+        if sink.latencies.count >= config.batch_count:
+            ci = sink.latencies.batch_means_interval(config.batch_count)
+
+        remote_count = sink.remote_latencies.count
+        measured = sink.measured
+
+        # Dict insertion order ([*icn1, *ecn1, icn2]) is part of the golden
+        # fixtures.
+        centers = [*self.icn1, *self.ecn1, self.icn2]
+        utilizations: Dict[str, float] = {}
+        occupancies: Dict[str, float] = {}
+        for center in centers:
+            utilizations[center.name] = center.utilization(now)
+            occupancies[center.name] = center.mean_occupancy(now)
+
+        availability: Optional[Dict[str, float]] = None
+        dropped = 0
+        if self.faults is not None:
+            availability = self.faults.availability(now)
+            dropped = self.faults.node_dropped
+            for center in centers:
+                if isinstance(center, FaultyServiceCenterSim):
+                    dropped += center.dropped
+
+        return SimulationResult(
+            mean_latency_s=sink.latencies.mean(),
+            confidence_interval=ci,
+            mean_local_latency_s=(
+                sink.local_latencies.mean() if sink.local_latencies.count else 0.0
+            ),
+            mean_remote_latency_s=(
+                sink.remote_latencies.mean() if sink.remote_latencies.count else 0.0
+            ),
+            measured_messages=measured,
+            completed_messages=sink.completed,
+            remote_fraction=remote_count / measured if measured else 0.0,
+            simulated_time_s=now,
+            utilizations=utilizations,
+            mean_occupancies=occupancies,
+            seed=config.seed,
+            stats_mode=config.stats_mode,
+            latency_summary=sink.latencies.summary(),
+            availability=availability,
+            dropped_messages=dropped,
         )

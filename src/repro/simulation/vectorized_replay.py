@@ -1,77 +1,49 @@
-"""Event-loop-free evaluation of fixed traces and eligible closed-loop runs.
+"""Event-loop-free evaluation of fixed open-loop traces.
 
 The virtual-FIFO insight behind :class:`~repro.simulation.components.ServiceCenterSim`
 (``depart = max(arrival, previous depart) + service``) means that once a
 centre's arrival sequence is known, its departures are a Lindley recurrence
-over a plain array — no event loop required.  This module exploits that twice:
+over a plain array — no event loop required.  :func:`replay_trace` exploits
+that to evaluate a fixed :class:`~repro.workload.messages.WorkloadTrace`
+without the DES kernel.  Every local (single-hop) message's departure is
+computed by a vectorized whole-array recurrence (:func:`_fifo_departures`);
+the remote three-hop pipeline, whose per-centre arrival order is coupled
+through the shared ECN1 centres, runs through a *lean* heap of plain tuples
+that reproduces the kernel's ``(time, priority, event-id)`` pop order
+exactly.  Service times come from whole-run NumPy pool draws that consume
+the identical generator bit streams as the DES's per-message draws, so the
+result — per-message latencies included — is ``float.hex()``-exact against
+:class:`~repro.simulation.trace_simulator.TraceDrivenSimulator`.
 
-* :func:`replay_trace` evaluates a fixed :class:`~repro.workload.messages.WorkloadTrace`
-  without the DES kernel.  Every local (single-hop) message's departure is
-  computed by a vectorized whole-array recurrence (:func:`_fifo_departures`);
-  the remote three-hop pipeline, whose per-centre arrival order is coupled
-  through the shared ECN1 centres, runs through a *lean* heap of plain
-  tuples that reproduces the kernel's ``(time, priority, event-id)`` pop
-  order exactly.  Service times come from whole-run NumPy pool draws that
-  consume the identical generator bit streams as the DES's per-message
-  draws, so the result — per-message latencies included — is
-  ``float.hex()``-exact against :class:`~repro.simulation.trace_simulator.TraceDrivenSimulator`.
-
-* :class:`VectorizedClosedLoopSimulator` evaluates a closed-loop run
-  (the :class:`~repro.simulation.simulator.MultiClusterSimulator` workload)
-  when the workload is *state independent*: renewal arrivals, no
-  ``failures`` block, default uniform destinations.  It pre-binds the
-  identical batched :class:`~repro.des.rng.VariateStream` draws and drives
-  the real service centres and latency sink from a flat event loop with no
-  generator/process machinery, producing bit-identical
-  :class:`~repro.simulation.simulator.SimulationResult` objects.
-
-Eligibility is explicit — :func:`vectorization_blockers` /
-:func:`can_vectorize` — and the task entry point
-(:func:`run_vectorized_simulation_task`) *refuses* ineligible workloads
-with a :class:`~repro.errors.ConfigurationError` instead of silently
-computing something else; the pipeline's ``engine_mode="auto"`` falls back
-to the DES task in that case.
+Closed-loop runs have one engine, the flat event loop of
+:class:`~repro.simulation.simulator.MultiClusterSimulator`;
+:func:`run_vectorized_simulation_task` survives only as a deprecated
+delegate to :func:`~repro.simulation.runner.run_simulation_task`.
 """
 
 from __future__ import annotations
 
+import warnings
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cluster.system import MultiClusterSystem
-from ..des.core import Environment
-from ..des.events import Timeout
-from ..des.rng import RandomStreams
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..queueing.distributions import Deterministic, Distribution, Exponential
 from ..stats.intervals import ConfidenceInterval, batch_means
-from ..stats.sinks import OnlineMonitor
-from ..workload.destinations import DestinationPolicy, UniformDestinations
+from ..workload.destinations import DestinationPolicy
 from ..workload.messages import WorkloadTrace
-from .components import LatencySink
-from .message import Message
-from .simulator import (
-    MultiClusterSimulator,
-    SimulationConfig,
-    SimulationResult,
-    collect_simulation_result,
-)
+from .runner import run_simulation_task
+from .simulator import SimulationConfig, SimulationResult
 from .trace_simulator import (
     TraceDrivenSimulator,
     TraceSimulationConfig,
     TraceSimulationResult,
 )
 
-__all__ = [
-    "replay_trace",
-    "VectorizedClosedLoopSimulator",
-    "vectorization_blockers",
-    "can_vectorize",
-    "run_vectorized_simulation_task",
-    "run_vectorized_point",
-]
+__all__ = ["replay_trace", "run_vectorized_simulation_task"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,252 +384,22 @@ def replay_trace(
     )
 
 
-# ---------------------------------------------------------------------------
-# Eligibility
-# ---------------------------------------------------------------------------
-
-
-def vectorization_blockers(
-    config: Optional[SimulationConfig] = None,
-    destination_policy: Optional[DestinationPolicy] = None,
-    arrival_factory=None,
-    failures=None,
-) -> List[str]:
-    """Reasons a closed-loop workload cannot take the vectorized engine.
-
-    The engine pre-binds every random stream up front, which is only valid
-    when the workload is state independent: renewal arrivals (each
-    inter-arrival draw i.i.d., no hidden modulating state), no failure
-    injection, and the default uniform destination policy.  Returns an
-    empty list when eligible; each string names one blocker.  The check is
-    deliberately conservative — e.g. a ``destination_policy`` *factory*
-    (rather than a built :class:`UniformDestinations` instance) is refused
-    even if it would build a uniform policy — because refusing an eligible
-    workload costs only speed, while accepting an ineligible one would be
-    silently wrong.
-    """
-    reasons: List[str] = []
-    if failures is None and config is not None:
-        failures = config.failures
-    if failures is not None:
-        reasons.append("failure injection (a 'failures' block) requires the DES engine")
-    if destination_policy is not None and type(destination_policy) is not UniformDestinations:
-        reasons.append(
-            f"destination policy {type(destination_policy).__name__} is not the "
-            "default uniform policy"
-        )
-    if arrival_factory is not None:
-        try:
-            probe = arrival_factory(1.0)
-        except Exception as exc:  # conservative: unknown factory -> DES
-            reasons.append(f"arrival factory could not be probed ({exc!r})")
-        else:
-            if not getattr(probe, "renewal", False):
-                reasons.append(
-                    f"arrival process {type(probe).__name__} is not a renewal "
-                    "process (state carried between draws)"
-                )
-    return reasons
-
-
-def can_vectorize(
-    config: Optional[SimulationConfig] = None,
-    destination_policy: Optional[DestinationPolicy] = None,
-    arrival_factory=None,
-    failures=None,
-) -> bool:
-    """``True`` when :func:`vectorization_blockers` finds no blocker."""
-    return not vectorization_blockers(config, destination_policy, arrival_factory, failures)
-
-
-# ---------------------------------------------------------------------------
-# Closed-loop lean engine
-# ---------------------------------------------------------------------------
-
-_ARRIVE = 0
-_DONE_LOCAL = 1
-_DONE_HOP1 = 2
-_DONE_HOP2 = 3
-_DONE_HOP3 = 4
-
-
-class VectorizedClosedLoopSimulator:
-    """Closed-loop run of a state-independent workload, without the kernel.
-
-    Builds on a plain :class:`~repro.simulation.simulator.MultiClusterSimulator`
-    *construction* — the same service centres, latency sink, batched
-    variate streams and destination choosers — but replaces the
-    generator/process machinery with a flat pop loop over the environment's
-    event queue.  Hop progress rides in each event's otherwise-unused
-    ``_value`` slot; event ids are consumed at exactly the points the
-    kernel would consume them, so every heap key, every random draw and
-    therefore every statistic is bit-identical to the DES run.  Eligibility
-    (:func:`vectorization_blockers`) is enforced at construction — an
-    ineligible workload raises :class:`~repro.errors.ConfigurationError`
-    rather than silently degrading.
-    """
-
-    __slots__ = ("_sim",)
-
-    def __init__(
-        self,
-        system: MultiClusterSystem,
-        config: Optional[SimulationConfig] = None,
-        destination_policy: Optional[DestinationPolicy] = None,
-        arrival_factory=None,
-    ) -> None:
-        config = config if config is not None else SimulationConfig()
-        reasons = vectorization_blockers(config, destination_policy, arrival_factory)
-        if reasons:
-            raise ConfigurationError(
-                "workload is not vectorizable: " + "; ".join(reasons)
-            )
-        self._sim = MultiClusterSimulator.__new__(MultiClusterSimulator)
-        # Reuse the DES simulator's construction wholesale (centres, sink,
-        # streams) but skip _start_processors: the lean loop plays the
-        # processors' part itself.
-        sim = self._sim
-        sim.system = system
-        sim.config = config
-        sim.cluster_sizes = [c.num_processors for c in system.clusters]
-        if sum(sim.cluster_sizes) < 2:
-            raise ConfigurationError("simulation needs at least two processors")
-        sim.destination_policy = (
-            destination_policy
-            if destination_policy is not None
-            else UniformDestinations(sim.cluster_sizes)
-        )
-        sim.arrival_factory = arrival_factory
-        sim._streams = RandomStreams(config.seed)
-        sim.faults = None
-        sim.env = Environment()
-        sim._build_service_centers()
-        warmup = int(config.num_messages * config.warmup_fraction)
-        sim.sink = LatencySink(
-            sim.env,
-            config.num_messages,
-            warmup,
-            stats_mode=config.stats_mode,
-            batch_count=config.batch_count,
-            histogram_range=config.histogram_range,
-        )
-        sim._message_counter = 0
-
-    def run(self) -> SimulationResult:
-        """Drive the run to completion and collect the standard result."""
-        sim = self._sim
-        env = sim.env
-        config = sim.config
-        queue = env._queue
-        next_eid = env._eid.__next__
-        sink = sim.sink
-        done = sink.done
-        record = sink.record
-        icn1 = sim.icn1
-        ecn1 = sim.ecn1
-        icn2_begin = sim.icn2.begin
-        message_bytes = config.message_bytes
-
-        # Per-processor workload state, in the kernel's start order.  Each
-        # processor's Initialize event consumes one event id at creation;
-        # its first think-time Timeout is then created at the Initialize
-        # pop, which at t=0 happens before any other event — so the draws
-        # and event ids land exactly where _start_processors puts them.
-        sources: List[Tuple[int, int]] = []
-        arrivals: List[Callable[[], float]] = []
-        choosers: List[Callable[[], Tuple[int, int]]] = []
-        for cluster_idx, cluster in enumerate(sim.system.clusters):
-            rate = cluster.processor_type.scaled_rate(config.generation_rate)
-            for proc_idx in range(cluster.num_processors):
-                next_eid()  # the processor's Initialize event
-                source = (cluster_idx, proc_idx)
-                arrival_rng = sim._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
-                dest_rng = sim._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
-                if sim.arrival_factory is None:
-                    arrivals.append(arrival_rng.exponential_rate_stream(rate))
-                else:
-                    arrivals.append(sim.arrival_factory(rate).sampler(arrival_rng))
-                choosers.append(sim.destination_policy.chooser(source, dest_rng))
-                sources.append(source)
-        for proc, draw in enumerate(arrivals):
-            Timeout(env, draw(), (_ARRIVE, proc, None))
-
-        while True:
-            at, _, _, event = heappop(queue)
-            env._now = at
-            if event is done:
-                break
-            kind, proc, message = event._value
-            if kind == _ARRIVE:
-                destination = choosers[proc]()
-                source = sources[proc]
-                message = Message(
-                    ident=sim._message_counter,
-                    source=source,
-                    destination=destination,
-                    size_bytes=message_bytes,
-                    created_at=at,
-                )
-                sim._message_counter += 1
-                if destination[0] == source[0]:
-                    hop = icn1[source[0]].begin(message)
-                    hop._value = (_DONE_LOCAL, proc, message)
-                else:
-                    hop = ecn1[source[0]].begin(message)
-                    hop._value = (_DONE_HOP1, proc, message)
-            elif kind == _DONE_HOP1:
-                event.callbacks[0](event)  # source ECN1 departure bookkeeping
-                hop = icn2_begin(message)
-                hop._value = (_DONE_HOP2, proc, message)
-            elif kind == _DONE_HOP2:
-                event.callbacks[0](event)
-                hop = ecn1[message.destination[0]].begin(message)
-                hop._value = (_DONE_HOP3, proc, message)
-            else:  # _DONE_HOP3 / _DONE_LOCAL: the message completes
-                event.callbacks[0](event)
-                message.completed_at = at
-                record(message)
-                Timeout(env, arrivals[proc](), (_ARRIVE, proc, None))
-
-        return collect_simulation_result(
-            sink, [*icn1, *ecn1, sim.icn2], env.now, config, faults=None
-        )
-
-
 def run_vectorized_simulation_task(
     system: MultiClusterSystem,
     config: SimulationConfig,
     destination_policy: Optional[DestinationPolicy] = None,
     arrival_factory=None,
 ) -> SimulationResult:
-    """Vectorized twin of :func:`~repro.simulation.runner.run_simulation_task`.
+    """Deprecated: call :func:`~repro.simulation.runner.run_simulation_task`.
 
-    Same signature (and module-level, so socket/pool workers can unpickle
-    it); raises :class:`~repro.errors.ConfigurationError` for workloads
-    that fail the eligibility check instead of silently falling back —
-    routing policy (``engine_mode``) lives in the pipeline, not here.
+    Every closed-loop workload now runs on the one flat event loop of
+    :class:`~repro.simulation.simulator.MultiClusterSimulator`, so this
+    delegates with the same arguments and returns the same result.
     """
-    return VectorizedClosedLoopSimulator(
-        system, config, destination_policy, arrival_factory
-    ).run()
-
-
-def run_vectorized_point(
-    system: MultiClusterSystem,
-    config: SimulationConfig,
-    replications: int,
-) -> List[SimulationResult]:
-    """Evaluate all replications of one sweep point on the lean engine.
-
-    Replication seeds spawn from ``config.seed`` exactly as
-    :func:`~repro.simulation.runner.replication_configs` spawns them for
-    the DES path, and each replication pre-binds its whole bit stream up
-    front, so the batch is element-for-element identical to the DES
-    results for the same point.
-    """
-    from .runner import replication_configs
-
-    return [
-        VectorizedClosedLoopSimulator(system, rep_config).run()
-        for rep_config in replication_configs(config, replications)
-    ]
+    warnings.warn(
+        "run_vectorized_simulation_task is deprecated; use "
+        "repro.simulation.runner.run_simulation_task",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return run_simulation_task(system, config, destination_policy, arrival_factory)

@@ -35,14 +35,6 @@ class ArrivalProcess:
     #: single consumer (and batched lookahead is therefore bit-identical).
     consumes_rng: bool = True
 
-    #: Whether the process is a *renewal* process: successive inter-arrival
-    #: times are independent and identically distributed, with no hidden
-    #: state carried between draws.  The vectorized closed-loop engine
-    #: (:mod:`repro.simulation.vectorized_replay`) only accepts renewal
-    #: arrivals — time-varying/state-dependent processes (e.g. MMPP) set
-    #: this to ``False`` and refuse to vectorize.
-    renewal: bool = True
-
     def interarrival(self, rng: VariateGenerator) -> float:
         """Draw the next inter-arrival time."""
         raise NotImplementedError
@@ -188,10 +180,6 @@ class MMPPArrivals(ArrivalProcess):
     high_rate: float = 2.0
     mean_low_duration: float = 10.0
     mean_high_duration: float = 10.0
-    #: The modulating Markov chain is state carried between draws, so the
-    #: process is not a renewal process (and cannot be vectorized).
-    renewal = False
-
     def __post_init__(self) -> None:
         if self.low_rate <= 0 or self.high_rate <= 0:
             raise ConfigurationError("both state rates must be positive")

@@ -68,9 +68,11 @@ class TestRunVerbCache:
         "--messages", "150", "--replications", "1",
     ]
 
-    def test_run_twice_is_byte_identical_and_reports_hit(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["case-1", "case-1-lossy", "das2-churn"])
+    def test_run_twice_is_byte_identical_and_reports_hit(self, scenario, tmp_path):
+        """A hit reproduces the miss's bytes, fault columns included."""
         cache_dir = str(tmp_path / "cache")
-        argv = self.RUN_ARGS + ["--cache", cache_dir]
+        argv = ["run", scenario, *self.RUN_ARGS[2:], "--cache", cache_dir]
         cold_out, cold_err = run_main(argv + ["--csv", str(tmp_path / "cold.csv")])
         warm_out, warm_err = run_main(argv + ["--csv", str(tmp_path / "warm.csv")])
         assert "[cache miss]" in cold_err

@@ -71,6 +71,27 @@ class TestOutcomeRoundTrip:
         restored = outcome_from_payload(payload, plan)
         assert restored.replicated == outcome.replicated
 
+    def test_fault_columns_round_trip(self):
+        """availability and dropped_messages survive a cache round trip."""
+        import json
+
+        plan = small_plan(
+            scenario="case-1-lossy", mode="simulate", replications=1,
+            simulation_messages=300, cluster_counts=[4],
+        )
+        outcome = ExperimentRunner().run_outcome(plan)
+        result = outcome.replicated[0].per_replication[0]
+        assert result.availability and result.dropped_messages > 0
+        payload = json.loads(json.dumps(outcome_to_payload(outcome)))
+        assert outcome_from_payload(payload, plan).replicated == outcome.replicated
+
+    def test_fault_free_payload_has_no_fault_fields(self):
+        """Always-up results keep their historical payload bytes."""
+        plan = small_plan(mode="simulate", replications=1)
+        payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))
+        (result,) = payload["replicated"][0]["per_replication"]
+        assert "availability" not in result and "dropped_messages" not in result
+
     def test_version_mismatch_rejected(self):
         plan = small_plan(mode="analysis")
         payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))

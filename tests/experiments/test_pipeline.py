@@ -197,85 +197,60 @@ class TestBuildPlan:
 
 
 class TestEngineMode:
-    """engine_mode routing: auto picks the vectorized task only when safe."""
+    """The retired engine_mode knob: saved specs still load, the CLI flag is gone."""
 
     @staticmethod
-    def _spec(scenario, **overrides):
-        return ExperimentSpec(
-            scenario=scenario, mode="simulate", cluster_counts=(2,),
-            message_sizes=(512,), simulation_messages=50, **overrides,
-        )
-
-    def test_auto_routes_eligible_scenarios_to_vectorized_task(self):
-        from repro.simulation.vectorized_replay import run_vectorized_simulation_task
-
-        for scenario in ("case-1", "bursty-hyper"):
-            plan = build_plan(self._spec(scenario))
-            assert all(
-                task.fn is run_vectorized_simulation_task
-                for task in plan.simulation.tasks
-            ), scenario
-
-    def test_auto_falls_back_to_des_for_stateful_workloads(self):
-        from repro.simulation.runner import run_simulation_task
-
-        # localized-linear declares a destination policy; das2-churn injects
-        # failures — both are exactly what the fast path must refuse.
-        for scenario in ("localized-linear", "das2-churn"):
-            plan = build_plan(self._spec(scenario))
-            assert all(
-                task.fn is run_simulation_task for task in plan.simulation.tasks
-            ), scenario
-
-    def test_des_mode_forces_the_event_loop(self):
-        from repro.simulation.runner import run_simulation_task
-
-        plan = build_plan(self._spec("case-1", engine_mode="des"))
-        assert all(task.fn is run_simulation_task for task in plan.simulation.tasks)
-
-    def test_forced_vectorized_on_ineligible_scenario_is_clean_error(self):
-        with pytest.raises(ExperimentError, match="cannot be vectorized"):
-            build_plan(self._spec("localized-linear", engine_mode="vectorized"))
-
-    def test_auto_and_des_results_identical(self):
-        """Routing is an implementation detail: both engines, same numbers."""
-        auto = ExperimentRunner().run(build_plan(self._spec("case-1", seed=11)))
-        des = ExperimentRunner().run(
-            build_plan(self._spec("case-1", seed=11, engine_mode="des"))
-        )
-        assert [p.simulation_latency_ms for p in auto.points] == [
-            p.simulation_latency_ms for p in des.points
-        ]
-
-    def test_invalid_engine_mode_rejected(self):
-        with pytest.raises(ExperimentError, match="engine_mode"):
-            ExperimentSpec(scenario="case-1", engine_mode="warp")
+    def _spec_json(**extra):
+        return {
+            "scenario": "case-1", "mode": "simulate", "cluster_counts": [2],
+            "message_sizes": [512], "simulation_messages": 50, "seed": 11, **extra,
+        }
 
     def test_json_round_trip(self):
-        assert "engine_mode" not in ExperimentSpec(scenario="case-1").to_json()
-        spec = ExperimentSpec.from_json({"scenario": "case-1", "engine_mode": "des"})
-        assert spec.engine_mode == "des"
-        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        """A legacy key warns and is dropped: the spec equals a keyless one."""
+        plain = ExperimentSpec.from_json(self._spec_json())
+        for mode in ("auto", "des", "vectorized", None):
+            with pytest.warns(DeprecationWarning, match="engine_mode"):
+                spec = ExperimentSpec.from_json(self._spec_json(engine_mode=mode))
+            assert spec == plain
+            assert "engine_mode" not in spec.to_json()
+            assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_cli_engine_mode_override(self, tmp_path):
-        csvs = {}
+    def test_legacy_key_keeps_the_cache_key(self, tmp_path):
+        from repro.cache import ResultCache
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        with pytest.warns(DeprecationWarning):
+            legacy = ExperimentSpec.from_json_text(
+                json.dumps(self._spec_json(engine_mode="des"))
+            )
+        key = cache.key_for_plan(build_plan(ExperimentSpec.from_json(self._spec_json())))
+        assert key is not None
+        assert cache.key_for_plan(build_plan(legacy)) == key
+
+    def test_auto_and_des_results_identical(self):
+        """Specs written with either legacy mode compute the same numbers."""
+        results = []
         for mode in ("auto", "des"):
-            path = tmp_path / f"{mode}.csv"
-            code, _ = cli(
-                "run", "case-1", "--mode", "simulate", "--clusters", "2",
-                "--sizes", "512", "--messages", "50", "--seed", "11",
-                "--engine-mode", mode, "--csv", str(path),
-            )
-            assert code == 0
-            csvs[mode] = path.read_text()
-        assert csvs["auto"] == csvs["des"]
+            with pytest.warns(DeprecationWarning):
+                spec = ExperimentSpec.from_json(self._spec_json(engine_mode=mode))
+            result = ExperimentRunner().run(build_plan(spec))
+            results.append([p.simulation_latency_ms for p in result.points])
+        assert results[0] == results[1]
 
-    def test_cli_forced_vectorized_on_ineligible_scenario_is_clean_error(self):
-        with pytest.raises(SystemExit, match="cannot be vectorized"):
-            cli(
-                "run", "localized-linear", "--smoke", "--messages", "50",
-                "--engine-mode", "vectorized",
-            )
+    def test_saved_spec_with_legacy_key_still_runs(self, tmp_path):
+        path = tmp_path / "SPEC.json"
+        path.write_text(json.dumps(self._spec_json(engine_mode="vectorized")))
+        with pytest.warns(DeprecationWarning):
+            code, out = cli("run", str(path))
+        assert code == 0
+        assert "case-1" in out
+
+    def test_cli_engine_mode_override(self):
+        """The --engine-mode override is gone: argparse rejects it."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli("run", "case-1", "--smoke", "--engine-mode", "des")
+        assert excinfo.value.code == 2
 
 
 class TestRunnerEndToEnd:

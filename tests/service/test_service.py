@@ -122,6 +122,17 @@ class TestRoundTrip:
         _, csv_warm = client.request("GET", second["result_url"] + ".csv")
         assert csv_warm == csv_cold
 
+    def test_legacy_engine_mode_submission_is_accepted(self, serial_service):
+        """A submission written for older releases loads; the key is ignored."""
+        client = _Client(serial_service)
+        spec = small_spec(mode="analysis")
+        _, plain = client.submit(spec)
+        body = json.dumps({**spec.to_json(), "engine_mode": "vectorized"})
+        with pytest.warns(DeprecationWarning, match="engine_mode"):
+            status, legacy = client.json("POST", "/v1/experiments", body=body)
+        assert status == 202
+        assert legacy["cache_key"] == plain["cache_key"]
+
     def test_health_reports_cache_and_jobs(self, serial_service):
         client = _Client(serial_service)
         status, health = client.json("GET", "/v1/health")

@@ -191,15 +191,21 @@ class TestFaultyServiceCenter:
     def test_drop_loses_messages_during_outage(self, streams):
         env = Environment(initial_time=11.0)
         center = make_center(env, streams, "drop", constant_schedule())
-        assert center.try_begin(Message(0, (0, 0), (1, 0), 1024, 11.0)) is None
+        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 11.0)) is None
         assert center.dropped == 1
 
     def test_drop_admits_while_up(self, streams):
         env = Environment(initial_time=5.0)
         center = make_center(env, streams, "drop", constant_schedule())
-        event = center.try_begin(Message(0, (0, 0), (1, 0), 1024, 5.0))
+        event = center.begin(Message(0, (0, 0), (1, 0), 1024, 5.0), "hop")
         assert event is not None and event.at == 6.0
+        assert event.value == "hop"
         assert center.dropped == 0
+
+    def test_stall_carries_the_value(self, streams):
+        env = Environment()
+        center = make_center(env, streams, "stall", constant_schedule(), service=11.0)
+        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0), "hop").value == "hop"
 
 
 # ------------------------------------------------------------- FaultInjector

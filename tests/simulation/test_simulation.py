@@ -48,7 +48,7 @@ class TestServiceCenterSim:
 
         def sender(env, center, ident):
             message = Message(ident, (0, 0), (0, 1), 100, env.now)
-            yield from center.serve(message)
+            yield center.begin(message)
             message.completed_at = env.now
             done.append((ident, env.now, message.path))
 
@@ -62,6 +62,13 @@ class TestServiceCenterSim:
         assert center.busy_time == pytest.approx(6.0)
         assert center.utilization() == pytest.approx(1.0)
         assert center.mean_occupancy() == pytest.approx(2.0)
+
+    def test_begin_carries_its_value(self):
+        env = Environment()
+        center = ServiceCenterSim(env, "x", Deterministic(2.0), RandomStreams(1).stream("x"))
+        event = center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), ("hop", 3))
+        assert event.value == ("hop", 3)
+        assert event.at == 2.0
 
     def test_utilization_before_time_advances(self):
         env = Environment()
@@ -176,6 +183,81 @@ class TestMultiClusterSimulator:
                 assert message.path[2] == f"ecn1[{message.destination[0]}]"
             else:
                 assert message.path == [f"icn1[{message.source[0]}]"]
+
+    def test_same_instant_ordering_contract(self):
+        """Hand-derived completions of an all-deterministic workload with ties.
+
+        Two clusters of two nodes; locality 1 gives each source exactly one
+        destination, its neighbour, so every message is one ICN1 visit.
+        Think time T = 1/0.25 = 4 s and service S = 0 + 512 B / 512 B/s = 1 s
+        are exact in binary floating point, and the two clusters run in
+        lockstep, so instants tie:
+
+        * t=4: all four think times end; sources pop in creation (start)
+          order (0,0), (0,1), (1,0), (1,1) and send messages 0-3.  Each ICN1
+          serves its first message over [4,5) and its second over [5,6).
+        * t=5: messages 0 and 2 complete (their departures were created in
+          that order); t=6: messages 1 and 3.  Each source thinks 4 s more.
+        * t=9: (0,0) and (1,0) send 4 and 5, departing at 10.
+        * t=10: the think times of (0,1) and (1,1), created at t=6, pop
+          before the departures of 4 and 5, created at t=9: messages 6 and 7
+          are sent (ICN1 free at 10 -> depart 11), then 4 and 5 complete.
+        * t=11: 6 and 7 complete; t=14: 8 and 9 are sent; t=15: 10 and 11
+          are sent, then 8 and 9 complete; t=16: 10 and 11 complete.
+
+        With ``num_messages=11`` the completion of message 10 triggers the
+        stop event, but the departure of message 11 was created at t=15,
+        before the stop event, so it still runs: 12 completions, stop at 16.
+        """
+        from repro.cluster.system import MultiClusterSystem
+        from repro.network.switch import SwitchFabric
+        from repro.network.technologies import NetworkTechnology
+        from repro.workload.arrivals import DeterministicArrivals
+
+        link = NetworkTechnology("unit", latency_s=0.0, bandwidth_bytes_per_s=512.0)
+        system = MultiClusterSystem.from_cluster_sizes(
+            [2, 2], [link, link], [link, link], link,
+            switch=SwitchFabric(ports=4, latency_s=0.0),
+        )
+        config = SimulationConfig(
+            message_bytes=512.0, generation_rate=0.25, num_messages=11,
+            warmup_fraction=0.0, exponential_service=False,
+        )
+        sim = MultiClusterSimulator(
+            system, config, LocalizedDestinations([2, 2], locality=1.0),
+            arrival_factory=DeterministicArrivals,
+        )
+        assert [c.service_distribution.value for c in sim.icn1] == [1.0, 1.0]
+        result = sim.run()
+
+        expected = [  # (ident, source, created, completed), in completion order
+            (0, (0, 0), 4.0, 5.0), (2, (1, 0), 4.0, 5.0),
+            (1, (0, 1), 4.0, 6.0), (3, (1, 1), 4.0, 6.0),
+            (4, (0, 0), 9.0, 10.0), (5, (1, 0), 9.0, 10.0),
+            (6, (0, 1), 10.0, 11.0), (7, (1, 1), 10.0, 11.0),
+            (8, (0, 0), 14.0, 15.0), (9, (1, 0), 14.0, 15.0),
+            (10, (0, 1), 15.0, 16.0), (11, (1, 1), 15.0, 16.0),
+        ]
+        got = [(m.ident, m.source, m.created_at, m.completed_at) for m in sim.sink.messages]
+        assert got == expected
+        completions = [m.completed_at for m in sim.sink.messages]
+        assert len(set(completions)) < len(completions)  # completions tie
+        assert {m.created_at for m in sim.sink.messages} & set(completions)  # and sends tie
+        assert result.completed_messages == 12
+        assert result.simulated_time_s == 16.0
+
+    def test_run_reads_the_sink_at_start(self, small_case1_system, small_config):
+        """A sink swapped in after construction receives every completion."""
+        simulator = MultiClusterSimulator(small_case1_system, small_config)
+        reference = MultiClusterSimulator(small_case1_system, small_config).run()
+        original = simulator.sink
+        simulator.sink = LatencySink(
+            simulator.env, small_config.num_messages,
+            int(small_config.num_messages * small_config.warmup_fraction),
+        )
+        assert simulator.run() == reference
+        assert original.completed == 0
+        assert simulator.sink.done.processed
 
     def test_blocking_architecture_slower(self, small_case1_system):
         nb_config = SimulationConfig(architecture="non-blocking", message_bytes=1024,

@@ -1,11 +1,9 @@
-"""Tests for the event-loop-free evaluators in ``repro.simulation.vectorized_replay``.
+"""Tests for the event-loop-free trace replay in ``repro.simulation.vectorized_replay``.
 
-The golden-trace suite pins the vectorized paths to the historical fixture;
-this module covers the rest of the contract: exact equivalence to the DES
-across configurations, the FIFO-recurrence kernel itself, and — critically —
-the eligibility predicate.  The fast path must *refuse* state-dependent
-workloads (failures, non-uniform destinations, non-renewal arrivals) rather
-than silently computing something else.
+The golden-trace suite pins the replay to the historical fixture; this
+module covers the rest of the contract: exact equivalence to the DES trace
+simulator across configurations, the FIFO-recurrence kernel itself, and the
+deprecated closed-loop entry point that now delegates to the one simulator.
 """
 
 from __future__ import annotations
@@ -14,29 +12,18 @@ import numpy as np
 import pytest
 
 from repro.cluster.presets import paper_evaluation_system
-from repro.errors import ConfigurationError
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
-from repro.simulation.faults import FaultSpec
-from repro.simulation.runner import replication_configs, run_simulation_task
-from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
+from repro.simulation.runner import run_simulation_task
+from repro.simulation.simulator import SimulationConfig
 from repro.simulation.trace_simulator import TraceDrivenSimulator, TraceSimulationConfig
 from repro.simulation.vectorized_replay import (
-    VectorizedClosedLoopSimulator,
     _fifo_departures,
     _fifo_departures_scalar,
-    can_vectorize,
     replay_trace,
-    run_vectorized_point,
     run_vectorized_simulation_task,
-    vectorization_blockers,
 )
-from repro.workload.arrivals import (
-    ErlangArrivals,
-    HyperexponentialArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
-from repro.workload.destinations import LocalizedDestinations, UniformDestinations
+from repro.workload.arrivals import ErlangArrivals
+from repro.workload.destinations import LocalizedDestinations
 from repro.workload.messages import generate_trace
 
 
@@ -108,79 +95,12 @@ class TestReplayTraceEquivalence:
         assert _trace_result_hexes(vec) == _trace_result_hexes(des)
 
 
-class TestEligibility:
-    """can_vectorize / vectorization_blockers: explicit, conservative."""
-
-    def test_default_workload_is_eligible(self):
-        assert vectorization_blockers() == []
-        assert can_vectorize(SimulationConfig())
-
-    def test_uniform_policy_instance_is_eligible(self):
-        assert can_vectorize(destination_policy=UniformDestinations([4, 4]))
-
-    def test_renewal_arrival_factories_are_eligible(self):
-        for factory in (PoissonArrivals, lambda rate: ErlangArrivals(rate=rate, shape=3),
-                        lambda rate: HyperexponentialArrivals(rate=rate, cv2=4.0)):
-            assert can_vectorize(arrival_factory=factory)
-
-    def test_failures_block_refuses(self):
-        blockers = vectorization_blockers(failures=FaultSpec(mtbf_s=10.0, mttr_s=1.0))
-        assert any("failure injection" in reason for reason in blockers)
-        config = SimulationConfig(failures=FaultSpec(mtbf_s=10.0, mttr_s=1.0))
-        assert not can_vectorize(config)
-
-    def test_localized_destinations_refuse(self):
-        blockers = vectorization_blockers(
-            destination_policy=LocalizedDestinations([4, 4], locality=0.5)
-        )
-        assert any("LocalizedDestinations" in reason for reason in blockers)
-
-    def test_time_varying_arrivals_refuse(self):
-        blockers = vectorization_blockers(
-            arrival_factory=lambda rate: MMPPArrivals(low_rate=rate / 2, high_rate=rate * 2)
-        )
-        assert any("renewal" in reason for reason in blockers)
-
-    def test_ineligible_workload_raises_not_degrades(self):
-        """The task entry point refuses; it never silently falls back."""
-        config = SimulationConfig(
-            num_messages=50, failures=FaultSpec(mtbf_s=10.0, mttr_s=1.0)
-        )
-        with pytest.raises(ConfigurationError, match="not vectorizable"):
-            VectorizedClosedLoopSimulator(_system(), config)
-        with pytest.raises(ConfigurationError, match="not vectorizable"):
-            run_vectorized_simulation_task(_system(), config)
-
-
-class TestClosedLoopEquivalence:
-    """The lean engine returns dataclass-equal SimulationResults."""
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            SimulationConfig(num_messages=200, seed=5),
-            SimulationConfig(num_messages=200, seed=5, architecture="blocking"),
-            SimulationConfig(num_messages=200, seed=9, stats_mode="online"),
-        ],
-        ids=["nonblocking", "blocking", "online"],
-    )
-    def test_matches_des(self, config):
-        des = MultiClusterSimulator(_system(), config).run()
-        vec = VectorizedClosedLoopSimulator(_system(), config).run()
-        assert vec == des
-
-    def test_matches_des_with_renewal_arrival_factory(self):
-        config = SimulationConfig(num_messages=150, seed=3)
-        factory = lambda rate: ErlangArrivals(rate=rate, shape=4)  # noqa: E731
-        des = MultiClusterSimulator(_system(), config, arrival_factory=factory).run()
-        vec = run_vectorized_simulation_task(_system(), config, arrival_factory=factory)
-        assert vec == des
-
-    def test_run_vectorized_point_matches_replicated_des(self):
-        config = SimulationConfig(num_messages=120, seed=42)
-        vec = run_vectorized_point(_system(), config, replications=3)
-        des = [
-            run_simulation_task(_system(), rep_config)
-            for rep_config in replication_configs(config, 3)
-        ]
-        assert vec == des
+def test_deprecated_vectorized_task_delegates_to_the_simulator_task():
+    """The old closed-loop entry point warns and returns exactly what
+    run_simulation_task returns, workload arguments included."""
+    config = SimulationConfig(num_messages=150, seed=3)
+    factory = lambda rate: ErlangArrivals(rate=rate, shape=4)  # noqa: E731
+    policy = LocalizedDestinations([4, 4], locality=0.5)
+    with pytest.warns(DeprecationWarning, match="run_simulation_task"):
+        old = run_vectorized_simulation_task(_system(), config, policy, factory)
+    assert old == run_simulation_task(_system(), config, policy, factory)
