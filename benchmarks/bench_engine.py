@@ -28,7 +28,6 @@ pytest = pytest_or_stub()
 from repro.cluster.presets import paper_evaluation_system
 from repro.core.model import AnalyticalModel, ModelConfig
 from repro.des.core import Environment
-from repro.des.resources import Resource
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 
@@ -47,25 +46,10 @@ def test_analytical_model_evaluation_speed(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_des_event_throughput(benchmark):
-    """Raw kernel throughput: a chain of timeouts through a shared resource.
-
-    Reports ``events_per_sec`` in ``extra_info`` so the before/after effect
-    of kernel hot-path work (``__slots__``, inlined Timeout scheduling) is
-    directly visible in the benchmark output.
-    """
-    EVENTS_PER_RUN = 10_000  # 2000 processes x (request + timeout + ...) events
-
-    events = benchmark(lambda: _resource_kernel(2_000))
-    assert events == EVENTS_PER_RUN
-    benchmark.extra_info["events_per_sec"] = EVENTS_PER_RUN / benchmark.stats.stats.min
-
-
-@pytest.mark.benchmark(group="engine")
 def test_des_timeout_chain_event_rate(benchmark):
     """Pure event-loop rate: one process yielding 50k timeouts back to back.
 
-    This is the tightest loop the kernel has — no resources, no conditions —
+    This is the tightest loop the kernel has — one process, no conditions —
     so it isolates the cost of ``Environment.timeout`` + ``step``.
     """
     CHAIN = 50_000
@@ -86,23 +70,6 @@ def test_simulator_throughput_small_system(benchmark):
 
     measured = benchmark(run_sim)
     assert measured > 0
-
-
-def _resource_kernel(processes: int) -> int:
-    """The resource-chain kernel at a configurable size; returns event count."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def user(env, resource):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(1.0)
-
-    for _ in range(processes):
-        env.process(user(env, resource))
-    env.run()
-    assert env.now == processes
-    return 5 * processes  # request + grant + timeout + release + termination
 
 
 def _timeout_chain(chain: int) -> int:
@@ -135,7 +102,6 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
     the >2x regression gate of ``check_regression.py``.
     """
     chain = 10_000 if quick else 50_000
-    processes = 500 if quick else 2_000
     messages = 300 if quick else 1_000
 
     system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
@@ -150,13 +116,6 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
         "name": "des_timeout_chain",
         "seconds": round(seconds, 6),
         "events_per_sec": round(chain_events / seconds, 1),
-    })
-    kernel_events = _resource_kernel(processes)
-    seconds = _best_of(lambda: _resource_kernel(processes), repeats)
-    results.append({
-        "name": "des_resource_kernel",
-        "seconds": round(seconds, 6),
-        "events_per_sec": round(kernel_events / seconds, 1),
     })
     seconds = _best_of(
         lambda: MultiClusterSimulator(system, sim_config).run().measured_messages, repeats

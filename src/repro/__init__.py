@@ -20,9 +20,9 @@ Subpackages
 ``repro.des``
     Discrete-event simulation kernel (SimPy-compatible subset).
 ``repro.queueing``
-    Queueing-theory substrate (M/M/1, M/M/c, M/G/1, Jackson, MVA, ...).
+    Queueing-theory substrate (service-time distributions, exact MVA).
 ``repro.topology``
-    Fat-tree, linear switch array and extension topologies.
+    The paper's fat-tree and linear switch array topologies.
 ``repro.network``
     Technologies, switches and the blocking / non-blocking service models.
 ``repro.cluster``

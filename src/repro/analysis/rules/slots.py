@@ -54,13 +54,6 @@ KNOWN_SLOTTED = frozenset(
         "AllOf",
         "AnyOf",
         "Process",
-        "Request",
-        "PriorityRequest",
-        "Release",
-        "StorePut",
-        "StoreGet",
-        "ContainerPut",
-        "ContainerGet",
         "Monitor",
         "TimeWeightedMonitor",
         "TraceRecord",

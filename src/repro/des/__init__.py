@@ -2,43 +2,30 @@
 
 This package is the simulation substrate of the reproduction: a
 deterministic, generator-based discrete-event kernel with processes,
-timeouts, shared resources, stores/containers, independent random streams
-and measurement helpers.  The multi-cluster validation simulator in
-:mod:`repro.simulation` is written entirely against this API.
+timeouts, conditions, independent random streams and measurement helpers.
+The multi-cluster validation simulator in :mod:`repro.simulation` is
+written entirely against this API.
 
 Quick example
 -------------
->>> from repro.des import Environment, Resource
+>>> from repro.des import Environment
 >>> env = Environment()
->>> link = Resource(env, capacity=1)
 >>> done = []
->>> def message(env, link, ident, service_time):
-...     with link.request() as req:
-...         yield req
-...         yield env.timeout(service_time)
+>>> def message(env, ident, service_time):
+...     yield env.timeout(service_time)
 ...     done.append((ident, env.now))
 >>> for i in range(3):
-...     _ = env.process(message(env, link, i, 1.0))
+...     _ = env.process(message(env, i, 3.0 - i))
 >>> env.run()
 >>> done
-[(0, 1.0), (1, 2.0), (2, 3.0)]
+[(2, 1.0), (1, 2.0), (0, 3.0)]
 """
 
 from .core import EmptySchedule, Environment, StopSimulation
 from .events import AbsoluteTimeout, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .monitor import Monitor, TimeWeightedMonitor, TraceRecord, Tracer
 from .process import Interrupt, Process
-from .resources import (
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
 from .rng import RandomStreams, VariateGenerator
-from .store import Container, FilterStore, Store
 
 __all__ = [
     "Environment",
@@ -53,16 +40,6 @@ __all__ = [
     "AnyOf",
     "Process",
     "Interrupt",
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Request",
-    "PriorityRequest",
-    "Release",
-    "Preempted",
-    "Store",
-    "FilterStore",
-    "Container",
     "Monitor",
     "TimeWeightedMonitor",
     "Tracer",

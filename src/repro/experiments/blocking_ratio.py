@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.model import AnalyticalModel, ModelConfig
+from ..core.model import ModelConfig
 from ..core.vectorized import evaluate_latency_grid
 from ..parallel import Backend, SweepEngine, SweepJournal
 from ..viz.tables import format_markdown_table
@@ -102,33 +102,6 @@ class BlockingRatioStudy:
             f"{PAPER_RATIO_BAND[0]} - {PAPER_RATIO_BAND[1]}."
         )
         return table + summary
-
-
-def _ratio_point(
-    scenario: NetworkScenario,
-    num_clusters: int,
-    message_bytes: int,
-    parameters: PaperParameters,
-) -> RatioPoint:
-    """Evaluate both architectures at one point (picklable sweep task)."""
-    system = build_scenario_system(scenario, num_clusters, parameters)
-    latencies = {}
-    for architecture in ("non-blocking", "blocking"):
-        latencies[architecture] = AnalyticalModel(
-            system,
-            ModelConfig(
-                architecture=architecture,
-                message_bytes=float(message_bytes),
-                generation_rate=parameters.generation_rate,
-            ),
-        ).evaluate().mean_latency_ms
-    return RatioPoint(
-        scenario=scenario.name,
-        num_clusters=num_clusters,
-        message_bytes=int(message_bytes),
-        nonblocking_latency_ms=latencies["non-blocking"],
-        blocking_latency_ms=latencies["blocking"],
-    )
 
 
 def run_blocking_ratio_study(

@@ -1,6 +1,5 @@
-"""Queueing-theory substrate: distributions, single queues, Jackson networks, MVA."""
+"""Queueing-theory substrate: service-time distributions and exact MVA."""
 
-from .approximate_mva import approximate_mva
 from .distributions import (
     Deterministic,
     Distribution,
@@ -9,19 +8,6 @@ from .distributions import (
     HyperExponential,
     UniformDistribution,
 )
-from .finite_source import MachineRepairmanQueue, effective_rate_correction
-from .jackson import JacksonNetwork, JacksonSolution, ServiceCenter
-from .littles_law import (
-    arrival_rate_from,
-    number_in_system,
-    require_stable,
-    saturation_arrival_rate,
-    sojourn_time,
-    utilization,
-)
-from .mg1 import MG1Queue
-from .mm1 import MM1KQueue, MM1Queue
-from .mmc import MMCQueue, erlang_b, erlang_c
 from .mva import MVAResult, MVAStation, mean_value_analysis
 
 __all__ = [
@@ -31,25 +17,7 @@ __all__ = [
     "Erlang",
     "HyperExponential",
     "UniformDistribution",
-    "MM1Queue",
-    "MM1KQueue",
-    "MMCQueue",
-    "erlang_b",
-    "erlang_c",
-    "MG1Queue",
-    "MachineRepairmanQueue",
-    "effective_rate_correction",
-    "JacksonNetwork",
-    "JacksonSolution",
-    "ServiceCenter",
     "MVAStation",
     "MVAResult",
     "mean_value_analysis",
-    "approximate_mva",
-    "number_in_system",
-    "sojourn_time",
-    "arrival_rate_from",
-    "utilization",
-    "require_stable",
-    "saturation_arrival_rate",
 ]

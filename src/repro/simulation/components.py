@@ -50,7 +50,7 @@ class ServiceCenterSim:
     is fully determined at arrival — ``depart = max(now, previous depart) +
     service_time`` — so one :class:`~repro.des.events.AbsoluteTimeout` per
     visit replaces the request/grant/timeout/release event chain of an
-    explicit ``Resource`` (5 events and several callback hops per visit).
+    explicit resource (5 events and several callback hops per visit).
     Service times are drawn in arrival order, which for a FIFO queue is
     exactly the grant order of the explicit-resource formulation, so every
     seed reproduces the original per-message latencies bit-for-bit (the

@@ -9,11 +9,10 @@ from .compare import (
     relative_error,
     root_mean_square_error,
 )
-from .histogram import Histogram, LogHistogram
+from .histogram import Histogram
 from .intervals import ConfidenceInterval, batch_means, mean_confidence_interval, t_quantile
-from .online import ExponentialMovingAverage, RunningCovariance, RunningStatistics
+from .online import RunningStatistics
 from .sinks import STATS_MODES, OnlineMonitor, StatsSink, validate_stats_mode
-from .warmup import moving_average_crossing, mser5_truncation, truncate_warmup
 
 __all__ = [
     "STATS_MODES",
@@ -21,17 +20,11 @@ __all__ = [
     "OnlineMonitor",
     "validate_stats_mode",
     "RunningStatistics",
-    "RunningCovariance",
-    "ExponentialMovingAverage",
     "ConfidenceInterval",
     "mean_confidence_interval",
     "batch_means",
     "t_quantile",
     "Histogram",
-    "LogHistogram",
-    "mser5_truncation",
-    "moving_average_crossing",
-    "truncate_warmup",
     "relative_error",
     "absolute_error",
     "mean_absolute_percentage_error",

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Histogram", "LogHistogram"]
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -135,92 +135,3 @@ class Histogram:
     def __repr__(self) -> str:
         return f"<Histogram [{self.low}, {self.high}) bins={self.bins} total={self.total}>"
 
-
-class LogHistogram:
-    """Histogram with logarithmically spaced bins (latency tails)."""
-
-    def __init__(self, low: float, high: float, bins_per_decade: int = 10) -> None:
-        if low <= 0:
-            raise ValueError(f"low must be positive for a log histogram, got {low!r}")
-        if high <= low:
-            raise ValueError(f"high (={high!r}) must exceed low (={low!r})")
-        if bins_per_decade < 1:
-            raise ValueError(f"bins_per_decade must be >= 1, got {bins_per_decade!r}")
-        self.low = float(low)
-        self.high = float(high)
-        self.bins_per_decade = int(bins_per_decade)
-        decades = math.log10(self.high / self.low)
-        self.bins = max(1, int(math.ceil(decades * bins_per_decade)))
-        self._edges = np.logspace(math.log10(self.low), math.log10(self.high), self.bins + 1)
-        self._counts = np.zeros(self.bins, dtype=np.int64)
-        self._underflow = 0
-        self._overflow = 0
-
-    def add(self, value: float) -> None:
-        """Record one observation (NaN is rejected, not silently binned)."""
-        value = float(value)
-        if math.isnan(value):
-            raise ValueError("cannot add NaN to a histogram")
-        if value < self.low:
-            self._underflow += 1
-        elif value >= self.high:
-            self._overflow += 1
-        else:
-            idx = int(np.searchsorted(self._edges, value, side="right")) - 1
-            self._counts[min(max(idx, 0), self.bins - 1)] += 1
-
-    def add_many(self, values: Sequence[float]) -> None:
-        """Record many observations (vectorised); same NaN rule as ``add``."""
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            return
-        if np.isnan(arr).any():
-            raise ValueError("cannot add NaN to a histogram")
-        self._underflow += int(np.count_nonzero(arr < self.low))
-        self._overflow += int(np.count_nonzero(arr >= self.high))
-        in_range = arr[(arr >= self.low) & (arr < self.high)]
-        if in_range.size:
-            idx = np.searchsorted(self._edges, in_range, side="right") - 1
-            idx = np.clip(idx, 0, self.bins - 1)
-            np.add.at(self._counts, idx, 1)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Counts per bin."""
-        return self._counts.copy()
-
-    @property
-    def underflow(self) -> int:
-        """Observations below ``low``."""
-        return self._underflow
-
-    @property
-    def overflow(self) -> int:
-        """Observations at or above ``high``."""
-        return self._overflow
-
-    @property
-    def total(self) -> int:
-        """Total number of recorded observations."""
-        return int(self._counts.sum()) + self._underflow + self._overflow
-
-    def bin_edges(self) -> np.ndarray:
-        """Logarithmic bin edges."""
-        return self._edges.copy()
-
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Merge two log histograms with identical binning."""
-        if (self.low, self.high, self.bins_per_decade) != (
-            other.low,
-            other.high,
-            other.bins_per_decade,
-        ):
-            raise ValueError("histograms must have identical binning to merge")
-        merged = LogHistogram(self.low, self.high, self.bins_per_decade)
-        merged._counts = self._counts + other._counts
-        merged._underflow = self._underflow + other._underflow
-        merged._overflow = self._overflow + other._overflow
-        return merged
-
-    def __repr__(self) -> str:
-        return f"<LogHistogram [{self.low}, {self.high}) bins={self.bins} total={self.total}>"

@@ -8,9 +8,9 @@ samples and without catastrophic cancellation.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
-__all__ = ["RunningStatistics", "RunningCovariance", "ExponentialMovingAverage"]
+__all__ = ["RunningStatistics"]
 
 
 class RunningStatistics:
@@ -129,81 +129,3 @@ class RunningStatistics:
     def __repr__(self) -> str:
         return f"<RunningStatistics n={self._n} mean={self.mean:.6g} std={self.std:.6g}>"
 
-
-class RunningCovariance:
-    """Single-pass covariance / correlation of a paired sample."""
-
-    __slots__ = ("_n", "_mean_x", "_mean_y", "_c", "_m2x", "_m2y")
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean_x = 0.0
-        self._mean_y = 0.0
-        self._c = 0.0
-        self._m2x = 0.0
-        self._m2y = 0.0
-
-    def push(self, x: float, y: float) -> None:
-        """Incorporate one paired observation ``(x, y)``."""
-        x = float(x)
-        y = float(y)
-        self._n += 1
-        dx = x - self._mean_x
-        dy = y - self._mean_y
-        self._mean_x += dx / self._n
-        self._mean_y += dy / self._n
-        self._c += dx * (y - self._mean_y)
-        self._m2x += dx * (x - self._mean_x)
-        self._m2y += dy * (y - self._mean_y)
-
-    @property
-    def count(self) -> int:
-        """Number of paired observations."""
-        return self._n
-
-    @property
-    def covariance(self) -> float:
-        """Unbiased sample covariance."""
-        if self._n < 2:
-            return math.nan
-        return self._c / (self._n - 1)
-
-    @property
-    def correlation(self) -> float:
-        """Pearson correlation coefficient."""
-        if self._n < 2 or self._m2x == 0.0 or self._m2y == 0.0:
-            return math.nan
-        return self._c / math.sqrt(self._m2x * self._m2y)
-
-
-class ExponentialMovingAverage:
-    """Exponentially weighted moving average, used for convergence checks.
-
-    Parameters
-    ----------
-    alpha:
-        Smoothing factor in ``(0, 1]``; larger values weight recent
-        observations more heavily.
-    """
-
-    __slots__ = ("_alpha", "_value")
-
-    def __init__(self, alpha: float = 0.1) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        self._alpha = float(alpha)
-        self._value: Optional[float] = None
-
-    def push(self, value: float) -> float:
-        """Incorporate ``value`` and return the updated average."""
-        value = float(value)
-        if self._value is None:
-            self._value = value
-        else:
-            self._value = self._alpha * value + (1.0 - self._alpha) * self._value
-        return self._value
-
-    @property
-    def value(self) -> float:
-        """Current average (NaN before the first observation)."""
-        return self._value if self._value is not None else math.nan

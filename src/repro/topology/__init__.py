@@ -1,4 +1,4 @@
-"""Interconnect topologies: the paper's fat-tree and linear array plus extensions."""
+"""Interconnect topologies: the paper's fat-tree and linear switch array."""
 
 from .base import Topology, TopologyStats
 from .fattree import FatTreeTopology, fat_tree_stages, fat_tree_switch_count
@@ -6,22 +6,6 @@ from .linear_array import (
     LinearArrayTopology,
     average_traversed_switches,
     linear_array_switch_count,
-)
-from .metrics import (
-    average_node_distance,
-    bisection_width_estimate,
-    bisection_width_exact,
-    graph_diameter,
-    node_count,
-    switch_count,
-)
-from .regular import (
-    BinaryTreeTopology,
-    HypercubeTopology,
-    KAryNCubeTopology,
-    MeshTopology,
-    StarTopology,
-    TorusTopology,
 )
 
 __all__ = [
@@ -33,16 +17,4 @@ __all__ = [
     "LinearArrayTopology",
     "linear_array_switch_count",
     "average_traversed_switches",
-    "MeshTopology",
-    "TorusTopology",
-    "HypercubeTopology",
-    "KAryNCubeTopology",
-    "StarTopology",
-    "BinaryTreeTopology",
-    "node_count",
-    "switch_count",
-    "average_node_distance",
-    "graph_diameter",
-    "bisection_width_exact",
-    "bisection_width_estimate",
 ]

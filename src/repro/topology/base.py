@@ -8,21 +8,16 @@ network models need:
 * its bisection width (→ whether it has full bisection bandwidth, §5.1),
 * the average switch distance between two nodes (→ blocking model, Eq. 19).
 
-Concrete subclasses: :class:`~repro.topology.fattree.FatTreeTopology`,
-:class:`~repro.topology.linear_array.LinearArrayTopology` (the two used by
-the paper), plus mesh/torus/hypercube/k-ary-n-cube/star/tree used by the
-extension studies.
+Concrete subclasses: :class:`~repro.topology.fattree.FatTreeTopology` and
+:class:`~repro.topology.linear_array.LinearArrayTopology`, the two the paper
+uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..errors import TopologyError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
 
 __all__ = ["Topology", "TopologyStats"]
 
@@ -134,15 +129,6 @@ class Topology:
             average_switch_hops=self.average_switch_hops,
             diameter_switch_hops=self.diameter_switch_hops,
         )
-
-    def to_graph(self) -> "nx.Graph":
-        """Return the topology as a :class:`networkx.Graph`.
-
-        Node identifiers are ``("node", i)`` for processors and
-        ``("switch", s)`` for switches.  Subclasses that have an explicit
-        wiring override this; the default raises.
-        """
-        raise TopologyError(f"{self.family} does not provide an explicit graph construction")
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ which the unit tests assert.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List
 
 from ..errors import TopologyError
 from .base import Topology
@@ -141,49 +141,6 @@ class FatTreeTopology(Topology):
     def down_links_per_switch(self) -> int:
         """Down-link ports per non-root switch (``Pr/2``; Pr when single stage)."""
         return self._switch_ports if self._stages == 1 else self._switch_ports // 2
-
-    # -- explicit wiring ------------------------------------------------------------
-
-    def to_graph(self):
-        """Explicit two-level wiring as a :class:`networkx.Graph`.
-
-        The construction attaches nodes evenly to stage-1 switches and wires
-        each stage-``s`` switch to every stage-``s+1`` switch reachable given
-        its up-link budget (round-robin), which preserves the stage/switch
-        counts and bisection properties the model relies on.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        for node in range(self._num_nodes):
-            graph.add_node(("node", node), kind="node")
-
-        per_stage = self.switches_per_stage
-        switch_ids: List[List[Tuple[str, Tuple[int, int]]]] = []
-        for stage, count in enumerate(per_stage):
-            ids = []
-            for idx in range(count):
-                name = ("switch", (stage, idx))
-                graph.add_node(name, kind="switch", stage=stage)
-                ids.append(name)
-            switch_ids.append(ids)
-
-        # Attach nodes to stage-0 switches round-robin over down-link capacity.
-        down = self.down_links_per_switch if self._stages > 1 else self._switch_ports
-        for node in range(self._num_nodes):
-            sw = switch_ids[0][min(node // down, len(switch_ids[0]) - 1)]
-            graph.add_edge(("node", node), sw)
-
-        # Wire consecutive stages: every lower switch connects to upper
-        # switches round-robin using its up-link budget.
-        for stage in range(len(per_stage) - 1):
-            uppers = switch_ids[stage + 1]
-            up_links = self.up_links_per_switch or 1
-            for idx, lower in enumerate(switch_ids[stage]):
-                for port in range(up_links):
-                    upper = uppers[(idx + port) % len(uppers)]
-                    graph.add_edge(lower, upper)
-        return graph
 
     def __repr__(self) -> str:
         return (

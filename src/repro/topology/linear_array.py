@@ -101,24 +101,6 @@ class LinearArrayTopology(Topology):
         """
         return self._num_nodes / 2.0
 
-    def to_graph(self):
-        """Explicit chain wiring as a :class:`networkx.Graph`."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        switches = []
-        for idx in range(self._switches):
-            name = ("switch", idx)
-            graph.add_node(name, kind="switch", stage=0)
-            switches.append(name)
-            if idx > 0:
-                graph.add_edge(switches[idx - 1], name)
-        for node in range(self._num_nodes):
-            sw = switches[min(node // self._switch_ports, self._switches - 1)]
-            graph.add_node(("node", node), kind="node")
-            graph.add_edge(("node", node), sw)
-        return graph
-
     def __repr__(self) -> str:
         return (
             f"<LinearArrayTopology N={self.num_nodes} Pr={self.switch_ports} "

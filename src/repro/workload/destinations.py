@@ -9,7 +9,6 @@ that remark be tested quantitatively (ablation ``traffic_locality``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from ..des.rng import DEFAULT_BLOCK_SIZE, VariateGenerator
@@ -117,14 +116,6 @@ class DestinationPolicy:
                 return (cluster, flat)
             flat -= size
         raise ConfigurationError(f"flat index {flat} out of range")
-
-
-@dataclass(frozen=True)
-class _PolicyConfig:
-    """Internal bag of policy parameters (keeps subclasses hashable/printable)."""
-
-    locality: float = 0.0
-    hotspot_fraction: float = 0.0
 
 
 class UniformDestinations(DestinationPolicy):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.routing import (
@@ -12,7 +13,6 @@ from repro.core.routing import (
 )
 from repro.core.traffic import compute_traffic_rates
 from repro.errors import ConfigurationError
-from repro.queueing.jackson import JacksonNetwork, ServiceCenter
 
 
 class TestRoutingProbability:
@@ -118,34 +118,30 @@ class TestTrafficEquations:
 
 
 class TestTrafficAgainstGenericJacksonSolver:
-    """Cross-check the paper's hand-derived rates against the generic solver."""
+    """Cross-check the paper's hand-derived rates against Jackson's traffic equations."""
 
     def test_supercluster_flow_balance(self):
         c, n0, lam = 4, 8, 0.25
         paper = compute_traffic_rates(c, n0, lam)
         p = paper.outgoing_probability
 
-        # Build the equivalent open network: per-cluster ICN1 and ECN1 plus
-        # one ICN2.  External arrivals model the processors of each cluster;
-        # routing sends remote traffic ECN1 -> ICN2 -> ECN1 (uniformly over
-        # the other clusters' ECN1s on the return path).
-        net = JacksonNetwork()
-        big = 1e9  # service rates are irrelevant for the traffic equations
+        # The equivalent open network: ICN1 of cluster i is centre i, its
+        # ECN1 is centre c + i, and the one ICN2 is centre 2c.  External
+        # arrivals model the processors of each cluster; remote traffic goes
+        # ECN1 -> ICN2 -> ECN1, returning uniformly over the clusters' ECN1s.
+        icn2 = 2 * c
+        external = np.zeros(2 * c + 1)
+        routing = np.zeros((2 * c + 1, 2 * c + 1))
         for i in range(c):
-            net.add_center(ServiceCenter(f"icn1[{i}]", big))
-            net.add_center(ServiceCenter(f"ecn1[{i}]", big))
-        net.add_center(ServiceCenter("icn2", big))
-        for i in range(c):
-            net.set_external_arrival(f"icn1[{i}]", n0 * (1 - p) * lam)
-            net.set_external_arrival(f"ecn1[{i}]", n0 * p * lam)
-            net.set_routing(f"ecn1[{i}]", "icn2", 0.5)  # only forward visits continue
-        # ICN2 output returns to each cluster's ECN1 with equal probability.
-        for i in range(c):
-            net.set_routing("icn2", f"ecn1[{i}]", 1.0 / c)
-        solution = net.solve()
+            external[i] = n0 * (1 - p) * lam
+            external[c + i] = n0 * p * lam
+            routing[c + i, icn2] = 0.5  # only forward visits continue
+            routing[icn2, c + i] = 1.0 / c
+        # Traffic equations λ = γ + Pᵀλ.
+        rates = np.linalg.solve(np.eye(2 * c + 1) - routing.T, external)
 
-        # The forward ECN1 visit happens at rate N0·P·λ; the Jackson solver
-        # then doubles it via the return path, matching Eq. (5).
-        assert solution.arrival_rate("icn2") == pytest.approx(paper.icn2)
-        assert solution.arrival_rate("ecn1[0]") == pytest.approx(paper.ecn1)
-        assert solution.arrival_rate("icn1[0]") == pytest.approx(paper.icn1)
+        # The forward ECN1 visit happens at rate N0·P·λ; the return path
+        # doubles it, matching Eq. (5).
+        assert rates[icn2] == pytest.approx(paper.icn2)
+        assert rates[c] == pytest.approx(paper.ecn1)
+        assert rates[0] == pytest.approx(paper.icn1)

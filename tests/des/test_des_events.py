@@ -276,23 +276,6 @@ class TestEventSlots:
         # Initialize is created internally by Process; build one directly.
         assert not hasattr(Initialize(env, process), "__dict__")
 
-    def test_resource_and_store_events_have_no_dict(self, env):
-        from repro.des.resources import PriorityResource, Resource
-        from repro.des.store import Container, Store
-
-        resource = Resource(env)
-        request = resource.request()
-        assert not hasattr(request, "__dict__")
-        assert not hasattr(resource.release(request), "__dict__")
-        priority_resource = PriorityResource(env)
-        assert not hasattr(priority_resource.request(priority=1), "__dict__")
-        store = Store(env)
-        assert not hasattr(store.put("item"), "__dict__")
-        assert not hasattr(store.get(), "__dict__")
-        container = Container(env, capacity=10.0)
-        assert not hasattr(container.put(1.0), "__dict__")
-        assert not hasattr(container.get(1.0), "__dict__")
-
     def test_message_has_no_dict(self):
         from repro.simulation.message import Message
 

@@ -1,8 +1,8 @@
 """Cross-validation tests tying the substrates together.
 
 These tests check agreement *between* independent parts of the library:
-the DES kernel against closed-form queueing theory, and the full analytical
-model against a by-hand evaluation of the paper's equations.
+the simulator's service centre against closed-form queueing theory, and the
+full analytical model against a by-hand evaluation of the paper's equations.
 """
 
 from __future__ import annotations
@@ -12,36 +12,38 @@ import pytest
 from repro.cluster.presets import paper_evaluation_system
 from repro.core.model import AnalyticalModel, ModelConfig
 from repro.des.core import Environment
-from repro.des.resources import Resource
 from repro.des.rng import RandomStreams
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
-from repro.queueing.mm1 import MM1Queue
-from repro.queueing.mmc import MMCQueue
+from repro.queueing.distributions import Exponential
+from repro.simulation.components import ServiceCenterSim
+from repro.simulation.message import Message
 from repro.topology.fattree import fat_tree_stages
 
 
 class TestKernelAgainstQueueingTheory:
-    """Simulate M/M/1 and M/M/c with the DES kernel and compare to theory."""
+    """Run the simulator's FIFO service centre as an M/M/1 queue.
 
-    def _simulate_queue(self, arrival_rate, service_rate, servers, num_customers, seed=7):
+    Its mean sojourn time must match the closed form ``1/(μ−λ)``.
+    """
+
+    def _simulate_queue(self, arrival_rate, service_rate, num_customers, seed=7):
         env = Environment()
         streams = RandomStreams(seed)
         arrivals = streams.stream("arrivals")
-        services = streams.stream("services")
-        server = Resource(env, capacity=servers)
+        server = ServiceCenterSim(
+            env, "mm1", Exponential.from_rate(service_rate), streams.stream("services")
+        )
         sojourn_times = []
 
-        def customer(env, server):
-            arrived = env.now
-            with server.request() as req:
-                yield req
-                yield env.timeout(services.exponential_rate(service_rate))
-            sojourn_times.append(env.now - arrived)
+        def customer(env, ident):
+            message = Message(ident, (0, 0), (0, 0), 0.0, created_at=env.now)
+            yield server.begin(message)
+            sojourn_times.append(env.now - message.created_at)
 
         def source(env):
-            for _ in range(num_customers):
+            for ident in range(num_customers):
                 yield env.timeout(arrivals.exponential_rate(arrival_rate))
-                env.process(customer(env, server))
+                env.process(customer(env, ident))
 
         env.process(source(env))
         env.run()
@@ -51,22 +53,13 @@ class TestKernelAgainstQueueingTheory:
 
     def test_mm1_sojourn_time(self):
         lam, mu = 4.0, 10.0
-        simulated = self._simulate_queue(lam, mu, servers=1, num_customers=40_000)
-        theory = MM1Queue(lam, mu).mean_sojourn_time
-        assert simulated == pytest.approx(theory, rel=0.05)
+        simulated = self._simulate_queue(lam, mu, num_customers=40_000)
+        assert simulated == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
     def test_mm1_heavier_load(self):
         lam, mu = 8.0, 10.0
-        simulated = self._simulate_queue(lam, mu, servers=1, num_customers=60_000, seed=11)
-        theory = MM1Queue(lam, mu).mean_sojourn_time
-        assert simulated == pytest.approx(theory, rel=0.10)
-
-    def test_mmc_sojourn_time(self):
-        lam, mu, c = 7.0, 3.0, 3
-        simulated = self._simulate_queue(lam, mu, servers=c, num_customers=50_000, seed=13)
-        theory = MMCQueue(lam, mu, c).mean_sojourn_time
-        assert simulated == pytest.approx(theory, rel=0.07)
-
+        simulated = self._simulate_queue(lam, mu, num_customers=60_000, seed=11)
+        assert simulated == pytest.approx(1.0 / (mu - lam), rel=0.10)
 
 class TestModelAgainstHandComputation:
     """Evaluate the paper's equations by hand for one configuration."""

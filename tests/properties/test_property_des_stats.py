@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des.core import Environment
-from repro.des.resources import Resource
 from repro.des.rng import RandomStreams
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import mean_confidence_interval
 from repro.stats.online import RunningStatistics
-from repro.stats.warmup import truncate_warmup
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -36,47 +34,6 @@ class TestEnvironmentProperties:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
         assert math.isclose(env.now, max(delays), rel_tol=1e-12) or env.now == max(delays)
-
-    @given(
-        service_times=st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=30),
-        capacity=st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=100)
-    def test_resource_never_exceeds_capacity(self, service_times, capacity):
-        env = Environment()
-        resource = Resource(env, capacity=capacity)
-        concurrency = []
-
-        def user(env, resource, service):
-            with resource.request() as req:
-                yield req
-                concurrency.append(resource.count)
-                yield env.timeout(service)
-
-        for service in service_times:
-            env.process(user(env, resource, service))
-        env.run()
-        assert len(concurrency) == len(service_times)
-        assert max(concurrency) <= capacity
-
-    @given(
-        service_times=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=25)
-    )
-    @settings(max_examples=100)
-    def test_single_server_total_time_is_sum_of_services(self, service_times):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-
-        def user(env, resource, service):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(service)
-
-        for service in service_times:
-            env.process(user(env, resource, service))
-        env.run()
-        assert math.isclose(env.now, sum(service_times), rel_tol=1e-9)
-
 
 class TestRNGProperties:
     @given(seed=st.integers(min_value=0, max_value=2**31), name=st.text(min_size=1, max_size=20))
@@ -118,15 +75,6 @@ class TestStatisticsProperties:
         ci = mean_confidence_interval(values, confidence)
         assert ci.lower <= ci.mean <= ci.upper
         assert ci.half_width >= 0.0
-
-    @given(values=st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-                           min_size=1, max_size=400))
-    @settings(max_examples=150)
-    def test_warmup_truncation_never_removes_everything(self, values):
-        steady, cutoff = truncate_warmup(values, method="mser5")
-        assert cutoff >= 0
-        assert len(steady) + cutoff == len(values)
-        assert len(steady) >= min(len(values), 10)
 
     @given(
         values=st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

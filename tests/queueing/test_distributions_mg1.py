@@ -1,4 +1,4 @@
-"""Unit tests for distribution descriptors and the M/G/1 queue."""
+"""Unit tests for the service-time distribution descriptors."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.des.rng import RandomStreams
-from repro.errors import StabilityError
 from repro.queueing.distributions import (
     Deterministic,
     Erlang,
@@ -14,8 +13,6 @@ from repro.queueing.distributions import (
     HyperExponential,
     UniformDistribution,
 )
-from repro.queueing.mg1 import MG1Queue
-from repro.queueing.mm1 import MM1Queue
 
 
 @pytest.fixture
@@ -127,35 +124,3 @@ class TestUniformDistribution:
         assert all(1.0 <= s <= 2.0 for s in samples)
 
 
-class TestMG1:
-    def test_exponential_service_reduces_to_mm1(self):
-        lam = 2.0
-        service = Exponential(0.25)  # µ = 4
-        mg1 = MG1Queue(lam, service)
-        mm1 = MM1Queue(lam, 4.0)
-        assert mg1.mean_waiting_time == pytest.approx(mm1.mean_waiting_time)
-        assert mg1.mean_sojourn_time == pytest.approx(mm1.mean_sojourn_time)
-        assert mg1.mean_number_in_system == pytest.approx(mm1.mean_number_in_system)
-
-    def test_deterministic_service_halves_waiting(self):
-        """The classic M/D/1 result: Wq is half the M/M/1 value."""
-        lam = 2.0
-        wq_md1 = MG1Queue(lam, Deterministic(0.25)).mean_waiting_time
-        wq_mm1 = MG1Queue(lam, Exponential(0.25)).mean_waiting_time
-        assert wq_md1 == pytest.approx(wq_mm1 / 2.0)
-
-    def test_high_variance_service_increases_waiting(self):
-        lam = 2.0
-        bursty = HyperExponential.from_mean_and_scv(0.25, 5.0)
-        assert (
-            MG1Queue(lam, bursty).mean_waiting_time
-            > MG1Queue(lam, Exponential(0.25)).mean_waiting_time
-        )
-
-    def test_unstable_raises(self):
-        with pytest.raises(StabilityError):
-            _ = MG1Queue(5.0, Exponential(0.25)).mean_waiting_time
-
-    def test_littles_law(self):
-        q = MG1Queue(1.0, Erlang(2, 0.3))
-        assert q.mean_number_in_system == pytest.approx(q.arrival_rate * q.mean_sojourn_time)

@@ -1,110 +1,11 @@
-"""Unit tests for Jackson networks, MVA, finite-source models and Little's law."""
+"""Unit tests for exact mean value analysis (MVA) of closed networks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, StabilityError
-from repro.queueing.finite_source import MachineRepairmanQueue, effective_rate_correction
-from repro.queueing.jackson import JacksonNetwork, ServiceCenter
-from repro.queueing.littles_law import (
-    arrival_rate_from,
-    number_in_system,
-    require_stable,
-    saturation_arrival_rate,
-    sojourn_time,
-    utilization,
-)
-from repro.queueing.mm1 import MM1Queue
+from repro.errors import ConfigurationError
 from repro.queueing.mva import MVAStation, mean_value_analysis
-
-
-class TestJacksonNetwork:
-    def test_single_node_equals_mm1(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("only", service_rate=5.0))
-        net.set_external_arrival("only", 2.0)
-        sol = net.solve()
-        mm1 = MM1Queue(2.0, 5.0)
-        assert sol.arrival_rate("only") == pytest.approx(2.0)
-        assert sol.mean_number("only") == pytest.approx(mm1.mean_number_in_system)
-        assert sol.mean_sojourn_time("only") == pytest.approx(mm1.mean_sojourn_time)
-
-    def test_tandem_network_rates(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("a", 10.0))
-        net.add_center(ServiceCenter("b", 10.0))
-        net.set_external_arrival("a", 3.0)
-        net.set_routing("a", "b", 1.0)
-        sol = net.solve()
-        assert sol.arrival_rate("a") == pytest.approx(3.0)
-        assert sol.arrival_rate("b") == pytest.approx(3.0)
-
-    def test_feedback_loop_amplifies_arrivals(self):
-        # CPU with 50% feedback through a disk (classic example).
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("cpu", 10.0))
-        net.add_center(ServiceCenter("disk", 5.0))
-        net.set_external_arrival("cpu", 2.0)
-        net.set_routing("cpu", "disk", 0.5)
-        net.set_routing("disk", "cpu", 1.0)
-        sol = net.solve()
-        # λ_cpu = 2 + λ_disk, λ_disk = 0.5 λ_cpu => λ_cpu = 4, λ_disk = 2.
-        assert sol.arrival_rate("cpu") == pytest.approx(4.0)
-        assert sol.arrival_rate("disk") == pytest.approx(2.0)
-
-    def test_duplicate_center_rejected(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("x", 1.0))
-        with pytest.raises(ConfigurationError):
-            net.add_center(ServiceCenter("x", 2.0))
-
-    def test_unknown_center_rejected(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("x", 1.0))
-        with pytest.raises(ConfigurationError):
-            net.set_external_arrival("y", 1.0)
-        with pytest.raises(ConfigurationError):
-            net.set_routing("x", "y", 0.5)
-
-    def test_routing_probabilities_exceeding_one_rejected(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("a", 1.0))
-        net.add_center(ServiceCenter("b", 1.0))
-        net.set_routing("a", "b", 0.7)
-        with pytest.raises(ConfigurationError):
-            net.set_routing("a", "a", 0.5)
-
-    def test_saturated_network_raises(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("slow", 1.0))
-        net.set_external_arrival("slow", 2.0)
-        with pytest.raises(StabilityError):
-            net.solve()
-
-    def test_total_mean_number_and_dict(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("a", 10.0))
-        net.add_center(ServiceCenter("b", 10.0))
-        net.set_external_arrival("a", 1.0)
-        net.set_external_arrival("b", 2.0)
-        sol = net.solve()
-        d = sol.as_dict()
-        assert set(d) == {"a", "b"}
-        assert sol.total_mean_number == pytest.approx(
-            d["a"]["mean_number"] + d["b"]["mean_number"]
-        )
-
-    def test_multi_server_center(self):
-        net = JacksonNetwork()
-        net.add_center(ServiceCenter("pool", service_rate=1.0, servers=4))
-        net.set_external_arrival("pool", 3.0)
-        sol = net.solve()
-        assert sol.utilization("pool") == pytest.approx(0.75)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ConfigurationError):
-            JacksonNetwork().traffic_equations()
 
 
 class TestMVA:
@@ -160,77 +61,3 @@ class TestMVA:
         assert "s" in result.as_dict()
 
 
-class TestFiniteSource:
-    def test_effective_rate_correction_formula(self):
-        """Eq. (7): λ_eff = (N − L)/N · λ."""
-        assert effective_rate_correction(0.25, waiting=64.0, population=256) == pytest.approx(
-            (256 - 64) / 256 * 0.25
-        )
-
-    def test_correction_clamps_waiting(self):
-        assert effective_rate_correction(1.0, waiting=500.0, population=100) == 0.0
-        assert effective_rate_correction(1.0, waiting=-5.0, population=100) == 1.0
-
-    def test_correction_validation(self):
-        with pytest.raises(ValueError):
-            effective_rate_correction(1.0, 0.0, population=0)
-        with pytest.raises(ValueError):
-            effective_rate_correction(-1.0, 0.0, population=10)
-
-    def test_machine_repairman_probabilities_sum_to_one(self):
-        q = MachineRepairmanQueue(population=20, request_rate=0.5, service_rate=2.0)
-        assert sum(q.state_probabilities()) == pytest.approx(1.0)
-
-    def test_machine_repairman_low_load_matches_open_model(self):
-        """With a fast server the effective rate approaches the nominal one."""
-        q = MachineRepairmanQueue(population=10, request_rate=0.01, service_rate=100.0)
-        assert q.effective_request_rate == pytest.approx(0.01, rel=1e-3)
-        assert q.mean_active_sources == pytest.approx(10.0, rel=1e-3)
-
-    def test_machine_repairman_saturation(self):
-        """With a slow server, throughput is capped by the service rate."""
-        q = MachineRepairmanQueue(population=50, request_rate=1.0, service_rate=2.0)
-        assert q.throughput == pytest.approx(2.0, rel=1e-3)
-        assert q.server_utilization == pytest.approx(1.0, rel=1e-3)
-
-    def test_response_time_positive(self):
-        q = MachineRepairmanQueue(population=5, request_rate=0.5, service_rate=1.0)
-        assert q.mean_response_time > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MachineRepairmanQueue(0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            MachineRepairmanQueue(5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            MachineRepairmanQueue(5, 1.0, 0.0)
-
-
-class TestLittlesLaw:
-    def test_round_trip(self):
-        L = number_in_system(2.0, 3.0)
-        assert L == 6.0
-        assert sojourn_time(L, 2.0) == pytest.approx(3.0)
-        assert arrival_rate_from(L, 3.0) == pytest.approx(2.0)
-
-    def test_utilization(self):
-        assert utilization(2.0, 4.0) == 0.5
-        assert utilization(2.0, 1.0, servers=4) == 0.5
-
-    def test_require_stable(self):
-        require_stable(1.0, 2.0)
-        with pytest.raises(StabilityError):
-            require_stable(3.0, 2.0)
-
-    def test_saturation_rate(self):
-        assert saturation_arrival_rate(2.5, servers=4) == 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sojourn_time(1.0, 0.0)
-        with pytest.raises(ValueError):
-            arrival_rate_from(1.0, 0.0)
-        with pytest.raises(ValueError):
-            utilization(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            number_in_system(-1.0, 1.0)

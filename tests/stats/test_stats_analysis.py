@@ -1,4 +1,4 @@
-"""Unit tests for confidence intervals, warm-up detection, histograms and comparison metrics."""
+"""Unit tests for confidence intervals, histograms and comparison metrics."""
 
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from repro.stats.compare import (
     relative_error,
     root_mean_square_error,
 )
-from repro.stats.histogram import Histogram, LogHistogram
+from repro.stats.histogram import Histogram
 from repro.stats.intervals import batch_means, mean_confidence_interval, t_quantile
-from repro.stats.warmup import moving_average_crossing, mser5_truncation, truncate_warmup
 
 
 class TestTQuantile:
@@ -119,51 +118,6 @@ class TestConfidenceIntervals:
         assert ci.sample_size == 5
 
 
-class TestWarmup:
-    def test_mser5_detects_transient(self):
-        # Initial transient at a high value, then steady state around 1.0.
-        rng = np.random.default_rng(6)
-        transient = 50.0 * np.exp(-np.arange(100) / 20.0)
-        steady = rng.normal(1.0, 0.1, size=900)
-        data = np.concatenate([transient + 1.0, steady])
-        cutoff = mser5_truncation(data)
-        assert 20 <= cutoff <= 300
-
-    def test_mser5_no_transient_small_cutoff(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(5.0, 1.0, size=500)
-        assert mser5_truncation(data) <= 125  # at most a modest fraction
-
-    def test_mser5_short_sequence(self):
-        assert mser5_truncation([1.0, 2.0]) == 0
-
-    def test_mser5_validation(self):
-        with pytest.raises(ValueError):
-            mser5_truncation([1.0] * 100, batch_size=0)
-
-    def test_moving_average_crossing(self):
-        data = np.concatenate([np.full(200, 10.0), np.full(800, 1.0)])
-        cutoff = moving_average_crossing(data, window=50)
-        assert cutoff > 0
-
-    def test_moving_average_short_sequence(self):
-        assert moving_average_crossing([1.0, 2.0, 3.0], window=50) == 0
-
-    def test_truncate_warmup_methods(self):
-        data = list(np.linspace(10, 1, 200)) + [1.0] * 800
-        for method in ("mser5", "welch", "none"):
-            steady, cutoff = truncate_warmup(data, method=method)
-            assert len(steady) + cutoff == len(data)
-            assert len(steady) >= 10
-        with pytest.raises(ValueError):
-            truncate_warmup(data, method="bogus")
-
-    def test_truncate_keeps_minimum_observations(self):
-        data = [100.0] * 15
-        steady, cutoff = truncate_warmup(data, method="mser5")
-        assert len(steady) >= 10
-
-
 class TestHistogram:
     def test_binning(self):
         hist = Histogram(0.0, 10.0, bins=10)
@@ -218,13 +172,13 @@ class TestHistogram:
 
     def test_nan_observations_rejected_consistently(self):
         # add() and add_many() must agree: NaN is an error, never silently
-        # dropped (add_many) or binned into the top bin (LogHistogram.add).
-        for hist in (Histogram(0.0, 10.0, bins=10), LogHistogram(1e-6, 1.0)):
-            with pytest.raises(ValueError):
-                hist.add(float("nan"))
-            with pytest.raises(ValueError):
-                hist.add_many([1e-3, float("nan")])
-            assert hist.total == 0
+        # dropped by add_many.
+        hist = Histogram(0.0, 10.0, bins=10)
+        with pytest.raises(ValueError):
+            hist.add(float("nan"))
+        with pytest.raises(ValueError):
+            hist.add_many([1e-3, float("nan")])
+        assert hist.total == 0
 
     def test_merge(self):
         a = Histogram(0.0, 10.0, bins=5)
@@ -247,51 +201,6 @@ class TestHistogram:
             Histogram(5.0, 1.0)
         with pytest.raises(ValueError):
             Histogram(0.0, 1.0, bins=0)
-
-    def test_log_histogram(self):
-        hist = LogHistogram(1e-6, 1.0, bins_per_decade=5)
-        hist.add(1e-5)
-        hist.add(0.5)
-        hist.add(1e-7)   # underflow
-        hist.add(2.0)    # overflow
-        assert hist.total == 4
-        assert hist.counts.sum() == 2
-        assert len(hist.bin_edges()) == hist.bins + 1
-
-    def test_log_histogram_validation(self):
-        with pytest.raises(ValueError):
-            LogHistogram(0.0, 1.0)
-        with pytest.raises(ValueError):
-            LogHistogram(1.0, 0.5)
-
-    def test_log_histogram_add_many_matches_add(self):
-        values = np.random.default_rng(9).uniform(1e-6, 2.0, size=500)
-        a = LogHistogram(1e-5, 1.0, bins_per_decade=7)
-        b = LogHistogram(1e-5, 1.0, bins_per_decade=7)
-        for v in values:
-            a.add(v)
-        b.add_many(values)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.underflow == b.underflow
-        assert a.overflow == b.overflow
-
-    def test_log_histogram_merge(self):
-        a = LogHistogram(1e-6, 1.0, bins_per_decade=5)
-        b = LogHistogram(1e-6, 1.0, bins_per_decade=5)
-        a.add(1e-5)
-        a.add(2.0)
-        b.add(1e-5)
-        b.add(1e-7)
-        merged = a.merge(b)
-        assert merged.total == 4
-        assert merged.underflow == 1
-        assert merged.overflow == 1
-        assert merged.counts.sum() == 2
-        with pytest.raises(ValueError):
-            a.merge(LogHistogram(1e-5, 1.0, bins_per_decade=5))
-        with pytest.raises(ValueError):
-            a.merge(LogHistogram(1e-6, 1.0, bins_per_decade=9))
-
 
 class TestComparisonMetrics:
     def test_relative_and_absolute_error(self):

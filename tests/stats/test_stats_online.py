@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats.online import ExponentialMovingAverage, RunningCovariance, RunningStatistics
+from repro.stats.online import RunningStatistics
 
 
 class TestRunningStatistics:
@@ -77,54 +77,3 @@ class TestRunningStatistics:
         assert stats.variance == pytest.approx(5.0 / 3.0, rel=1e-6)
 
 
-class TestRunningCovariance:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        x = rng.random(500)
-        y = 2.0 * x + rng.normal(0, 0.1, 500)
-        cov = RunningCovariance()
-        for xi, yi in zip(x, y):
-            cov.push(xi, yi)
-        assert cov.count == 500
-        assert cov.covariance == pytest.approx(float(np.cov(x, y, ddof=1)[0, 1]), rel=1e-9)
-        assert cov.correlation == pytest.approx(float(np.corrcoef(x, y)[0, 1]), rel=1e-9)
-
-    def test_too_few_observations(self):
-        cov = RunningCovariance()
-        cov.push(1.0, 2.0)
-        assert math.isnan(cov.covariance)
-        assert math.isnan(cov.correlation)
-
-    def test_perfect_correlation(self):
-        cov = RunningCovariance()
-        for i in range(10):
-            cov.push(float(i), 3.0 * i + 1.0)
-        assert cov.correlation == pytest.approx(1.0)
-
-
-class TestExponentialMovingAverage:
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(alpha=0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(alpha=1.5)
-
-    def test_first_value_initialises(self):
-        ema = ExponentialMovingAverage(alpha=0.5)
-        assert math.isnan(ema.value)
-        ema.push(10.0)
-        assert ema.value == 10.0
-
-    def test_smoothing(self):
-        ema = ExponentialMovingAverage(alpha=0.5)
-        ema.push(0.0)
-        ema.push(10.0)
-        assert ema.value == pytest.approx(5.0)
-        ema.push(10.0)
-        assert ema.value == pytest.approx(7.5)
-
-    def test_alpha_one_tracks_last_value(self):
-        ema = ExponentialMovingAverage(alpha=1.0)
-        for v in [1.0, 5.0, -2.0]:
-            ema.push(v)
-        assert ema.value == -2.0
