@@ -13,6 +13,7 @@ from repro.des.rng import RandomStreams
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import mean_confidence_interval
 from repro.stats.online import RunningStatistics
+from repro.stats.warmup import truncate_warmup
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -75,6 +76,15 @@ class TestStatisticsProperties:
         ci = mean_confidence_interval(values, confidence)
         assert ci.lower <= ci.mean <= ci.upper
         assert ci.half_width >= 0.0
+
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+                           min_size=1, max_size=400))
+    @settings(max_examples=150)
+    def test_warmup_truncation_never_removes_everything(self, values):
+        steady, cutoff = truncate_warmup(values, method="mser5")
+        assert cutoff >= 0
+        assert len(steady) + cutoff == len(values)
+        assert len(steady) >= min(len(values), 10)
 
     @given(
         values=st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

@@ -7,11 +7,8 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.queueing.distributions import Deterministic, Erlang, Exponential, HyperExponential
-from repro.queueing.finite_source import MachineRepairmanQueue, effective_rate_correction
-from repro.queueing.mg1 import MG1Queue
+from repro.queueing.distributions import HyperExponential
 from repro.queueing.mm1 import MM1KQueue, MM1Queue
-from repro.queueing.mmc import MMCQueue, erlang_b
 from repro.queueing.mva import MVAStation, mean_value_analysis
 
 rates = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -50,46 +47,7 @@ class TestMM1Properties:
         assert q.effective_arrival_rate <= arrival + 1e-12
 
 
-class TestMMCProperties:
-    @given(arrival=rates, service=rates, servers=st.integers(min_value=1, max_value=32))
-    @settings(max_examples=150)
-    def test_probability_wait_in_unit_interval(self, arrival, service, servers):
-        assume(arrival < 0.999 * service * servers)
-        q = MMCQueue(arrival, service, servers)
-        assert 0.0 <= q.probability_wait <= 1.0
-        assert q.mean_sojourn_time >= 1.0 / service * (1 - 1e-12)
-
-    @given(load=st.floats(min_value=0.01, max_value=50.0), servers=st.integers(1, 64))
-    @settings(max_examples=150)
-    def test_erlang_b_is_a_probability_and_decreases_with_servers(self, load, servers):
-        b1 = erlang_b(servers, load)
-        b2 = erlang_b(servers + 1, load)
-        assert 0.0 <= b1 <= 1.0
-        assert b2 <= b1 + 1e-12
-
-
-class TestMG1Properties:
-    @given(arrival=rates, mean_service=st.floats(min_value=1e-4, max_value=10.0))
-    @settings(max_examples=150)
-    def test_deterministic_never_worse_than_exponential(self, arrival, mean_service):
-        assume(arrival * mean_service < 0.99)
-        md1 = MG1Queue(arrival, Deterministic(mean_service))
-        mm1 = MG1Queue(arrival, Exponential(mean_service))
-        assert md1.mean_waiting_time <= mm1.mean_waiting_time + 1e-12
-
-    @given(
-        arrival=rates,
-        mean_service=st.floats(min_value=1e-4, max_value=10.0),
-        k=st.integers(min_value=1, max_value=20),
-    )
-    @settings(max_examples=150)
-    def test_erlang_between_deterministic_and_exponential(self, arrival, mean_service, k):
-        assume(arrival * mean_service < 0.99)
-        w_erlang = MG1Queue(arrival, Erlang(k, mean_service)).mean_waiting_time
-        w_det = MG1Queue(arrival, Deterministic(mean_service)).mean_waiting_time
-        w_exp = MG1Queue(arrival, Exponential(mean_service)).mean_waiting_time
-        assert w_det - 1e-12 <= w_erlang <= w_exp + 1e-12
-
+class TestDistributionProperties:
     @given(
         mean=st.floats(min_value=0.01, max_value=10.0),
         scv=st.floats(min_value=1.01, max_value=20.0),
@@ -99,34 +57,6 @@ class TestMG1Properties:
         dist = HyperExponential.from_mean_and_scv(mean, scv)
         assert math.isclose(dist.mean, mean, rel_tol=1e-9)
         assert math.isclose(dist.scv, scv, rel_tol=1e-6)
-
-
-class TestFiniteSourceProperties:
-    @given(
-        nominal=st.floats(min_value=1e-3, max_value=100.0),
-        waiting=st.floats(min_value=0.0, max_value=1e4),
-        population=st.integers(min_value=1, max_value=2048),
-    )
-    @settings(max_examples=200)
-    def test_effective_rate_bounded(self, nominal, waiting, population):
-        eff = effective_rate_correction(nominal, waiting, population)
-        assert 0.0 <= eff <= nominal
-
-    @given(
-        population=st.integers(min_value=1, max_value=64),
-        request=st.floats(min_value=1e-3, max_value=10.0),
-        service=st.floats(min_value=1e-3, max_value=10.0),
-    )
-    @settings(max_examples=100)
-    def test_machine_repairman_consistency(self, population, request, service):
-        q = MachineRepairmanQueue(population, request, service)
-        probs = q.state_probabilities()
-        assert math.isclose(sum(probs), 1.0, rel_tol=1e-8)
-        assert 0.0 <= q.mean_number_at_server <= population
-        assert q.throughput <= service + 1e-12
-        # Interactive response-time law: R >= service time is not guaranteed,
-        # but R must be positive and the throughput bounded by N * λ_think.
-        assert q.throughput <= population * request + 1e-9
 
 
 class TestMVAProperties:

@@ -1,4 +1,4 @@
-"""Unit tests for M/M/1, M/M/1/K and M/M/c queue formulas."""
+"""Unit tests for the M/M/1 and M/M/1/K queue formulas."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import StabilityError
 from repro.queueing.mm1 import MM1KQueue, MM1Queue
-from repro.queueing.mmc import MMCQueue, erlang_b, erlang_c
 
 
 class TestMM1:
@@ -110,66 +109,3 @@ class TestMM1K:
     def test_out_of_range_state_probability_zero(self):
         q = MM1KQueue(1.0, 2.0, capacity=3)
         assert q.probability_n_in_system(10) == 0.0
-
-
-class TestErlangFormulas:
-    def test_erlang_b_single_server(self):
-        # B(1, a) = a / (1 + a)
-        assert erlang_b(1, 2.0) == pytest.approx(2.0 / 3.0)
-
-    def test_erlang_b_zero_servers(self):
-        assert erlang_b(0, 5.0) == 1.0
-
-    def test_erlang_b_decreases_with_servers(self):
-        assert erlang_b(5, 3.0) > erlang_b(10, 3.0)
-
-    def test_erlang_c_bounds(self):
-        assert 0.0 <= erlang_c(4, 2.0) <= 1.0
-        assert erlang_c(2, 5.0) == 1.0  # overloaded
-
-    def test_erlang_c_single_server_equals_rho(self):
-        # For M/M/1, the probability of waiting equals the utilisation.
-        assert erlang_c(1, 0.6) == pytest.approx(0.6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            erlang_b(-1, 1.0)
-        with pytest.raises(ValueError):
-            erlang_c(0, 1.0)
-
-
-class TestMMC:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MMCQueue(1.0, 1.0, servers=0)
-
-    def test_single_server_matches_mm1(self):
-        mm1 = MM1Queue(2.0, 5.0)
-        mmc = MMCQueue(2.0, 5.0, servers=1)
-        assert mmc.mean_number_in_system == pytest.approx(mm1.mean_number_in_system)
-        assert mmc.mean_sojourn_time == pytest.approx(mm1.mean_sojourn_time)
-        assert mmc.mean_waiting_time == pytest.approx(mm1.mean_waiting_time)
-
-    def test_more_servers_reduce_waiting(self):
-        w2 = MMCQueue(3.0, 2.0, servers=2).mean_waiting_time
-        w4 = MMCQueue(3.0, 2.0, servers=4).mean_waiting_time
-        assert w4 < w2
-
-    def test_unstable_raises(self):
-        q = MMCQueue(10.0, 2.0, servers=3)
-        assert not q.is_stable
-        with pytest.raises(StabilityError):
-            _ = q.mean_waiting_time
-
-    def test_littles_law(self):
-        q = MMCQueue(3.0, 2.0, servers=3)
-        assert q.mean_number_in_system == pytest.approx(q.arrival_rate * q.mean_sojourn_time)
-
-    def test_state_probabilities_sum_to_one(self):
-        q = MMCQueue(3.0, 2.0, servers=3)
-        total = sum(q.probability_n_in_system(n) for n in range(300))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_arrivals_waiting_time_zero(self):
-        q = MMCQueue(0.0, 2.0, servers=2)
-        assert q.mean_waiting_time == 0.0
