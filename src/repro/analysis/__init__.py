@@ -10,6 +10,7 @@ id       name                   guards against
 REP101   nondeterministic-rng   global ``random``/``np.random`` state in runtime code
 REP102   wall-clock-read        ``time.time()``/``datetime.now()`` leaking into results
 REP103   seed-arithmetic        ``seed + i`` child-stream derivation (the PR 1 bug)
+REP104   undeclared-dependency  ``repro`` imports outside the stdlib and numpy
 REP201   unpicklable-task       lambdas/closures handed to sweep backends (the PR 3 bug)
 REP301   missing-slots          unslotted classes in the hot DES modules
 REP302   slots-subclass-dict    subclasses silently reintroducing ``__dict__``

@@ -2,7 +2,7 @@
 
 Rule families (the leading digit of the id):
 
-1. determinism — :mod:`.determinism` (REP101, REP102, REP103)
+1. determinism — :mod:`.determinism` (REP101, REP102, REP103, REP104)
 2. pickle safety — :mod:`.pickle_safety` (REP201)
 3. slots integrity — :mod:`.slots` (REP301, REP302)
 4. DES protocol — :mod:`.des_protocol` (REP401)

@@ -1,34 +1,52 @@
-"""Determinism rules: REP101 (RNG), REP102 (wall clock), REP103 (seed math).
+"""Determinism rules: REP101 (RNG), REP102 (wall clock), REP103 (seed math),
+REP104 (undeclared dependency).
 
 The whole experiment pipeline promises bit-identical reruns for a given
 seed (the golden-trace and golden-CLI fixtures enforce it end to end).
 That promise dies quietly the moment simulation code draws from global RNG
-state, reads the wall clock, or derives child seeds by arithmetic:
+state, reads the wall clock, derives child seeds by arithmetic, or imports
+what the install does not declare:
 
 * global ``random.*`` / ``np.random.*`` calls share hidden state across
   components, so adding one draw anywhere perturbs every stream after it;
 * wall-clock reads make output depend on when the run happened;
 * ``seed + i`` style derivation produces overlapping / correlated child
   streams — the exact bug fixed in PR 1 by moving every seed derivation to
-  ``numpy.random.SeedSequence.spawn``.
+  ``numpy.random.SeedSequence.spawn``;
+* an import of a package the install does not declare makes results depend
+  on the host: the scipy Student-t quantile, imported when present with a
+  fallback otherwise, moved every confidence-interval half-width.
 
 REP101 and REP102 are gated to the runtime packages (``repro.des``,
 ``repro.simulation``, ``repro.workload``, ``repro.parallel``); monotonic
 timers (``time.monotonic``/``perf_counter``) stay legal because they only
-feed progress reporting, never results.  REP103 applies everywhere.
+feed progress reporting, never results.  REP103 applies everywhere; REP104
+to every ``repro`` module (tests, benchmarks and tools may use more).
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from typing import Iterator
 
 from .base import Finding, Rule, register_rule
 
-__all__ = ["NondeterministicRngRule", "WallClockRule", "SeedArithmeticRule"]
+__all__ = [
+    "DECLARED_DEPENDENCIES",
+    "NondeterministicRngRule",
+    "WallClockRule",
+    "SeedArithmeticRule",
+    "UndeclaredDependencyRule",
+]
 
 #: Packages whose code runs inside (or feeds) a simulation.
 RUNTIME_PACKAGES = ("repro.des", "repro.simulation", "repro.workload", "repro.parallel")
+
+#: Third-party packages a ``repro`` module may import: ``[project].dependencies``
+#: of pyproject.toml, whose distribution names are also the import names (a
+#: test keeps the two in step).
+DECLARED_DEPENDENCIES = frozenset({"numpy"})
 
 #: ``np.random`` attributes that are deterministic stream *constructors*
 #: rather than draws from the hidden global generator.
@@ -171,3 +189,37 @@ class SeedArithmeticRule(Rule):
                     node.col_offset,
                 )
                 return
+
+
+@register_rule
+class UndeclaredDependencyRule(Rule):
+    id = "REP104"
+    name = "undeclared-dependency"
+    rationale = (
+        "A repro module importing a package the install does not declare "
+        "either fails on a clean install or, behind a guard, makes results "
+        "depend on the host (the scipy t quantile); use the stdlib and numpy."
+    )
+    node_types = (ast.Import, ast.ImportFrom)
+
+    def applies_to(self, ctx) -> bool:
+        return ctx.in_package("repro")
+
+    def visit(self, node: ast.AST, ctx) -> Iterator[Finding]:
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # relative imports stay inside repro
+                return
+            modules = [node.module]
+        else:
+            modules = [alias.name for alias in node.names]
+        for module in modules:
+            top = module.split(".")[0]
+            if top in sys.stdlib_module_names or top == "repro" or top in DECLARED_DEPENDENCIES:
+                continue
+            yield Finding(
+                self.id,
+                f"import of {top!r}, which pyproject.toml does not declare; "
+                "use the stdlib or a declared dependency",
+                node.lineno,
+                node.col_offset,
+            )

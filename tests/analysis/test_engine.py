@@ -26,9 +26,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def test_registry_has_all_documented_rules():
     expected = {
-        "REP101", "REP102", "REP103", "REP201", "REP301",
-        "REP302", "REP401", "REP501", "REP601", "REP602",
-        "REP701",
+        "REP101", "REP102", "REP103", "REP104", "REP201",
+        "REP301", "REP302", "REP401", "REP501", "REP601",
+        "REP602", "REP701",
     }
     assert set(RULE_REGISTRY) == expected
 
@@ -62,12 +62,12 @@ def test_module_name_for(path, expected):
 
 def test_select_family_prefix():
     chosen = {cls.id for cls in select_rules(select=["REP1"])}
-    assert chosen == {"REP101", "REP102", "REP103"}
+    assert chosen == {"REP101", "REP102", "REP103", "REP104"}
 
 
 def test_ignore_wins_over_select():
     chosen = {cls.id for cls in select_rules(select=["REP1"], ignore=["REP103"])}
-    assert chosen == {"REP101", "REP102"}
+    assert chosen == {"REP101", "REP102", "REP104"}
 
 
 def test_unknown_prefix_raises():

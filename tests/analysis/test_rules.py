@@ -9,9 +9,14 @@ PR 3 lambda-into-the-sweep bug (REP201).
 
 from __future__ import annotations
 
+import re
+import tomllib
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import lint_source
+from repro.analysis.rules.determinism import DECLARED_DEPENDENCIES
 
 #: Virtual paths mapping into the scoped packages.
 DES_PATH = "src/repro/des/snippet.py"
@@ -122,6 +127,46 @@ class TestSeedArithmetic:
     def test_suppression_honored(self):
         source = "def f(seed, i):\n    return seed + i  # repro: noqa REP103\n"
         assert rule_ids(source) == []
+
+
+# ---------------------------------------------------------------- REP104
+
+
+class TestUndeclaredDependency:
+    @pytest.mark.parametrize(
+        "source",
+        ["import scipy\n", "from scipy import stats\n", "import scipy.stats as st\n",
+         "import os, scipy\n", "def t(p):\n    from scipy import stats\n"],
+    )
+    def test_bad_scipy_import(self, source):
+        assert rule_ids(source, PIPE_PATH) == ["REP104"]
+
+    def test_good_declared_stdlib_and_relative_imports(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import math, tomllib\n"
+            "import numpy as np\n"
+            "from numpy.random import SeedSequence\n"
+            "from collections import deque\n"
+            "from repro.errors import ReproError\n"
+            "from . import sinks\n"
+            "from ..des import Environment\n"
+        )
+        assert rule_ids(source, PIPE_PATH) == []
+
+    @pytest.mark.parametrize("path", ["tests/stats/snippet.py", "benchmarks/snippet.py", TOOL_PATH])
+    def test_outside_repro_not_flagged(self, path):
+        assert rule_ids("import scipy\n", path) == []
+
+    def test_suppression_honored(self):
+        assert rule_ids("import scipy  # repro: noqa REP104\n", PIPE_PATH) == []
+
+    def test_declared_set_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            requirements = tomllib.load(handle)["project"]["dependencies"]
+        names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0] for requirement in requirements}
+        assert names == DECLARED_DEPENDENCIES
 
 
 # ---------------------------------------------------------------- REP201

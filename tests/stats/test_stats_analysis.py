@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -20,6 +21,55 @@ from repro.stats.intervals import batch_means, mean_confidence_interval, t_quant
 from repro.stats.warmup import moving_average_crossing, mser5_truncation, truncate_warmup
 
 
+#: Exact two-sided Student-t quantiles, rounded to the nearest double:
+#: ``EXACT_T[dof][i]`` is the ``t`` with ``P(|T| > t) = 1 - CONFIDENCES[i]``.
+CONFIDENCES = (0.8, 0.9, 0.95, 0.98, 0.99, 0.999)
+EXACT_T = {
+    1: ("0x1.89f188bdcd7b0p+1", "0x1.9414813ba662dp+2", "0x1.96993aacc4d1ep+3",
+        "0x1.fd20d55634e27p+4", "0x1.fd410182c3c30p+5", "0x1.3e4f438b2cde5p+9"),
+    2: ("0x1.e2b7dddfefa67p+0", "0x1.75c2166634963p+1", "0x1.135ea98e146b9p+2",
+        "0x1.bdbb4c2b38868p+2", "0x1.3d9850c4bbe78p+3", "0x1.f995ba406582cp+4"),
+    3: ("0x1.a34336c655793p+0", "0x1.2d3b035609bc7p+1", "0x1.975a66893c1a9p+1",
+        "0x1.229ae02999d88p+2", "0x1.75d175480d3a8p+2", "0x1.9d913ba558d00p+3"),
+    4: ("0x1.888034d51aecfp+0", "0x1.10e05b01ad866p+1", "0x1.63628d9efb5dep+1",
+        "0x1.df9bf8d59a04cp+1", "0x1.26a97d89084a7p+2", "0x1.1387972e9712fp+3"),
+    5: ("0x1.79d3897a63a39p+0", "0x1.01ed1ae7a9632p+1", "0x1.4908d359dff38p+1",
+        "0x1.aeb606b551627p+1", "0x1.020ea171ca98ap+2", "0x1.b79adafe036acp+2"),
+    6: ("0x1.7093d528bb5adp+0", "0x1.f174434b0b9b0p+0", "0x1.393468546e653p+1",
+        "0x1.9242f54f2755fp+1", "0x1.da8d005bee94dp+1", "0x1.7d5d3e88b9be9p+2"),
+    7: ("0x1.6a38745b9638dp+0", "0x1.e5031a7c90190p+0", "0x1.2eac01e9f5b1cp+1",
+        "0x1.7fbce07f589ccp+1", "0x1.bfef11958261ep+1", "0x1.5a1abf49ed836p+2"),
+    8: ("0x1.6595b029e6ea2p+0", "0x1.dc0b57168943cp+0", "0x1.272b24bc92429p+1",
+        "0x1.72bf2ee50d30bp+1", "0x1.ad7d5502beaccp+1", "0x1.42a4bf8b5f160p+2"),
+    9: ("0x1.620e2be0d7781p+0", "0x1.d546e39fa218bp+0", "0x1.218e5dac50b23p+1",
+        "0x1.6924e0bfd7088p+1", "0x1.9ffa9c6c4220ep+1", "0x1.31fa78c866fa5p+2"),
+    10: ("0x1.5f476d56acd2fp+0", "0x1.cffd73bfbf621p+0", "0x1.1d33a7661d303p+1",
+         "0x1.61c33296238abp+1", "0x1.95aaba187f876p+1", "0x1.258fab425677dp+2"),
+    19: ("0x1.53e5fef3bf2b2p+0", "0x1.baa872abecc0ap+0", "0x1.0be83653b666dp+1",
+         "0x1.450dc9023c5f1p+1", "0x1.6e331aed617fep+1", "0x1.f1137166fd2edp+1"),
+    20: ("0x1.534987508eec5p+0", "0x1.b987228028cc3p+0", "0x1.0b00d9a954437p+1",
+         "0x1.4394c01be8572p+1", "0x1.6c341773c54ecp+1", "0x1.ecbcf3051fb2ep+1"),
+    29: ("0x1.4fba1d9208becp+0", "0x1.b2f9fd22b60a8p+0", "0x1.05ca15bce2871p+1",
+         "0x1.3b238413f3217p+1", "0x1.60d140d7b5d81p+1", "0x1.d4676238b68bdp+1"),
+    30: ("0x1.4f775bee3e38dp+0", "0x1.b27fb080b375bp+0", "0x1.05692f10aaee9p+1",
+         "0x1.3a878bd52a1e8p+1", "0x1.5fffdb8a1b4ffp+1", "0x1.d2aec5c609821p+1"),
+    49: ("0x1.4c8fc599befd1p+0", "0x1.ad327075de768p+0", "0x1.0139c2e92927dp+1",
+         "0x1.33d37e40d12cdp+1", "0x1.5708aa90cc90dp+1", "0x1.c00e833df8217p+1"),
+    99: ("0x1.4a480530192b2p+0", "0x1.a90f6511a91dcp+0", "0x1.fbf5a4633b83ap+0",
+         "0x1.2eab67a627044p+1", "0x1.502e0dd4874e5p+1", "0x1.b21d9de75e73ep+1"),
+    199: ("0x1.492b83634e170p+0", "0x1.a70d4db5e587dp+0", "0x1.f8d224e2b1c80p+0",
+          "0x1.2c3091db184e9p+1", "0x1.4ce5b5f45ac7bp+1", "0x1.ab87f4ce42e4fp+1"),
+    999: ("0x1.484b5695b70fbp+0", "0x1.a5792eac63717p+0", "0x1.f65c028f272c6p+0",
+          "0x1.2a40459350698p+1", "0x1.4a5654f0735e8p+1", "0x1.a66ffb915fd20p+1"),
+}
+#: The same at confidence 0.9, 0.95 and 0.99.
+EXACT_T_LARGE_DOF = {
+    10_000: ("0x1.a51f1d4954a13p+0", "0x1.f5cfbf9ae8acfp+0", "0x1.49c4e357b80a8p+1"),
+    100_000: ("0x1.a516203c75c89p+0", "0x1.f5c1c1206c543p+0", "0x1.49b662bd5d0e1p+1"),
+    1_000_000: ("0x1.a5153a270220fp+0", "0x1.f5c05aebc6dffp+0", "0x1.49b4ef8ba291dp+1"),
+}
+
+
 class TestTQuantile:
     def test_matches_known_values(self):
         # Classic t-table values.
@@ -35,6 +85,64 @@ class TestTQuantile:
             t_quantile(1.5, 10)
         with pytest.raises(ValueError):
             t_quantile(0.95, 0)
+
+    @pytest.mark.parametrize("dof", [2.5, 19.0, float("nan"), "19"])
+    def test_non_integer_dof_rejected(self, dof):
+        with pytest.raises(ValueError, match="integer"):
+            t_quantile(0.95, dof)
+
+    def test_numpy_integer_dof(self):
+        assert t_quantile(0.95, np.int64(19)) == t_quantile(0.95, 19)
+
+    @pytest.mark.parametrize("dof", sorted(EXACT_T))
+    def test_matches_exact_reference(self, dof):
+        """Within 1e-13 of the exact quantile, with neither scipy nor mpmath.
+
+        The references were computed once at 60 digits with mpmath and
+        checked against the central form and the dof 1 and 2 closed forms::
+
+            import mpmath as mp
+            mp.mp.dps = 60
+
+            def reference(confidence, dof):
+                alpha = 1 - mp.mpf(confidence)
+                tail = lambda t: mp.betainc(
+                    mp.mpf(dof) / 2, 0.5, 0, dof / (dof + t * t), regularized=True
+                )
+                # any start near the root will do
+                t = mp.findroot(lambda t: tail(t) - alpha, t_quantile(confidence, dof))
+                return float(t).hex()
+        """
+        for confidence, expected in zip(CONFIDENCES, EXACT_T[dof]):
+            exact = float.fromhex(expected)
+            assert t_quantile(confidence, dof) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("dof", sorted(EXACT_T_LARGE_DOF))
+    def test_matches_exact_reference_large_dof(self, dof):
+        for confidence, expected in zip((0.9, 0.95, 0.99), EXACT_T_LARGE_DOF[dof]):
+            exact = float.fromhex(expected)
+            assert t_quantile(confidence, dof) == pytest.approx(exact, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("confidence", [1e-300, 0.01, 0.5, 0.999999, 1.0 - 2.0**-53])
+    def test_extreme_inputs_match_closed_forms(self, confidence):
+        # dof 1 (Cauchy): t = tan(pi c / 2) = 1 / tan(pi (1 - c) / 2), about
+        # 6.4e5 at c = 0.999999; dof 2: t = c sqrt(2 / (1 - c^2)).
+        alpha = 1.0 - confidence
+        if confidence < 0.5:
+            cauchy = math.tan(math.pi * confidence / 2)
+        else:
+            cauchy = 1.0 / math.tan(math.pi * alpha / 2)
+        dof2 = confidence * math.sqrt(2.0 / (alpha * (1.0 + confidence)))
+        assert t_quantile(confidence, 1) == pytest.approx(cauchy, rel=1e-14, abs=0)
+        assert t_quantile(confidence, 2) == pytest.approx(dof2, rel=1e-14, abs=0)
+
+    def test_subnormal_confidence(self):
+        for dof in (1, 2, 50):
+            assert 0.0 < t_quantile(5e-324, dof) < 1e-322
+
+    def test_call_is_cheap_at_small_dof(self):
+        fastest = min(timeit.repeat(lambda: t_quantile(0.99, 199), number=1, repeat=20))
+        assert fastest < 1e-3
 
 
 class TestConfidenceIntervals:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +95,25 @@ class TestPublicAPI:
             assert issubclass(exc, ReproError)
         assert issubclass(ConfigurationError, ValueError)
         assert issubclass(StabilityError, ArithmeticError)
+
+
+class TestDeclaredEnvironment:
+    def test_smoke_run_imports_no_scipy(self, tmp_path):
+        """A cold ``repro run --smoke`` computes its confidence intervals
+        without importing scipy, which the install does not declare."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['run', 'case-1', '--smoke', '--no-cache', '--csv', sys.argv[1]]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'the smoke run imported scipy'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = tmp_path / "points.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().startswith("clusters,")
