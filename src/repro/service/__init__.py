@@ -11,12 +11,12 @@ simulating anything.
 Modules
 -------
 ``jobs``
-    :class:`JobManager` — the queue/dispatcher: dedups active submissions
-    by cache key, runs each campaign on a
-    :class:`~repro.parallel.backends.PersistentPoolBackend` (worker
-    processes survive across jobs), journals in-flight work through the
-    sweep checkpoint so a crashed server resumes on resubmission, and
-    stores every finished outcome in the cache.
+    :class:`JobManager` — the queue/dispatcher: answers cache hits at
+    submission, dedups active submissions by cache key, runs each missed
+    campaign on a :class:`~repro.parallel.backends.PersistentPoolBackend`
+    (worker processes survive across jobs), journals in-flight work
+    through the sweep checkpoint so a crashed server resumes on
+    resubmission, and stores every finished outcome in the cache.
 ``http``
     :class:`ReproService` — the stdlib ``ThreadingHTTPServer`` JSON API
     (``/v1/experiments``, ``/v1/jobs/...``, ``/v1/cache/...``).

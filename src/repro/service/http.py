@@ -54,6 +54,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
+    # One TCP send per response.  A buffered ``wfile`` holds the status
+    # line, headers and body until ``handle_one_request`` (or ``finish``)
+    # flushes it, and with Nagle off that flush leaves at once.  Otherwise a
+    # kept-alive client gets the headers and the body as two segments, and
+    # the second waits for its delayed ACK (≈40 ms on Linux).
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -72,8 +80,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _send_error(self, status: int, message: str, close: bool = False) -> None:
+        # ``close`` is for answers that leave the request body unread: on a
+        # kept-alive connection those bytes would be parsed as the next
+        # request.  ``send_header`` sets ``close_connection`` on this header.
+        headers = {"Connection": "close"} if close else None
+        self._send_json(status, {"error": message}, headers)
 
     def _send_csv(self, text: str) -> None:
         data = text.encode("utf-8")
@@ -83,11 +95,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _route(self) -> Optional[Tuple[str, ...]]:
+    def _route(self, close: bool = False) -> Optional[Tuple[str, ...]]:
         path = self.path.split("?", 1)[0].rstrip("/")
         parts = tuple(part for part in path.split("/") if part)
         if not parts or parts[0] != "v1":
-            self._send_error(404, f"unknown path {self.path!r}; the API lives under /v1")
+            self._send_error(
+                404, f"unknown path {self.path!r}; the API lives under /v1", close
+            )
             return None
         return parts[1:]
 
@@ -155,22 +169,25 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def do_POST(self) -> None:  # noqa: N802
-        parts = self._route()
+        # Every refusal before the body is read closes the connection.
+        parts = self._route(close=True)
         if parts is None:
             return
         if parts != ("experiments",):
-            self._send_error(404, f"unknown path {self.path!r}")
+            self._send_error(404, f"unknown path {self.path!r}", close=True)
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            self._send_error(400, "invalid Content-Length header")
+            self._send_error(400, "invalid Content-Length header", close=True)
             return
         if length <= 0:
-            self._send_error(400, "submit a spec JSON object as the request body")
+            self._send_error(
+                400, "submit a spec JSON object as the request body", close=True
+            )
             return
         if length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            self._send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes", close=True)
             return
         body = self.rfile.read(length)
         try:

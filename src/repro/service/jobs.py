@@ -13,11 +13,14 @@ cheap to hit twice:
   processes survive across jobs, so only the first simulation request pays
   process spawn + interpreter boot.
 
-Jobs run on a single dispatcher thread, one at a time, each fanned out
-across the pool's workers — submissions are accepted concurrently and
-queue up.  An active (queued or running) job is deduplicated by cache key:
-submitting the spec again returns the same job id instead of queuing the
-work twice.
+Submission looks the spec up in the cache.  A hit is answered right
+there: the returned job is already ``done``, so it never queues, never
+waits behind a running job and is never shed.  A miss queues with the plan
+submission built, and runs on a single dispatcher thread, one job at a
+time, each fanned out across the pool's workers — submissions are accepted
+concurrently and queue up.  An active (queued or running) job is
+deduplicated by cache key: submitting the spec again returns the same job
+id instead of queuing the work twice.
 
 Crash tolerance reuses the sweep checkpoint journal: every running job
 journals its completed simulations under the manager's state directory,
@@ -33,7 +36,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..cache.store import ResultCache
 from ..errors import ServiceOverloadedError
@@ -74,6 +77,8 @@ class Job:
     settled: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
+    #: The plan submission built, held only until the job settles.
+    plan: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe status view (what ``GET /v1/jobs/<id>`` returns)."""
@@ -148,10 +153,12 @@ class JobManager:
     # -- submission and lookup ---------------------------------------------
 
     def submit(self, spec: ExperimentSpec) -> Job:
-        """Queue ``spec`` (or join the active job already computing it).
+        """Answer ``spec`` from the cache, or queue it (or join its active job).
 
-        Raises :class:`~repro.errors.ReproError` subclasses for invalid
-        specs — the HTTP layer maps those to 4xx responses.
+        A cache hit returns a job that is already ``done``: it is never
+        queued, never waits behind a running job and is never shed.  Raises
+        :class:`~repro.errors.ReproError` subclasses for invalid specs — the
+        HTTP layer maps those to 4xx responses.
         """
         # Building the plan up front validates the spec completely (unknown
         # scenario, inconsistent mode, bad axes) before anything is queued.
@@ -159,9 +166,23 @@ class JobManager:
         key = self.cache.key_for_plan(plan)
         assert key is not None  # service plans are pure functions of their spec
         with self._lock:
-            if self._closing:
-                raise RuntimeError("the job manager is shutting down")
-            active = self._active_by_key.get(key)
+            active = self._active_job(key)
+        if active is not None:
+            return active
+        job = Job(id="", spec=spec, cache_key=key, plan=plan)
+        if plan.include_simulation:
+            job.total_tasks = len(plan.simulation.tasks)
+        # The job's one cache lookup, outside the lock.  A hit (or a lookup
+        # that raises) settles the job here, timed from submission; a miss
+        # leaves it queued and not yet started.
+        job.started_at = job.submitted_at
+        if self._settle(job, lambda: self._cached_outcome(job)):
+            with self._lock:
+                self._register(job)
+            return job
+        job.started_at = None
+        with self._lock:
+            active = self._active_job(key)
             if active is not None:
                 return active
             if self.max_queued and len(self._queue) >= self.max_queued:
@@ -174,15 +195,31 @@ class JobManager:
                     "retry later",
                     retry_after=min(60.0, 2.0 * depth),
                 )
-            self._job_counter += 1
-            job = Job(id=f"job-{self._job_counter:06d}", spec=spec, cache_key=key)
-            if plan.include_simulation:
-                job.total_tasks = len(plan.simulation.tasks)
-            self._jobs[job.id] = job
+            self._register(job)
             self._active_by_key[key] = job
             self._queue.append(job)
             self._queued.notify_all()
         return job
+
+    def _active_job(self, key: str) -> Optional[Job]:
+        """The queued or running job for ``key`` (call with the lock held)."""
+        if self._closing:
+            raise RuntimeError("the job manager is shutting down")
+        return self._active_by_key.get(key)
+
+    def _register(self, job: Job) -> None:
+        """Give ``job`` its id and list it (call with the lock held)."""
+        self._job_counter += 1
+        job.id = f"job-{self._job_counter:06d}"
+        self._jobs[job.id] = job
+
+    def _cached_outcome(self, job: Job) -> Optional[Any]:
+        """``job``'s outcome from the cache, or ``None`` on a miss."""
+        outcome = self.cache.get_outcome(job.plan)
+        if outcome is not None:
+            job.cached = True
+            job.done_tasks = job.total_tasks
+        return outcome
 
     def get(self, job_id: str) -> Optional[Job]:
         """The job with ``job_id``, or ``None``."""
@@ -223,34 +260,42 @@ class JobManager:
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
+        # The job missed the cache at submission; an entry written since
+        # (by another process) is recomputed, with identical bytes.
         job.state = "running"
         job.started_at = time.time()
+        self._settle(job, lambda: self._execute(job))
+
+    def _settle(self, job: Job, produce: Callable[[], Optional[Any]]) -> bool:
+        """Settle ``job`` with the table collected from ``produce()``'s outcome.
+
+        The job fails if that raises.  Returns ``False``, leaving the job
+        as it was, when ``produce()`` returns ``None`` (a cache miss).
+        """
         try:
-            plan = build_plan(job.spec)
-            cached = self.cache.get_outcome(plan)
-            if cached is not None:
-                job.cached = True
-                job.done_tasks = job.total_tasks
-                outcome = cached
-            else:
-                outcome = self._execute(job, plan)
+            outcome = produce()
+            if outcome is None:
+                return False
             job.result = TableCollector().collect(outcome)
             job.state = "done"
         except Exception as exc:
             # A failed job must never take the dispatcher thread (and with
-            # it the whole server) down; the failure is surfaced verbatim
-            # through the job's status instead.
+            # it the whole server) down, nor turn its submission into an
+            # error response; the failure is surfaced verbatim through the
+            # job's status instead.
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = "failed"
-        finally:
-            job.finished_at = time.time()
-            with self._lock:
-                if self._active_by_key.get(job.cache_key) is job:
-                    del self._active_by_key[job.cache_key]
-            job.settled.set()
+        job.finished_at = time.time()
+        job.plan = None
+        with self._lock:
+            if self._active_by_key.get(job.cache_key) is job:
+                del self._active_by_key[job.cache_key]
+        job.settled.set()
+        return True
 
-    def _execute(self, job: Job, plan) -> Any:
+    def _execute(self, job: Job) -> Any:
         """Run the campaign on the warm pool, journaled for crash tolerance."""
+        plan = job.plan
 
         def progress(done: int, total: int, label: str) -> None:
             del label

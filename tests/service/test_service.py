@@ -2,8 +2,9 @@
 
 The HTTP tests run a real :class:`ReproService` on an ephemeral loopback
 port and speak to it with :mod:`http.client` — the same wire a curl user
-hits.  Execution backends are injected per test: a serial backend keeps
-the round-trip tests fast, a blocking stub makes queue-order tests
+hits, on a new connection per request or on one kept-alive connection.
+Execution backends are injected per test: a serial backend keeps the
+round-trip tests fast, a blocking stub makes queue-order tests
 deterministic, and the real :class:`PersistentPoolBackend` proves the
 warm-pool contract.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -45,19 +48,34 @@ def small_spec(**overrides) -> ExperimentSpec:
 
 
 class _Client:
-    """Tiny JSON-over-HTTP helper bound to one running service."""
+    """Tiny JSON-over-HTTP helper bound to one running service.
 
-    def __init__(self, service: ReproService) -> None:
+    Each request opens its own connection, unless ``keep_alive`` sends them
+    all on one HTTP/1.1 connection (as perfbench's client and most HTTP
+    libraries do).
+    """
+
+    def __init__(self, service: ReproService, keep_alive: bool = False) -> None:
         self.host, self.port = service.address
+        self.conn = self._connect() if keep_alive else None
 
-    def request(self, method: str, path: str, body=None, headers=None):
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=30)
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port, timeout=30)
+
+    def exchange(self, method: str, path: str, body=None, headers=None):
+        """One request; returns the response and its body, already read."""
+        conn = self.conn or self._connect()
         try:
             conn.request(method, path, body=body, headers=headers or {})
             response = conn.getresponse()
             payload = response.read()
         finally:
-            conn.close()
+            if conn is not self.conn:
+                conn.close()
+        return response, payload
+
+    def request(self, method: str, path: str, body=None, headers=None):
+        response, payload = self.exchange(method, path, body=body, headers=headers)
         return response.status, payload
 
     def json(self, method: str, path: str, body=None):
@@ -66,6 +84,21 @@ class _Client:
 
     def submit(self, spec: ExperimentSpec):
         return self.json("POST", "/v1/experiments", body=spec.to_json_text())
+
+    def poll(self, status_url: str):
+        """Poll a job until it settles; returns its last status body."""
+        deadline = time.monotonic() + 30
+        while True:
+            status, body = self.json("GET", status_url)
+            assert status == 200
+            if body["state"] in ("done", "failed"):
+                return body
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def close(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
 
 
 @pytest.fixture()
@@ -113,12 +146,16 @@ class TestRoundTrip:
         serial_service.manager.wait(first["id"])
         _, csv_cold = client.request("GET", first["result_url"] + ".csv")
 
-        _, second = client.submit(spec)
+        status, second = client.submit(spec)
+        assert status == 202
         assert second["id"] != first["id"]
         assert second["cache_key"] == first["cache_key"]
-        serial_service.manager.wait(second["id"])
+        # A hit is answered at submission: no poll is needed.
+        assert second["state"] == "done"
         status, body = client.json("GET", second["status_url"])
         assert body["cached"] is True
+        assert body["progress"] == {"done": 1, "total": 1}
+        assert body["submitted_at"] <= body["started_at"] <= body["finished_at"]
         _, csv_warm = client.request("GET", second["result_url"] + ".csv")
         assert csv_warm == csv_cold
 
@@ -160,6 +197,59 @@ class TestRoundTrip:
         assert status == 404
 
 
+class TestKeptAlive:
+    """Every request on one kept-alive connection, as most HTTP clients send them."""
+
+    def test_round_trips_do_not_stall(self, serial_service):
+        # A response sent as two segments waits for the client's delayed
+        # ACK before its second one leaves: >= 40 ms a round trip on Linux.
+        client = _Client(serial_service, keep_alive=True)
+        try:
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                status, _ = client.request("GET", "/v1/health")
+                times.append(time.perf_counter() - start)
+                assert status == 200
+        finally:
+            client.close()
+        assert statistics.median(times) < 0.020
+
+    def test_one_connection_serves_the_direct_run_bytes(self, serial_service):
+        spec = small_spec()
+        direct = ExperimentRunner().run(build_plan(spec), TableCollector())
+        expected = rows_to_csv_text(direct.to_rows()).encode("utf-8")
+        client = _Client(serial_service, keep_alive=True)
+        try:
+            client.conn.connect()
+            sock = client.conn.sock
+            served = []
+            for _ in range(2):  # the miss, then the hit it filled
+                status, submitted = client.submit(spec)
+                assert status == 202
+                assert client.poll(submitted["status_url"])["state"] == "done"
+                served.append(client.request("GET", submitted["result_url"] + ".csv"))
+            # Every request went over the one connection opened first.
+            assert client.conn.sock is sock
+        finally:
+            client.close()
+        assert served == [(200, expected), (200, expected)]
+
+    def test_miss_then_hit_count_one_lookup_each(self, serial_service):
+        client = _Client(serial_service, keep_alive=True)
+        spec = small_spec(mode="analysis")
+        try:
+            _, before = client.json("GET", "/v1/cache/stats")
+            for _ in range(2):
+                _, submitted = client.submit(spec)
+                client.poll(submitted["status_url"])
+            _, after = client.json("GET", "/v1/cache/stats")
+        finally:
+            client.close()
+        moved = {name: after[name] - before[name] for name in ("hits", "misses", "puts")}
+        assert moved == {"hits": 1, "misses": 1, "puts": 1}
+
+
 class TestErrors:
     def test_malformed_submissions_are_4xx(self, serial_service):
         client = _Client(serial_service)
@@ -190,6 +280,43 @@ class TestErrors:
             headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
         )
         assert status == 413
+
+    def test_failed_cache_read_fails_the_job_not_the_request(
+        self, serial_service, monkeypatch
+    ):
+        def unreadable(plan):
+            raise OSError("cache volume unreadable")
+
+        monkeypatch.setattr(serial_service.manager.cache, "get_outcome", unreadable)
+        client = _Client(serial_service)
+        status, submitted = client.submit(small_spec())
+        assert status == 202
+        assert submitted["state"] == "failed"
+        status, body = client.json("GET", submitted["result_url"])
+        assert status == 500
+        assert "cache volume unreadable" in body["error"]
+
+    def test_refusal_with_unread_body_closes_the_connection(self, serial_service):
+        from repro.service.http import MAX_BODY_BYTES
+
+        # Each refusal leaves a body unread; on a kept-alive connection the
+        # server would parse those bytes as the next request.
+        cases = [
+            ("/v1/experiments", {"Content-Length": "abc"}, 400),
+            ("/v1/experiments", {"Content-Length": str(MAX_BODY_BYTES + 1)}, 413),
+            ("/v1/jobs", {}, 404),
+        ]
+        client = _Client(serial_service, keep_alive=True)
+        try:
+            for path, headers, expected in cases:
+                response, _ = client.exchange("POST", path, body=b"{}", headers=headers)
+                assert response.status == expected, path
+                assert response.getheader("Connection") == "close", path
+                # The connection reconnects for the next request.
+                status, health = client.json("GET", "/v1/health")
+                assert status == 200 and health["status"] == "ok"
+        finally:
+            client.close()
 
     def test_unknown_paths_are_404(self, serial_service):
         client = _Client(serial_service)
@@ -235,6 +362,14 @@ class _GatedBackend(SerialBackend):
     def execute(self, tasks):
         assert self.gate.wait(timeout=30)
         return super().execute(tasks)
+
+
+def _wait_until_running(manager: JobManager) -> None:
+    """Wait for the dispatcher to take the queued job, emptying the queue."""
+    deadline = time.monotonic() + 30
+    while manager.queue_depth() > 0:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
 
 
 class TestConcurrency:
@@ -316,8 +451,6 @@ class TestLoadShedding:
         assert serial_service.manager.wait("job-999999") is None
 
     def test_full_queue_is_503_with_retry_after(self, tmp_path):
-        import time
-
         gate = threading.Event()
         cache = ResultCache(tmp_path / "cache", fingerprint=FP)
         manager = JobManager(cache, jobs=1, backend=_GatedBackend(gate), max_queued=1)
@@ -325,11 +458,7 @@ class TestLoadShedding:
             with ReproService(manager) as service:
                 client = _Client(service)
                 _, first = client.submit(small_spec(seed=0))
-                # Wait for the dispatcher to pick job 1 up so the queue is empty.
-                deadline = time.monotonic() + 30
-                while manager.queue_depth() > 0:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
+                _wait_until_running(manager)
                 _, second = client.submit(small_spec(seed=1))
 
                 # The queue is at its bound: a third campaign is shed.
@@ -365,6 +494,35 @@ class TestLoadShedding:
                 status, third = client.submit(small_spec(seed=2))
                 assert status == 202
                 assert manager.wait(third["id"]).state == "done"
+        finally:
+            gate.set()
+
+    def test_cached_spec_is_never_shed(self, tmp_path):
+        gate = threading.Event()
+        cache = ResultCache(tmp_path / "cache", fingerprint=FP)
+        cached = small_spec(seed=9)
+        ExperimentRunner(cache=cache).run(build_plan(cached), TableCollector())
+        manager = JobManager(cache, jobs=1, backend=_GatedBackend(gate), max_queued=1)
+        try:
+            with ReproService(manager) as service:
+                client = _Client(service)
+                _, running = client.submit(small_spec(seed=0))
+                _wait_until_running(manager)
+                _, queued = client.submit(small_spec(seed=1))
+                assert client.submit(small_spec(seed=2))[0] == 503
+
+                # A miss is running and the queue is at its bound, yet the
+                # cached spec is answered at once.
+                status, hit = client.submit(cached)
+                assert status == 202
+                assert hit["state"] == "done"
+                status, _ = client.request("GET", hit["result_url"] + ".csv")
+                assert status == 200
+                assert manager.queue_depth() == 1
+
+                gate.set()
+                assert manager.wait(running["id"]).state == "done"
+                assert manager.wait(queued["id"]).state == "done"
         finally:
             gate.set()
 

@@ -1,4 +1,4 @@
-"""Unit tests for confidence intervals, warm-up detection, histograms and comparison metrics."""
+"""Unit tests for confidence intervals, histograms and comparison metrics."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.stats.compare import (
 )
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import batch_means, mean_confidence_interval, t_quantile
-from repro.stats.warmup import moving_average_crossing, mser5_truncation, truncate_warmup
 
 
 #: Exact two-sided Student-t quantiles, rounded to the nearest double:
@@ -225,51 +224,6 @@ class TestConfidenceIntervals:
         ci = batch_means(data, num_batches=5)
         assert ci.mean == pytest.approx(data.mean())
         assert ci.sample_size == 5
-
-
-class TestWarmup:
-    def test_mser5_detects_transient(self):
-        # Initial transient at a high value, then steady state around 1.0.
-        rng = np.random.default_rng(6)
-        transient = 50.0 * np.exp(-np.arange(100) / 20.0)
-        steady = rng.normal(1.0, 0.1, size=900)
-        data = np.concatenate([transient + 1.0, steady])
-        cutoff = mser5_truncation(data)
-        assert 20 <= cutoff <= 300
-
-    def test_mser5_no_transient_small_cutoff(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(5.0, 1.0, size=500)
-        assert mser5_truncation(data) <= 125  # at most a modest fraction
-
-    def test_mser5_short_sequence(self):
-        assert mser5_truncation([1.0, 2.0]) == 0
-
-    def test_mser5_validation(self):
-        with pytest.raises(ValueError):
-            mser5_truncation([1.0] * 100, batch_size=0)
-
-    def test_moving_average_crossing(self):
-        data = np.concatenate([np.full(200, 10.0), np.full(800, 1.0)])
-        cutoff = moving_average_crossing(data, window=50)
-        assert cutoff > 0
-
-    def test_moving_average_short_sequence(self):
-        assert moving_average_crossing([1.0, 2.0, 3.0], window=50) == 0
-
-    def test_truncate_warmup_methods(self):
-        data = list(np.linspace(10, 1, 200)) + [1.0] * 800
-        for method in ("mser5", "welch", "none"):
-            steady, cutoff = truncate_warmup(data, method=method)
-            assert len(steady) + cutoff == len(data)
-            assert len(steady) >= 10
-        with pytest.raises(ValueError):
-            truncate_warmup(data, method="bogus")
-
-    def test_truncate_keeps_minimum_observations(self):
-        data = [100.0] * 15
-        steady, cutoff = truncate_warmup(data, method="mser5")
-        assert len(steady) >= 10
 
 
 class TestHistogram:
