@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop
+from numbers import Integral
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.system import MultiClusterSystem
@@ -135,6 +136,12 @@ class SimulationConfig:
             )
         if self.batch_count < 2:
             raise ConfigurationError(f"batch_count must be >= 2, got {self.batch_count!r}")
+        # A float, bool or str seed would run as int(seed) while the result
+        # reports the original value; a negative one fails deep in NumPy.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed!r}")
         if self.stats_mode not in STATS_MODES:
             raise ConfigurationError(
                 f"stats_mode must be one of {STATS_MODES}, got {self.stats_mode!r}"

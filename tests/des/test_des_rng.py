@@ -4,8 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.rng import RandomStreams, VariateGenerator
+
+
+def _reference_state(seed: int, name: str) -> dict:
+    """PCG64 state of the list-entropy formulation every golden was made with."""
+    digest = name.encode("utf-8")
+    entropy = [seed, sum(digest), len(name), *digest[:16]]
+    return np.random.default_rng(np.random.SeedSequence(entropy)).bit_generator.state
+
+
+REFERENCE_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**70 + 3)
+REFERENCE_NAMES = (
+    "",
+    "service-icn2",
+    "destination-255-0",  # over 16 bytes: only the first 16 enter as bytes
+    "füße-λ-路由-κόμβος",  # non-ASCII: 16 characters, 29 UTF-8 bytes
+    "x" * 5_000,
+)
 
 
 class TestRandomStreams:
@@ -48,6 +67,22 @@ class TestRandomStreams:
         _ = s2.stream("beta")
         a2 = s2.stream("alpha")
         assert a1.exponential(2.0) == a2.exponential(2.0)
+
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_stream_state_matches_reference(self, seed, name):
+        state = RandomStreams(seed).stream(name).rng.bit_generator.state
+        assert state == _reference_state(seed, name)
+
+    @given(seed=st.integers(min_value=0, max_value=2**80 - 1), name=st.text())
+    @settings(max_examples=200)
+    def test_stream_state_matches_reference_property(self, seed, name):
+        state = RandomStreams(seed).stream(name).rng.bit_generator.state
+        assert state == _reference_state(seed, name)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStreams(-1).stream("x")
 
 
 class TestVariateGenerator:

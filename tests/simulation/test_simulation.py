@@ -125,6 +125,16 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(batch_count=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            SimulationConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64])
+    def test_accepts_large_and_zero_seeds(self, small_case1_system, seed):
+        config = SimulationConfig(num_messages=50, seed=seed)
+        assert MultiClusterSimulator(small_case1_system, config).run().seed == seed
+
 
 class TestMultiClusterSimulator:
     @pytest.fixture

@@ -35,15 +35,12 @@ ROOTS = (
 
 # Open-loop trace replay has no production caller yet: golden trace entries
 # and CI-gated simulator bench rows pin it until a trace ingester gives it a
-# user-facing path.  The M/M/1 closed forms (the model evaluates Eq. 16 in
-# ``repro.core.latency`` itself) are test-only too; they are deleted with
-# their tests in a later change.
+# user-facing path.
 TEST_ONLY = frozenset(
     {
         "repro.simulation.trace_simulator",
         "repro.simulation.vectorized_replay",
         "repro.workload.messages",
-        "repro.queueing.mm1",
     }
 )
 
