@@ -6,7 +6,6 @@ from .cluster_of_clusters import (
     HeterogeneousReport,
     evaluate_heterogeneous_grid,
 )
-from .fixed_point import FixedPointResult, QueueLengths, queue_lengths_at, solve_effective_rate
 from .latency import LatencyBreakdown, WaitingTimes, mean_message_latency, waiting_time
 from .model import PAPER_GENERATION_RATE, AnalyticalModel, ModelConfig, PerformanceReport
 from .routing import (
@@ -38,10 +37,6 @@ __all__ = [
     "build_service_centers",
     "GridEvaluation",
     "evaluate_latency_grid",
-    "FixedPointResult",
-    "QueueLengths",
-    "solve_effective_rate",
-    "queue_lengths_at",
     "WaitingTimes",
     "LatencyBreakdown",
     "waiting_time",

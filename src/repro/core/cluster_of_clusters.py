@@ -4,42 +4,34 @@ Section 7 of the paper names two extensions it leaves open: network
 *technology* heterogeneity (different α/β per cluster) and the
 Cluster-of-Clusters family (clusters of different sizes and processor
 types).  This module provides that extension, generalising Eqs. (1)–(8) and
-(15)–(16):
+(15)–(16) per class of identical clusters (see :mod:`repro.core.solver`):
 
 * Per-cluster outgoing probability (generalised Eq. 8):
   ``P_i = (N − N_i) / (N − 1)``.
-* Per-cluster ICN1 arrival rate (generalised Eq. 1):
-  ``λ_I1,i = N_i·(1 − P_i)·λ_i``.
-* ECN1 forward rate ``N_i·P_i·λ_i`` and return rate
-  ``(N_i/(N−1))·Σ_{j≠i} N_j·λ_j`` (a message leaving cluster j picks its
-  destination uniformly among the ``N − N_j`` outside nodes, of which
-  ``N_i`` are in cluster i).
-* ICN2 rate ``Σ_i N_i·P_i·λ_i`` (generalised Eq. 3).
-* Mean message latency: the Eq. (15) average now runs over source clusters
+* A message leaving cluster j picks its destination uniformly among the
+  ``N − N_j`` outside nodes and returns through the destination cluster's
+  ECN1.
+* The finite-source correction (Eqs. 6–7) throttles each class by the
+  waiting processors at its own ICN1 and ECN1 queues (``2·L_E1 + L_I1``,
+  as in Eq. 6) plus its traffic share of the ICN2 queue.
+* Mean message latency: the Eq. (15) average runs over source clusters
   (weighted by their share of generated traffic) and, for remote messages,
-  over destination clusters (weighted by their share of the outside nodes),
-  using the *destination* cluster's ECN1 on the return hop.
+  over destination clusters (weighted by their share of the outside nodes).
 
-The finite-source correction is applied per cluster:
-``λ_eff,i = (N_i − L_i)/N_i · λ_i`` where ``L_i`` attributes to cluster *i*
-the waiting processors at its own ICN1/ECN1 plus its traffic share of the
-ICN2 and of remote ECN1 queues.
+On a homogeneous system there is one class and the extension equals the
+paper's :class:`~repro.core.model.AnalyticalModel` exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..cluster.system import MultiClusterSystem
-from ..errors import ConfigurationError, StabilityError
-from ..network.models import CommunicationNetworkModel, build_network_model
-from .latency import waiting_time
-from .model import PAPER_GENERATION_RATE
-from .vectorized import GridEvaluation
+from ..errors import ConfigurationError
+from .model import ModelConfig
+from .solver import ClusterClasses, cluster_classes, solve
+from .vectorized import GridEvaluation, solve_grid
 
 __all__ = [
     "HeterogeneousModelConfig",
@@ -48,25 +40,8 @@ __all__ = [
     "evaluate_heterogeneous_grid",
 ]
 
-
-@dataclass(frozen=True)
-class HeterogeneousModelConfig:
-    """Configuration of a Cluster-of-Clusters evaluation."""
-
-    architecture: str = "non-blocking"
-    message_bytes: float = 1024.0
-    generation_rate: float = PAPER_GENERATION_RATE
-    finite_source_correction: bool = True
-    max_iterations: int = 5_000
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.message_bytes <= 0:
-            raise ConfigurationError(f"message size must be positive, got {self.message_bytes!r}")
-        if self.generation_rate < 0:
-            raise ConfigurationError(
-                f"generation rate must be non-negative, got {self.generation_rate!r}"
-            )
+#: Both models take the same configuration.
+HeterogeneousModelConfig = ModelConfig
 
 
 @dataclass(frozen=True)
@@ -98,172 +73,50 @@ class ClusterOfClustersModel:
     def __init__(
         self,
         system: MultiClusterSystem,
-        config: Optional[HeterogeneousModelConfig] = None,
+        config: Optional[ModelConfig] = None,
     ) -> None:
         self.system = system
-        self.config = config if config is not None else HeterogeneousModelConfig()
-        self._sizes = np.array([c.num_processors for c in system.clusters], dtype=float)
-        self._total = float(self._sizes.sum())
-        if self._total < 2:
-            raise ConfigurationError("a cluster-of-clusters model needs at least 2 processors")
-        # Per-cluster base generation rates scaled by processor speed.
-        self._base_rates = np.array(
-            [
-                c.processor_type.scaled_rate(self.config.generation_rate)
-                for c in system.clusters
-            ],
-            dtype=float,
-        )
-        # Per-cluster network models.
-        arch = self.config.architecture
-        switch = system.switch
-        self._icn1_models: List[CommunicationNetworkModel] = [
-            build_network_model(arch, c.icn_technology, switch, c.num_processors)
-            for c in system.clusters
-        ]
-        self._ecn1_models: List[CommunicationNetworkModel] = [
-            build_network_model(arch, c.ecn_technology, switch, c.num_processors)
-            for c in system.clusters
-        ]
-        self._icn2_model: CommunicationNetworkModel = build_network_model(
-            arch, system.icn2_technology, switch, max(system.num_clusters, 1)
-        )
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _outgoing_probabilities(self) -> np.ndarray:
-        """Generalised Eq. (8): ``P_i = (N − N_i)/(N − 1)``."""
-        return (self._total - self._sizes) / (self._total - 1.0)
-
-    def _service_rates(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        m = self.config.message_bytes
-        icn1 = np.array([mdl.service_rate(m) for mdl in self._icn1_models])
-        ecn1 = np.array([mdl.service_rate(m) for mdl in self._ecn1_models])
-        icn2 = self._icn2_model.service_rate(m)
-        return icn1, ecn1, icn2
-
-    def _arrival_rates(self, rates: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Per-cluster ICN1 and ECN1 arrival rates plus the ICN2 rate."""
-        p = self._outgoing_probabilities()
-        sizes = self._sizes
-        lam_icn1 = sizes * (1.0 - p) * rates
-        forward = sizes * p * rates
-        total_outflow = forward.sum()
-        # Return traffic into cluster i: share N_i/(N − N_j) of each cluster j's outflow.
-        returns = np.zeros_like(forward)
-        for i in range(len(sizes)):
-            others = np.arange(len(sizes)) != i
-            denom = self._total - sizes[others]
-            returns[i] = float(np.sum(forward[others] * sizes[i] / denom))
-        lam_ecn1 = forward + returns
-        lam_icn2 = float(total_outflow)
-        return lam_icn1, lam_ecn1, lam_icn2
-
-    @staticmethod
-    def _queue_length(lam: float, mu: float) -> float:
-        if lam >= mu:
-            return math.inf
-        rho = lam / mu
-        return rho / (1.0 - rho)
-
-    # -- evaluation --------------------------------------------------------------------
+        self.config = config if config is not None else ModelConfig()
+        self._classes = _extension_classes(system)
 
     def evaluate(self) -> HeterogeneousReport:
         """Run the heterogeneous model and return a :class:`HeterogeneousReport`."""
-        cfg = self.config
-        sizes = self._sizes
-        n_clusters = len(sizes)
-        mu_icn1, mu_ecn1, mu_icn2 = self._service_rates()
-        p_out = self._outgoing_probabilities()
-
-        rates = self._base_rates.copy()
-        iterations = 0
-        if cfg.finite_source_correction:
-            for iterations in range(1, cfg.max_iterations + 1):
-                lam_icn1, lam_ecn1, lam_icn2 = self._arrival_rates(rates)
-                l_icn1 = np.array(
-                    [self._queue_length(lam_icn1[i], mu_icn1[i]) for i in range(n_clusters)]
-                )
-                l_ecn1 = np.array(
-                    [self._queue_length(lam_ecn1[i], mu_ecn1[i]) for i in range(n_clusters)]
-                )
-                l_icn2 = self._queue_length(lam_icn2, mu_icn2)
-                # Attribute waiting processors to source clusters:
-                #   * own ICN1 and own ECN1 queues entirely,
-                #   * the ICN2 queue proportionally to the cluster's outflow share.
-                outflow = sizes * p_out * rates
-                total_outflow = outflow.sum()
-                share = outflow / total_outflow if total_outflow > 0 else np.zeros_like(outflow)
-                waiting = l_icn1 + l_ecn1 + share * (l_icn2 if math.isfinite(l_icn2) else self._total)
-                waiting = np.minimum(np.where(np.isfinite(waiting), waiting, sizes), sizes)
-                proposed = (sizes - waiting) / sizes * self._base_rates
-                updated = 0.5 * proposed + 0.5 * rates
-                if np.max(np.abs(updated - rates)) <= cfg.tolerance * max(
-                    float(self._base_rates.max()), 1e-300
-                ):
-                    rates = updated
-                    break
-                rates = updated
-
-        lam_icn1, lam_ecn1, lam_icn2 = self._arrival_rates(rates)
-        if lam_icn2 >= mu_icn2 or np.any(lam_icn1 >= mu_icn1) or np.any(lam_ecn1 >= mu_ecn1):
-            raise StabilityError(
-                "cluster-of-clusters configuration is saturated at the solved rates"
-            )
-
-        w_icn1 = np.array(
-            [waiting_time(lam_icn1[i], mu_icn1[i]) for i in range(n_clusters)]
-        )
-        w_ecn1 = np.array(
-            [waiting_time(lam_ecn1[i], mu_ecn1[i]) for i in range(n_clusters)]
-        )
-        w_icn2 = waiting_time(lam_icn2, mu_icn2)
-
-        # Remote latency from cluster i: own ECN1 + ICN2 + destination ECN1,
-        # averaged over destination clusters weighted by their outside-node share.
-        remote = np.zeros(n_clusters)
-        for i in range(n_clusters):
-            others = np.arange(n_clusters) != i
-            weights = sizes[others] / (self._total - sizes[i])
-            remote[i] = w_ecn1[i] + w_icn2 + float(np.sum(weights * w_ecn1[others]))
-        local = w_icn1
-
-        per_cluster_latency = (1.0 - p_out) * local + p_out * remote
-        # Weight source clusters by their share of generated messages.
-        generation = sizes * rates
-        total_generation = generation.sum()
-        if total_generation <= 0:
-            mean_latency = float(np.mean(per_cluster_latency))
-        else:
-            mean_latency = float(np.sum(per_cluster_latency * generation) / total_generation)
-
-        names = [c.name for c in self.system.clusters]
-        utilizations = {
-            **{f"icn1[{names[i]}]": float(lam_icn1[i] / mu_icn1[i]) for i in range(n_clusters)},
-            **{f"ecn1[{names[i]}]": float(lam_ecn1[i] / mu_ecn1[i]) for i in range(n_clusters)},
-            "icn2": float(lam_icn2 / mu_icn2),
-        }
-
+        solution = solve(self.system, self._classes, self.config)
+        traffic, latency, util = solution.traffic, solution.latency, solution.utilizations
+        members = [
+            (c.name, k) for c, k in zip(self.system.clusters, self._classes.cluster_class)
+        ]
         return HeterogeneousReport(
             system_name=self.system.name,
-            architecture=self._icn2_model.architecture,
-            num_clusters=n_clusters,
-            total_processors=int(self._total),
-            message_bytes=cfg.message_bytes,
-            mean_latency_s=mean_latency,
-            per_cluster_local_latency_s={names[i]: float(local[i]) for i in range(n_clusters)},
-            per_cluster_remote_latency_s={names[i]: float(remote[i]) for i in range(n_clusters)},
-            per_cluster_effective_rate={names[i]: float(rates[i]) for i in range(n_clusters)},
+            architecture=solution.architecture,
+            num_clusters=len(members),
+            total_processors=self.system.total_processors,
+            message_bytes=self.config.message_bytes,
+            mean_latency_s=solution.mean_latency,
+            per_cluster_local_latency_s={n: latency[k].local_latency for n, k in members},
+            per_cluster_remote_latency_s={n: latency[k].remote_latency for n, k in members},
+            per_cluster_effective_rate={n: traffic[k].per_processor_rate for n, k in members},
             per_cluster_outgoing_probability={
-                names[i]: float(p_out[i]) for i in range(n_clusters)
+                n: traffic[k].outgoing_probability for n, k in members
             },
-            utilizations=utilizations,
-            iterations=iterations,
+            utilizations={
+                **{f"icn1[{n}]": util[k]["icn1"] for n, k in members},
+                **{f"ecn1[{n}]": util[k]["ecn1"] for n, k in members},
+                "icn2": util[0]["icn2"],
+            },
+            iterations=solution.iterations,
         )
+
+
+def _extension_classes(system: MultiClusterSystem) -> ClusterClasses:
+    """:func:`~repro.core.solver.cluster_classes` for a system of ≥ 2 processors."""
+    if system.total_processors < 2:
+        raise ConfigurationError("a cluster-of-clusters model needs at least 2 processors")
+    return cluster_classes(system)
 
 
 def evaluate_heterogeneous_grid(
-    evaluations: Sequence[Tuple[MultiClusterSystem, HeterogeneousModelConfig]],
+    evaluations: Sequence[Tuple[MultiClusterSystem, ModelConfig]],
 ) -> GridEvaluation:
     """Evaluate the Cluster-of-Clusters model at every ``(system, config)`` point.
 
@@ -271,59 +124,8 @@ def evaluate_heterogeneous_grid(
     for scenarios whose systems the §4 homogeneous model cannot describe
     (unequal cluster sizes, per-cluster technologies): the experiment
     pipeline's analysis pass feeds either function into the same
-    :class:`~repro.core.vectorized.GridEvaluation` consumers.
-
-    Per-cluster quantities are folded to one scalar per point by weighting
-    source clusters with their share of generated traffic
-    (``N_i λ_eff,i``), the same weighting :meth:`ClusterOfClustersModel.
-    evaluate` uses for the overall mean latency.  Every point is solved by
-    the scalar model, so ``scalar_fallback`` lists every index.
+    :class:`~repro.core.vectorized.GridEvaluation` consumers.  Per-class
+    quantities are folded to one scalar per point by each class's share of
+    generated traffic, the weighting of the overall mean latency.
     """
-    n = len(evaluations)
-    mean = np.empty(n)
-    local = np.empty(n)
-    remote = np.empty(n)
-    effective = np.empty(n)
-    outgoing = np.empty(n)
-    iterations = np.empty(n, dtype=int)
-    icn2_util = np.empty(n)
-    throttling = np.empty(n)
-
-    for i, (system, config) in enumerate(evaluations):
-        report = ClusterOfClustersModel(system, config).evaluate()
-        names = [c.name for c in system.clusters]
-        sizes = np.array([c.num_processors for c in system.clusters], dtype=float)
-        rates = np.array([report.per_cluster_effective_rate[name] for name in names])
-        nominal = np.array(
-            [
-                c.processor_type.scaled_rate(config.generation_rate)
-                for c in system.clusters
-            ]
-        )
-        generation = sizes * rates
-        total = generation.sum()
-        weights = generation / total if total > 0 else np.full(len(sizes), 1.0 / len(sizes))
-
-        mean[i] = report.mean_latency_s
-        local[i] = float(np.sum(weights * [report.per_cluster_local_latency_s[n_] for n_ in names]))
-        remote[i] = float(np.sum(weights * [report.per_cluster_remote_latency_s[n_] for n_ in names]))
-        effective[i] = float(np.sum(weights * rates))
-        outgoing[i] = float(
-            np.sum(weights * [report.per_cluster_outgoing_probability[n_] for n_ in names])
-        )
-        iterations[i] = report.iterations
-        icn2_util[i] = report.utilizations["icn2"]
-        nominal_weighted = float(np.sum(weights * nominal))
-        throttling[i] = effective[i] / nominal_weighted if nominal_weighted > 0 else 1.0
-
-    return GridEvaluation(
-        mean_latency_s=mean,
-        local_latency_s=local,
-        remote_latency_s=remote,
-        effective_rate=effective,
-        outgoing_probability=outgoing,
-        iterations=iterations,
-        icn2_utilization=icn2_util,
-        throttling_factor=throttling,
-        scalar_fallback=tuple(range(n)),
-    )
+    return solve_grid(evaluations, _extension_classes)

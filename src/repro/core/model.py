@@ -3,7 +3,8 @@
 :class:`AnalyticalModel` ties together the routing probability (Eq. 8), the
 traffic equations (Eqs. 1–5), the architecture-specific service-time models
 (Eqs. 10–21), the finite-source fixed point (Eqs. 6–7) and the latency
-expression (Eqs. 9, 15–16) into a single call::
+expression (Eqs. 9, 15–16) into a single call; :mod:`repro.core.solver`
+solves them, with the Super-Cluster as its one-class case::
 
     from repro import AnalyticalModel, ModelConfig, paper_evaluation_system
     from repro.network import GIGABIT_ETHERNET, FAST_ETHERNET
@@ -21,11 +22,10 @@ from typing import Dict, Optional
 
 from ..cluster.system import MultiClusterSystem
 from ..errors import ConfigurationError
-from .fixed_point import FixedPointResult, solve_effective_rate
-from .latency import LatencyBreakdown, WaitingTimes, mean_message_latency
-from .routing import outgoing_probability
+from .latency import LatencyBreakdown, WaitingTimes
 from .service_centers import ServiceCenterModels, build_service_centers
-from .traffic import TrafficRates, compute_traffic_rates
+from .solver import ClusterClasses, cluster_classes, solve
+from .traffic import TrafficRates
 
 __all__ = ["ModelConfig", "PerformanceReport", "AnalyticalModel"]
 
@@ -46,8 +46,9 @@ class ModelConfig:
         Fixed message length M in bytes (assumption 6; the paper uses 512
         and 1024).
     generation_rate:
-        Per-processor message generation rate λ in messages/second
-        (Table 2: 0.25).
+        Message generation rate λ of a reference processor in
+        messages/second (Table 2: 0.25).  A processor of relative speed
+        ``s`` generates ``s·λ``, in the models as in the simulator.
     finite_source_correction:
         Apply the Eq. (7) fixed point.  Disabling it evaluates the open
         (infinite-source) model, which is one of the ablations.
@@ -143,7 +144,7 @@ class AnalyticalModel:
         self.system = system
         self.config = config if config is not None else ModelConfig()
         # Validation happens eagerly so misuse fails at construction time.
-        self.system.validate_super_cluster_assumptions()
+        self._classes = super_cluster_classes(system)
         self._centers: ServiceCenterModels = build_service_centers(
             system, self.config.architecture, self.config.message_bytes
         )
@@ -162,46 +163,16 @@ class AnalyticalModel:
         system = self.system
         cfg = self.config
         c = system.num_clusters
-        n0 = system.processors_per_cluster
-        n_total = system.total_processors
-        p_out = outgoing_probability(c, n0)
-
-        if cfg.finite_source_correction:
-            fp: FixedPointResult = solve_effective_rate(
-                nominal_rate=cfg.generation_rate,
-                num_clusters=c,
-                processors_per_cluster=n0,
-                centers=self._centers,
-            )
-            effective_rate = fp.effective_rate
-            traffic = fp.traffic
-            total_waiting = fp.total_waiting
-            iterations = fp.iterations
-        else:
-            effective_rate = cfg.generation_rate
-            traffic = compute_traffic_rates(c, n0, effective_rate)
-            iterations = 0
-            total_waiting = float("nan")
-
-        waits = WaitingTimes.from_rates(
-            traffic,
-            self._centers.icn1_service_rate,
-            self._centers.ecn1_service_rate,
-            self._centers.icn2_service_rate,
-        )
-        latency = mean_message_latency(waits, p_out)
-
+        solution = solve(system, self._classes, cfg)
+        traffic = solution.traffic[0]
+        waits = solution.waits[0]
+        total_waiting = solution.total_waiting
         if not cfg.finite_source_correction:
-            # Report the open-model queue population for completeness.
+            # Report the open-model queue population (Little's law) for completeness.
             total_waiting = c * (
                 2.0 * traffic.ecn1 * waits.ecn1 + traffic.icn1 * waits.icn1
             ) + traffic.icn2 * waits.icn2
 
-        utilizations = {
-            "icn1": traffic.icn1 / self._centers.icn1_service_rate,
-            "ecn1": traffic.ecn1 / self._centers.ecn1_service_rate,
-            "icn2": traffic.icn2 / self._centers.icn2_service_rate,
-        }
         service_times = {
             "icn1": self._centers.icn1_service_time,
             "ecn1": self._centers.ecn1_service_time,
@@ -210,21 +181,21 @@ class AnalyticalModel:
 
         return PerformanceReport(
             system_name=system.name,
-            architecture=self._centers.icn1.architecture,
+            architecture=solution.architecture,
             num_clusters=c,
-            processors_per_cluster=n0,
-            total_processors=n_total,
+            processors_per_cluster=system.processors_per_cluster,
+            total_processors=system.total_processors,
             message_bytes=cfg.message_bytes,
-            nominal_rate=cfg.generation_rate,
-            effective_rate=effective_rate,
-            outgoing_probability=p_out,
+            nominal_rate=solution.nominal_rates[0],
+            effective_rate=traffic.per_processor_rate,
+            outgoing_probability=traffic.outgoing_probability,
             traffic=traffic,
             waits=waits,
-            latency=latency,
+            latency=solution.latency[0],
             service_times=service_times,
-            utilizations=utilizations,
+            utilizations=solution.utilizations[0],
             total_waiting_processors=total_waiting,
-            fixed_point_iterations=iterations,
+            fixed_point_iterations=solution.iterations,
         )
 
     def mean_latency_s(self) -> float:
@@ -236,3 +207,17 @@ class AnalyticalModel:
             f"<AnalyticalModel system={self.system.name!r} "
             f"architecture={self.config.architecture!r} M={self.config.message_bytes}>"
         )
+
+
+def super_cluster_classes(system: MultiClusterSystem) -> ClusterClasses:
+    """:func:`~repro.core.solver.cluster_classes` for a Super-Cluster: one class.
+
+    Raises
+    ------
+    ConfigurationError
+        If the clusters differ, naming the violated §4 assumption.
+    """
+    grouping = cluster_classes(system)
+    if len(grouping.classes) > 1:
+        system.validate_super_cluster_assumptions()
+    return grouping

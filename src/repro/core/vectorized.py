@@ -1,53 +1,38 @@
-"""Vectorized evaluation of the analytical model over parameter grids.
+"""Evaluation of the analytical model over parameter grids.
 
-The figure sweeps (§6, Figures 4–7) evaluate the closed-form model at every
-(message size, cluster count) grid point.  :class:`AnalyticalModel` solves
-each point independently — dataclass construction plus a damped fixed-point
-iteration per point — which caps the sweep at a few thousand evaluations
-per second.  :func:`evaluate_latency_grid` runs the *same* iteration for
-all points simultaneously on NumPy arrays:
-
-* per-point service rates and routing probabilities are assembled once,
-* the Eq. (7) fixed point advances every unconverged point per step,
-  freezing each point at exactly the iterate where the scalar solver would
-  have stopped, and
-* Eqs. (1)–(5), (15)–(16) are evaluated elementwise on the whole grid.
-
-Because every update uses the same IEEE-754 double operations as the
-scalar solver, the grid evaluation is *bit-identical* to calling
-``AnalyticalModel(system, config).evaluate()`` point by point (asserted by
-the test suite).  Points the vectorized iteration cannot finish — the
-iteration budget is exhausted (the scalar solver's bisection fallback) or
-a centre saturates — are delegated to the scalar solver so error behaviour
-and edge-case results also match exactly.
+The figure sweeps (§6, Figures 4–7) and the ablations evaluate the model at
+every (message size, cluster count, ...) grid point.  A grid is a loop over
+its points through the one solver of :mod:`repro.core.solver`, collected
+into NumPy arrays; each point therefore equals the per-point
+``AnalyticalModel(system, config).evaluate()`` bit for bit (asserted by the
+test suite).  At the repository's grid sizes (tens of points) a plain loop
+beats masking every point through a NumPy iteration: the fixed point of one
+point costs microseconds, and the array set-up would cost more than it
+saves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.system import MultiClusterSystem
-from .model import AnalyticalModel, ModelConfig
-from .routing import outgoing_probability
-from .service_centers import build_service_centers
+from .model import ModelConfig, super_cluster_classes
+from .solver import ClusterClasses, solve
 
 __all__ = ["GridEvaluation", "evaluate_latency_grid"]
-
-#: Defaults mirrored from :func:`repro.core.fixed_point.solve_effective_rate`.
-_TOLERANCE = 1e-10
-_MAX_ITERATIONS = 10_000
-_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
 class GridEvaluation:
-    """Per-point results of one vectorized analytical sweep.
+    """Per-point results of one analytical sweep.
 
     All arrays are aligned with the ``evaluations`` sequence passed to
-    :func:`evaluate_latency_grid`.
+    :func:`evaluate_latency_grid`.  Per-class quantities of a
+    Cluster-of-Clusters point are folded by each class's share of the
+    generated messages.
     """
 
     mean_latency_s: np.ndarray
@@ -62,9 +47,9 @@ class GridEvaluation:
     #: ``λ_eff / λ`` per point (1.0 at zero nominal rate, like the scalar
     #: report's ``throttling_factor`` property).
     throttling_factor: np.ndarray
-    #: Indices that were delegated to the scalar solver (non-converged or
-    #: degenerate points); empty for ordinary figure grids.
-    scalar_fallback: Tuple[int, ...]
+    #: Always empty: every point is solved by the one solver.  Kept for
+    #: readers of cached and traced grids.
+    scalar_fallback: Tuple[int, ...] = ()
 
     @property
     def mean_latency_ms(self) -> np.ndarray:
@@ -75,179 +60,57 @@ class GridEvaluation:
         return int(self.mean_latency_s.size)
 
 
-def _scalar_point(
-    system: MultiClusterSystem, config: ModelConfig
-) -> Tuple[float, float, float, float, int, float, float]:
-    """Evaluate one point through the scalar model (fallback path)."""
-    report = AnalyticalModel(system, config).evaluate()
-    return (
-        report.mean_latency_s,
-        report.local_latency_s,
-        report.remote_latency_s,
-        report.effective_rate,
-        report.fixed_point_iterations,
-        report.utilizations["icn2"],
-        report.throttling_factor,
-    )
-
-
 def evaluate_latency_grid(
     evaluations: Sequence[Tuple[MultiClusterSystem, ModelConfig]],
 ) -> GridEvaluation:
-    """Evaluate the analytical model at every ``(system, config)`` point.
+    """Evaluate the paper's model at every ``(system, config)`` point.
 
-    Parameters
-    ----------
-    evaluations:
-        The grid, one ``(system, config)`` pair per point.  Systems must
-        satisfy the Super-Cluster assumptions (as for
-        :class:`AnalyticalModel`).
-
-    Returns
-    -------
-    GridEvaluation
-        Latencies and fixed-point diagnostics, bit-identical per point to
-        the scalar :meth:`AnalyticalModel.evaluate`.
+    Systems must satisfy the Super-Cluster assumptions (as for
+    :class:`~repro.core.model.AnalyticalModel`); each point equals the
+    per-point :meth:`~repro.core.model.AnalyticalModel.evaluate` exactly.
     """
-    n_points = len(evaluations)
-    if n_points == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return GridEvaluation(empty, empty.copy(), empty.copy(), empty.copy(),
-                              empty.copy(), np.empty(0, dtype=np.int64),
-                              empty.copy(), empty.copy(), ())
+    return solve_grid(evaluations, super_cluster_classes)
 
-    # -- assemble per-point inputs (cheap scalar work) ---------------------
-    c_arr = np.empty(n_points, dtype=np.float64)
-    n0_arr = np.empty(n_points, dtype=np.float64)
-    p_arr = np.empty(n_points, dtype=np.float64)
-    mu_icn1 = np.empty(n_points, dtype=np.float64)
-    mu_ecn1 = np.empty(n_points, dtype=np.float64)
-    mu_icn2 = np.empty(n_points, dtype=np.float64)
-    nominal = np.empty(n_points, dtype=np.float64)
-    fallback: List[int] = []
 
-    for i, (system, config) in enumerate(evaluations):
-        centers = build_service_centers(system, config.architecture, config.message_bytes)
-        c = system.num_clusters
-        n0 = system.processors_per_cluster
-        c_arr[i] = float(c)
-        n0_arr[i] = float(n0)
-        p_arr[i] = outgoing_probability(c, n0)
-        mu_icn1[i] = centers.icn1_service_rate
-        mu_ecn1[i] = centers.ecn1_service_rate
-        mu_icn2[i] = centers.icn2_service_rate
-        nominal[i] = config.generation_rate
-        if not config.finite_source_correction or config.generation_rate == 0:
-            # The open model and the zero-rate corner take dedicated scalar
-            # branches in AnalyticalModel; not worth vectorizing.
-            fallback.append(i)
+def solve_grid(
+    evaluations: Sequence[Tuple[MultiClusterSystem, ModelConfig]],
+    group: Callable[[MultiClusterSystem], ClusterClasses],
+) -> GridEvaluation:
+    """Solve every point and collect the results into arrays.
 
-    population = c_arr * n0_arr
-    threshold = _TOLERANCE * np.maximum(nominal, 1e-300)
-
-    # -- the Eq. (7) fixed point, advanced for all points at once ----------
-    # ``active`` points still iterate; a point freezes at the exact iterate
-    # where the scalar loop would have returned.
-    current = nominal.copy()
-    iterations = np.zeros(n_points, dtype=np.int64)
-    active = np.ones(n_points, dtype=bool)
-    for idx in fallback:
-        active[idx] = False
-
-    def waiting_at(rate: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Vector form of the scalar solver's ``waiting_at`` on ``mask``."""
-        lam_icn1 = n0_arr[mask] * (1.0 - p_arr[mask]) * rate
-        lam_ecn1_fwd = n0_arr[mask] * p_arr[mask] * rate
-        lam_icn2 = c_arr[mask] * n0_arr[mask] * p_arr[mask] * rate
-        lam_ecn1 = lam_ecn1_fwd + lam_icn2 / c_arr[mask]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l_icn1 = _queue_length(lam_icn1, mu_icn1[mask])
-            l_ecn1 = _queue_length(lam_ecn1, mu_ecn1[mask])
-            l_icn2 = _queue_length(lam_icn2, mu_icn2[mask])
-        total = c_arr[mask] * (2.0 * l_ecn1 + l_icn1) + l_icn2
-        pop = population[mask]
-        return np.where(np.isfinite(total), np.minimum(total, pop), pop)
-
-    for step in range(1, _MAX_ITERATIONS + 1):
-        if not active.any():
-            break
-        cur = current[active]
-        waiting = waiting_at(cur, active)
-        proposed = (population[active] - waiting) / population[active] * nominal[active]
-        updated = _DAMPING * proposed + (1.0 - _DAMPING) * cur
-        done = np.abs(updated - cur) <= threshold[active]
-        current[active] = updated
-        iterations[active] = step
-        still = active.copy()
-        still[active] = ~done
-        active = still
-
-    # Points that exhausted the budget need the scalar solver's bisection.
-    for idx in np.nonzero(active)[0]:
-        fallback.append(int(idx))
-
-    # -- Eqs. (1)–(5), (15)–(16) at the solution ---------------------------
-    # lam_ecn1 must be built as forward + return (icn2/c), NOT the
-    # algebraically equal 2*n0*p*lam: the scalar compute_traffic_rates sums
-    # the two components, and the different rounding breaks bit-identity
-    # for non-power-of-two cluster counts.
-    lam_icn1 = n0_arr * (1.0 - p_arr) * current
-    lam_icn2 = c_arr * n0_arr * p_arr * current
-    lam_ecn1 = n0_arr * p_arr * current + lam_icn2 / c_arr
-    saturated = (
-        (lam_icn1 >= mu_icn1) | (lam_ecn1 >= mu_ecn1) | (lam_icn2 >= mu_icn2)
+    ``group`` checks and groups a system; a grid repeats each system over
+    its sizes and architectures, so each is grouped once.
+    """
+    # Keyed by identity; holding the system keeps its id from being reused.
+    groupings: Dict[int, Tuple[MultiClusterSystem, ClusterClasses]] = {}
+    rows = []
+    for system, config in evaluations:
+        if id(system) not in groupings:
+            groupings[id(system)] = (system, group(system))
+        solution = solve(system, groupings[id(system)][1], config)
+        rate = solution.fold([t.per_processor_rate for t in solution.traffic])
+        nominal = solution.fold(solution.nominal_rates)
+        rows.append((
+            solution.mean_latency,
+            solution.fold([item.local_latency for item in solution.latency]),
+            solution.fold([item.remote_latency for item in solution.latency]),
+            rate,
+            solution.fold([item.outgoing_probability for item in solution.latency]),
+            solution.utilizations[0]["icn2"],
+            rate / nominal if nominal > 0 else 1.0,
+            solution.iterations,
+        ))
+    columns = list(zip(*rows)) or [()] * 8
+    mean, local, remote, rate, outgoing, icn2_util, throttling = (
+        np.array(column, dtype=np.float64) for column in columns[:7]
     )
-    for idx in np.nonzero(saturated)[0]:
-        if int(idx) not in fallback:
-            # Let the scalar path raise its StabilityError (or resolve the
-            # point through bisection) exactly as a per-point evaluation
-            # would.
-            fallback.append(int(idx))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_icn1 = 1.0 / (mu_icn1 - lam_icn1)
-        w_ecn1 = 1.0 / (mu_ecn1 - lam_ecn1)
-        w_icn2 = 1.0 / (mu_icn2 - lam_icn2)
-    local = w_icn1
-    remote = w_icn2 + 2.0 * w_ecn1
-    mean = (1.0 - p_arr) * local + p_arr * remote
-    icn2_util = lam_icn2 / mu_icn2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        throttling = np.where(nominal == 0.0, 1.0, current / nominal)
-
-    result = GridEvaluation(
+    return GridEvaluation(
         mean_latency_s=mean,
         local_latency_s=local,
         remote_latency_s=remote,
-        effective_rate=current,
-        outgoing_probability=p_arr,
-        iterations=iterations,
+        effective_rate=rate,
+        outgoing_probability=outgoing,
+        iterations=np.array(columns[7], dtype=np.int64),
         icn2_utilization=icn2_util,
         throttling_factor=throttling,
-        scalar_fallback=tuple(sorted(set(fallback))),
     )
-    for idx in result.scalar_fallback:
-        system, config = evaluations[idx]
-        mean_s, local_s, remote_s, eff, iters, util_icn2, throttle = _scalar_point(
-            system, config
-        )
-        result.mean_latency_s[idx] = mean_s
-        result.local_latency_s[idx] = local_s
-        result.remote_latency_s[idx] = remote_s
-        result.effective_rate[idx] = eff
-        result.iterations[idx] = iters
-        result.icn2_utilization[idx] = util_icn2
-        result.throttling_factor[idx] = throttle
-    return result
-
-
-def _queue_length(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Vector M/M/1 mean number in system; ``inf`` when saturated.
-
-    The stable branch computes ``rho / (1 - rho)`` with ``rho = lam/mu`` —
-    the same two operations, in the same order, as the scalar
-    ``_mm1_queue_length`` — so unsaturated points match it bit-for-bit.
-    """
-    rho = lam / mu
-    out = rho / (1.0 - rho)
-    return np.where(lam >= mu, np.inf, out)

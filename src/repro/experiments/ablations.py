@@ -12,9 +12,9 @@ DESIGN.md calls out four modelling decisions worth probing:
 4. **Finite-source correction** (Eq. 7) vs the *exact* closed-network
    solution (MVA): how good the paper's approximation is.
 
-The closed-form sweeps (1–3) are evaluated through the vectorized
-:func:`~repro.core.vectorized.evaluate_latency_grid` — one NumPy pass for
-the whole sweep, bit-identical to the historical per-row
+The closed-form sweeps (1–3) are evaluated through
+:func:`~repro.core.vectorized.evaluate_latency_grid` — one in-process pass
+for the whole sweep, bit-identical to the historical per-row
 :class:`~repro.core.model.AnalyticalModel` evaluations.  The MVA
 comparison (4) and the simulator-based service-distribution ablation run
 as ordinary sweep tasks through the pipeline's
@@ -110,7 +110,7 @@ def _analysis_sweep(
     evaluations: Sequence[Tuple[object, ModelConfig]],
     extra: Optional[Callable[[GridEvaluation, int], Dict[str, float]]] = None,
 ) -> AblationStudy:
-    """Evaluate a closed-form sweep in one vectorized grid pass.
+    """Evaluate a closed-form sweep in one grid pass.
 
     Bit-identical to evaluating each row with a scalar
     :class:`AnalyticalModel` (the grid's per-point contract), so this
@@ -145,7 +145,7 @@ def sweep_switch_ports(
 
     (``jobs``/``engine``/``backend``/``checkpoint`` are accepted for
     interface compatibility; the sweep is closed-form and evaluated in one
-    in-process vectorized pass.)
+    in-process grid pass.)
     """
     evaluations = [
         (
@@ -218,7 +218,7 @@ def sweep_generation_rate(
 ) -> AblationStudy:
     """Ablation 3a: offered load sweep (the paper's λ = 0.25 is nearly idle).
 
-    Closed-form and vectorized; the per-row ICN2 utilisation and
+    Closed-form, in one grid pass; the per-row ICN2 utilisation and
     finite-source throttling factor come straight from the grid (the same
     divisions the scalar report performs, so the extras are bit-identical
     too).

@@ -117,7 +117,7 @@ def run_blocking_ratio_study(
     """Compute the blocking/non-blocking ratio over the paper's sweep grid.
 
     The study is closed-form: both architectures of every grid point are
-    evaluated in a single vectorized
+    evaluated in a single
     :func:`~repro.core.vectorized.evaluate_latency_grid` sweep, which is
     bit-identical to the historical per-point
     :class:`~repro.core.model.AnalyticalModel` tasks on every execution

@@ -240,7 +240,7 @@ def run_figure(
     The driver is a thin shell over the declarative pipeline: the figure's
     scenario/architecture and the sweep axes become an
     :class:`~repro.experiments.pipeline.ExperimentSpec`, whose plan carries
-    the vectorized analysis grid and the seeded, labelled simulation tasks
+    the analysis grid and the seeded, labelled simulation tasks
     (labels keep the historical ``fig<N> M=<mb> C=<nc> rep[<i>]`` shape, so
     existing checkpoint journals keep matching).
 
@@ -331,7 +331,7 @@ def run_figure(
         if cached is not None:
             return FigureCollector(spec, parameters).collect(cached)
 
-    # Analysis pass — always computed, vectorized and bit-identical to
+    # Analysis pass — always computed, in-process and bit-identical to
     # per-point AnalyticalModel calls.  The execution engine is resolved
     # only when a simulation pass actually runs (so an analysis-only call
     # never opens checkpoints or spins up backends).

@@ -10,7 +10,7 @@ blocking-ratio study, the ablations, the validation runner and the CLI's
    on *how* it will be executed.
 2. **Plan** — :func:`build_plan` expands a spec against the scenario
    registry into an :class:`ExperimentPlan`: the ordered grid of
-   :class:`PlanPoint`\\ s, the systems they run on, the vectorized analysis
+   :class:`PlanPoint`\\ s, the systems they run on, the analysis
    evaluations and (for simulating modes) a :class:`SimulationPlan` of
    seeded, labelled :class:`~repro.parallel.SweepTask`\\ s.  Per-point
    seeds are ``SeedSequence``-spawned from the spec seed and per-replication
@@ -392,7 +392,7 @@ class ExperimentPlan:
     """A fully expanded campaign: grid, systems, analysis and simulation.
 
     ``analysis_kind`` records which analytical model backs the analysis
-    pass: ``"paper"`` for the §4 homogeneous model (vectorized grid) or
+    pass: ``"paper"`` for the §4 homogeneous model or
     ``"cluster-of-clusters"`` for the §7 heterogeneous extension used by
     scenarios with unequal clusters or per-cluster technologies.
     """
@@ -417,27 +417,11 @@ class ExperimentPlan:
         return self.simulation is not None
 
     def analysis_evaluations(self) -> List[Tuple[Any, ModelConfig]]:
-        """The ``(system, config)`` pairs of the vectorized analysis pass."""
+        """The ``(system, config)`` pairs of the analysis pass (either model)."""
         return [
             (
                 self.systems[point.num_clusters],
                 ModelConfig(
-                    architecture=self.architecture,
-                    message_bytes=float(point.message_bytes),
-                    generation_rate=point.generation_rate,
-                ),
-            )
-            for point in self.points
-        ]
-
-    def heterogeneous_evaluations(self) -> List[Tuple[Any, Any]]:
-        """The ``(system, config)`` pairs of the Cluster-of-Clusters pass."""
-        from ..core.cluster_of_clusters import HeterogeneousModelConfig
-
-        return [
-            (
-                self.systems[point.num_clusters],
-                HeterogeneousModelConfig(
                     architecture=self.architecture,
                     message_bytes=float(point.message_bytes),
                     generation_rate=point.generation_rate,
@@ -679,7 +663,7 @@ class ExperimentRunner:
     # -- execution passes --------------------------------------------------
 
     def run_analysis(self, evaluations: Sequence[Tuple[Any, ModelConfig]]) -> GridEvaluation:
-        """Evaluate the closed-form model for a grid (vectorized, bit-exact)."""
+        """Evaluate the closed-form model for a grid (bit-exact per point)."""
         return evaluate_latency_grid(evaluations)
 
     def run_plan_analysis(self, plan: ExperimentPlan) -> GridEvaluation:
@@ -687,7 +671,7 @@ class ExperimentRunner:
         if plan.analysis_kind == "cluster-of-clusters":
             from ..core.cluster_of_clusters import evaluate_heterogeneous_grid
 
-            return evaluate_heterogeneous_grid(plan.heterogeneous_evaluations())
+            return evaluate_heterogeneous_grid(plan.analysis_evaluations())
         return self.run_analysis(plan.analysis_evaluations())
 
     def run_simulation_plan(self, simulation: SimulationPlan) -> List[ReplicatedResult]:

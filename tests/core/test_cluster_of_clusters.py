@@ -11,7 +11,7 @@ from repro.core.cluster_of_clusters import (
     HeterogeneousModelConfig,
 )
 from repro.core.model import AnalyticalModel, ModelConfig
-from repro.errors import ConfigurationError, StabilityError
+from repro.errors import ConfigurationError, ConvergenceError, StabilityError
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 
 
@@ -25,18 +25,54 @@ class TestHeterogeneousModelConfig:
 
 class TestClusterOfClustersModel:
     def test_reduces_to_supercluster_model_when_homogeneous(self):
-        """On an equal-size homogeneous system both models must agree closely."""
-        system = paper_evaluation_system(8, GIGABIT_ETHERNET, FAST_ETHERNET)
-        super_report = AnalyticalModel(
-            system, ModelConfig(architecture="non-blocking", message_bytes=1024)
-        ).evaluate()
-        hetero_report = ClusterOfClustersModel(
-            system,
-            HeterogeneousModelConfig(architecture="non-blocking", message_bytes=1024),
-        ).evaluate()
-        assert hetero_report.mean_latency_s == pytest.approx(
-            super_report.mean_latency_s, rel=1e-6
-        )
+        """On a homogeneous system both models agree exactly, at any load.
+
+        Case 1, C=2, blocking, 4 KiB is heavily loaded: counting L_E1 once
+        instead of Eq. (6)'s ``2·L_E1`` gives 116.8 ms there, not 108.0 ms.
+        """
+        for num_clusters, architecture, message_bytes in (
+            (8, "non-blocking", 1024.0),
+            (2, "blocking", 4096.0),
+        ):
+            system = paper_evaluation_system(num_clusters, GIGABIT_ETHERNET, FAST_ETHERNET)
+            config = ModelConfig(architecture=architecture, message_bytes=message_bytes)
+            super_report = AnalyticalModel(system, config).evaluate()
+            hetero_report = ClusterOfClustersModel(system, config).evaluate()
+            assert hetero_report.mean_latency_s == super_report.mean_latency_s
+            for cluster in system.clusters:
+                name = cluster.name
+                assert hetero_report.per_cluster_effective_rate[name] == (
+                    super_report.effective_rate
+                )
+                assert hetero_report.per_cluster_local_latency_s[name] == (
+                    super_report.local_latency_s
+                )
+                assert hetero_report.per_cluster_remote_latency_s[name] == (
+                    super_report.remote_latency_s
+                )
+
+    def test_cluster_classes_equal_separate_clusters(self):
+        """Grouping identical clusters into one class changes no result."""
+        from dataclasses import replace
+
+        from repro.cluster.processor import ProcessorType
+        from repro.experiments.scenarios import get_scenario
+
+        grouped = get_scenario("het-nics").system(4)  # two classes of two clusters
+        separate = replace(grouped, clusters=tuple(
+            replace(c, processor_type=ProcessorType(f"p{i}", 1.0))
+            for i, c in enumerate(grouped.clusters)
+        ))
+        config = ModelConfig(architecture="blocking", message_bytes=512.0, generation_rate=2.0)
+        a = ClusterOfClustersModel(grouped, config).evaluate()
+        b = ClusterOfClustersModel(separate, config).evaluate()
+        assert a.iterations == b.iterations
+        assert a.mean_latency_s == pytest.approx(b.mean_latency_s, rel=1e-12)
+        for name, rate in b.per_cluster_effective_rate.items():
+            assert a.per_cluster_effective_rate[name] == pytest.approx(rate, rel=1e-12)
+            assert a.per_cluster_remote_latency_s[name] == pytest.approx(
+                b.per_cluster_remote_latency_s[name], rel=1e-12
+            )
 
     def test_llnl_like_system_evaluates(self):
         report = ClusterOfClustersModel(llnl_like_system()).evaluate()
@@ -109,10 +145,20 @@ class TestClusterOfClustersModel:
     def test_finite_source_correction_reduces_rates_under_load(self):
         system = llnl_like_system()
         report = ClusterOfClustersModel(
-            system, HeterogeneousModelConfig(generation_rate=500.0)
+            system, HeterogeneousModelConfig(generation_rate=20.0)
         ).evaluate()
         # Under heavy offered load the effective rates drop below nominal.
-        assert all(rate < 500.0 for rate in report.per_cluster_effective_rate.values())
+        for cluster in system.clusters:
+            nominal = cluster.processor_type.scaled_rate(20.0)
+            assert report.per_cluster_effective_rate[cluster.name] < nominal
+
+    @pytest.mark.parametrize("rate", [50.0, 500.0])
+    def test_unconverged_solution_is_refused(self, rate):
+        """Past λ ≈ 45 the llnl-like iteration never settles; no iterate is returned."""
+        with pytest.raises(ConvergenceError):
+            ClusterOfClustersModel(
+                llnl_like_system(), HeterogeneousModelConfig(generation_rate=rate)
+            ).evaluate()
 
     def test_processor_speed_scales_generation(self):
         report = ClusterOfClustersModel(llnl_like_system()).evaluate()

@@ -7,7 +7,8 @@ import math
 import pytest
 
 from repro.cluster.presets import paper_evaluation_system
-from repro.core.fixed_point import queue_lengths_at, solve_effective_rate
+from repro.cluster.processor import ProcessorType
+from repro.cluster.system import MultiClusterSystem
 from repro.core.latency import WaitingTimes, mean_message_latency, waiting_time
 from repro.core.model import AnalyticalModel, ModelConfig
 from repro.core.service_centers import build_service_centers
@@ -52,63 +53,66 @@ class TestServiceCenters:
         }
 
 
+def _mm1_length(utilization: float) -> float:
+    """M/M/1 mean number in system at utilisation ρ."""
+    return utilization / (1.0 - utilization)
+
+
+def _eq6_total(report) -> float:
+    """Eq. (6) from a report's utilisations: ``C·(2·L_E1 + L_I1) + L_I2``."""
+    u = report.utilizations
+    return report.num_clusters * (
+        2 * _mm1_length(u["ecn1"]) + _mm1_length(u["icn1"])
+    ) + _mm1_length(u["icn2"])
+
+
+def _evaluate(system, rate: float):
+    return AnalyticalModel(
+        system, ModelConfig(message_bytes=1024, generation_rate=rate)
+    ).evaluate()
+
+
 class TestFixedPoint:
     def test_light_load_barely_throttles(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
-        result = solve_effective_rate(0.25, 16, 16, centers)
-        assert result.converged
-        assert result.effective_rate == pytest.approx(0.25, rel=1e-3)
-        assert result.throttling_factor > 0.99
-        assert result.total_waiting < 1.0
+        report = _evaluate(paper_case1_system, 0.25)
+        assert report.fixed_point_iterations >= 1
+        assert report.effective_rate == pytest.approx(0.25, rel=1e-3)
+        assert report.throttling_factor > 0.99
+        assert report.total_waiting_processors < 1.0
 
     def test_heavy_load_throttles(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
         # At 1000 msg/s per processor the ICN2 saturates without the correction.
-        result = solve_effective_rate(1000.0, 16, 16, centers)
-        assert result.converged
-        assert result.effective_rate < 1000.0
-        assert result.total_waiting > 0.0
+        report = _evaluate(paper_case1_system, 1000.0)
+        assert report.effective_rate < 1000.0
+        assert report.total_waiting_processors > 0.0
         # The solution must leave every centre stable.
-        lengths = queue_lengths_at(result.effective_rate, 16, 16, centers)
-        assert math.isfinite(lengths.total(16))
+        assert all(u < 1.0 for u in report.utilizations.values())
+        assert math.isfinite(report.total_waiting_processors)
 
     def test_zero_rate(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
-        result = solve_effective_rate(0.0, 16, 16, centers)
-        assert result.effective_rate == 0.0
-        assert result.total_waiting == 0.0
+        report = _evaluate(paper_case1_system, 0.0)
+        assert report.effective_rate == 0.0
+        assert report.total_waiting_processors == 0.0
+        assert report.fixed_point_iterations == 0
 
     def test_effective_rate_monotone_in_nominal(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
         rates = [
-            solve_effective_rate(lam, 16, 16, centers).effective_rate
+            _evaluate(paper_case1_system, lam).effective_rate
             for lam in (0.25, 10.0, 100.0, 1000.0)
         ]
         assert rates == sorted(rates)
 
     def test_fixed_point_self_consistency(self, paper_case1_system):
         """λ_eff must satisfy λ_eff = (N − L(λ_eff))/N · λ (Eq. 7)."""
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
         nominal = 200.0
-        result = solve_effective_rate(nominal, 16, 16, centers)
+        report = _evaluate(paper_case1_system, nominal)
         population = 256
-        lengths = queue_lengths_at(result.effective_rate, 16, 16, centers)
-        expected = (population - min(lengths.total(16), population)) / population * nominal
-        assert result.effective_rate == pytest.approx(expected, rel=1e-4)
+        expected = (population - min(_eq6_total(report), population)) / population * nominal
+        assert report.effective_rate == pytest.approx(expected, rel=1e-4)
 
     def test_queue_lengths_eq6_combination(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
-        lengths = queue_lengths_at(0.25, 16, 16, centers)
-        assert lengths.total(16) == pytest.approx(
-            16 * (2 * lengths.ecn1 + lengths.icn1) + lengths.icn2
-        )
-
-    def test_invalid_inputs(self, paper_case1_system):
-        centers = build_service_centers(paper_case1_system, "non-blocking", 1024)
-        with pytest.raises(ValueError):
-            solve_effective_rate(-1.0, 16, 16, centers)
-        with pytest.raises(ValueError):
-            solve_effective_rate(1.0, 16, 16, centers, damping=0.0)
+        report = _evaluate(paper_case1_system, 0.25)
+        assert report.total_waiting_processors == pytest.approx(_eq6_total(report))
 
 
 class TestLatency:
@@ -244,6 +248,19 @@ class TestAnalyticalModel:
                     finite_source_correction=False,
                 ),
             ).evaluate()
+
+    def test_processor_speed_scales_generation_rate(self):
+        """A processor of relative speed s generates s·λ, as in the simulator."""
+        fast = MultiClusterSystem.super_cluster(
+            4, 16, GIGABIT_ETHERNET, FAST_ETHERNET, processor_type=ProcessorType("fast", 4.0)
+        )
+        reference = MultiClusterSystem.super_cluster(4, 16, GIGABIT_ETHERNET, FAST_ETHERNET)
+        report = _evaluate(fast, 20.0)
+        same_load = _evaluate(reference, 80.0)
+        assert report.nominal_rate == 80.0
+        assert report.effective_rate == same_load.effective_rate
+        assert report.mean_latency_s == same_load.mean_latency_s
+        assert report.throttling_factor < 1.0
 
     def test_cluster_of_clusters_rejected(self):
         from repro.cluster.presets import llnl_like_system

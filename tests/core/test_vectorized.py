@@ -1,11 +1,10 @@
-"""Tests for the vectorized analytical grid evaluation.
+"""Tests for the analytical grid evaluation.
 
 The contract is *bit-identity*: every point of
 :func:`repro.core.vectorized.evaluate_latency_grid` must equal the scalar
 ``AnalyticalModel(system, config).evaluate()`` result exactly (``==`` on
-the raw floats), because the vectorized fixed point applies the same
-IEEE-754 operations per element and freezes each point at the iterate
-where the scalar solver stops.
+the raw floats), open-model and zero-rate points included, and no point is
+handed to a second implementation (``scalar_fallback`` stays empty).
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class TestGridFallbacks:
             architecture="non-blocking", message_bytes=1024.0, finite_source_correction=False
         )
         grid = evaluate_latency_grid([(system, config)])
-        assert grid.scalar_fallback == (0,)
+        assert grid.scalar_fallback == ()
         report = AnalyticalModel(system, config).evaluate()
         assert float(grid.mean_latency_s[0]) == report.mean_latency_s
         assert int(grid.iterations[0]) == report.fixed_point_iterations == 0
@@ -112,7 +111,7 @@ class TestGridFallbacks:
             architecture="non-blocking", message_bytes=1024.0, generation_rate=0.0
         )
         grid = evaluate_latency_grid([(system, config)])
-        assert grid.scalar_fallback == (0,)
+        assert grid.scalar_fallback == ()
         report = AnalyticalModel(system, config).evaluate()
         assert float(grid.mean_latency_s[0]) == report.mean_latency_s
 
@@ -123,7 +122,7 @@ class TestGridFallbacks:
             architecture="blocking", message_bytes=1024.0, finite_source_correction=False
         )
         grid = evaluate_latency_grid([(system, closed), (system, open_model)])
-        assert grid.scalar_fallback == (1,)
+        assert grid.scalar_fallback == ()
         for i, config in enumerate((closed, open_model)):
             report = AnalyticalModel(system, config).evaluate()
             assert float(grid.mean_latency_s[i]) == report.mean_latency_s
@@ -189,7 +188,7 @@ class TestGridUtilizationAndThrottling:
             architecture="non-blocking", message_bytes=1024.0, generation_rate=0.0
         )
         grid = evaluate_latency_grid([(system, config)])
-        assert grid.scalar_fallback == (0,)
+        assert grid.scalar_fallback == ()
         report = AnalyticalModel(system, config).evaluate()
         assert float(grid.icn2_utilization[0]) == report.utilizations["icn2"]
         assert float(grid.throttling_factor[0]) == report.throttling_factor == 1.0

@@ -32,7 +32,7 @@ class TestAnalysisSimulationAgreement:
             architecture=architecture, message_bytes=1024, num_messages=2500, seed=17
         )
         point = validate_against_analysis(system, model_config, sim_config)
-        assert point.relative_error < 0.12, (
+        assert point.relative_error < 0.05, (
             f"analysis {point.analysis_latency_ms:.4f} ms vs "
             f"simulation {point.simulation_latency_ms:.4f} ms"
         )
@@ -47,7 +47,7 @@ class TestAnalysisSimulationAgreement:
             SimulationConfig(architecture="non-blocking", message_bytes=512,
                              num_messages=2500, seed=23),
         )
-        assert point.relative_error < 0.12
+        assert point.relative_error < 0.05
 
     def test_paper_scale_point_case1(self):
         """One full-scale (256-node) point with the paper's 10k messages would be slow;
@@ -59,7 +59,7 @@ class TestAnalysisSimulationAgreement:
             SimulationConfig(architecture="non-blocking", message_bytes=1024,
                              num_messages=2500, seed=31),
         )
-        assert point.relative_error < 0.10
+        assert point.relative_error < 0.05
 
     def test_replications_reduce_variance(self):
         system = paper_evaluation_system(
@@ -121,7 +121,7 @@ class TestFigurePipelines:
         )
         summary = result.accuracy_summary()
         assert summary is not None
-        assert summary.mape_percent < 15.0
+        assert summary.mape_percent < 5.0
 
 
 class TestHeterogeneousExtensionAgainstSimulator:
@@ -144,4 +144,4 @@ class TestHeterogeneousExtensionAgainstSimulator:
                              num_messages=3000, seed=13),
         ).run()
         relative_error = abs(analysis.mean_latency_s - sim.mean_latency_s) / sim.mean_latency_s
-        assert relative_error < 0.12
+        assert relative_error < 0.05

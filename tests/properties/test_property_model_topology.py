@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.presets import paper_evaluation_system
+from repro.cluster.processor import ProcessorType
+from repro.cluster.system import MultiClusterSystem
+from repro.core.cluster_of_clusters import ClusterOfClustersModel
 from repro.core.model import AnalyticalModel, ModelConfig
 from repro.core.routing import outgoing_probability
+from repro.errors import ReproError
 from repro.core.traffic import compute_traffic_rates
 from repro.network.models import BlockingNetworkModel, NonBlockingNetworkModel
 from repro.network.switch import SwitchFabric
-from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
+from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET, MYRINET
 from repro.topology.fattree import FatTreeTopology, fat_tree_stages, fat_tree_switch_count
 from repro.topology.linear_array import LinearArrayTopology
 
@@ -138,3 +142,39 @@ class TestModelProperties:
         nb = AnalyticalModel(system, ModelConfig(architecture="non-blocking")).evaluate()
         b = AnalyticalModel(system, ModelConfig(architecture="blocking")).evaluate()
         assert b.mean_latency_s >= nb.mean_latency_s
+
+    @given(
+        shape=st.tuples(st.integers(1, 32), st.integers(1, 32)).filter(
+            lambda cn: cn[0] * cn[1] >= 2
+        ),
+        techs=st.tuples(*[st.sampled_from([GIGABIT_ETHERNET, FAST_ETHERNET, MYRINET])] * 3),
+        architecture=st.sampled_from(["non-blocking", "blocking"]),
+        m=st.floats(64.0, 8192.0),
+        lam=st.floats(0.0, 50.0),
+        speed=st.sampled_from([0.8, 1.0, 1.4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_of_clusters_reduces_exactly(self, shape, techs, architecture, m, lam, speed):
+        """On a homogeneous system the extension is the paper's model, bit for bit."""
+        c, n0 = shape
+        icn, ecn, icn2 = techs
+        system = MultiClusterSystem.super_cluster(
+            c, n0, icn, ecn, icn2, processor_type=ProcessorType("p", speed)
+        )
+        config = ModelConfig(architecture=architecture, message_bytes=m, generation_rate=lam)
+        outcomes = []
+        for model in (AnalyticalModel, ClusterOfClustersModel):
+            try:
+                outcomes.append(model(system, config).evaluate())
+            except ReproError as error:  # both models must refuse alike
+                outcomes.append(type(error))
+        paper, extension = outcomes
+        if isinstance(paper, type) or isinstance(extension, type):
+            assert paper == extension
+            return
+        assert extension.mean_latency_s == paper.mean_latency_s
+        assert extension.iterations == paper.fixed_point_iterations
+        assert set(extension.per_cluster_effective_rate.values()) == {paper.effective_rate}
+        assert set(extension.per_cluster_local_latency_s.values()) == {paper.local_latency_s}
+        assert set(extension.per_cluster_remote_latency_s.values()) == {paper.remote_latency_s}
+        assert extension.utilizations["icn2"] == paper.utilizations["icn2"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -95,6 +96,51 @@ class TestPublicAPI:
             assert issubclass(exc, ReproError)
         assert issubclass(ConfigurationError, ValueError)
         assert issubclass(StabilityError, ArithmeticError)
+
+
+class TestPerfbenchBoundaries:
+    """perfbench's tracer wraps program functions by module path and reads
+    grid results by field name, so a rename breaks only traced runs; these
+    tests make it break tier-1 too."""
+
+    @staticmethod
+    def _tracer():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def _resolve(module_name, attribute):
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part)
+        return owner
+
+    def test_every_boundary_resolves(self):
+        for name, module_name, attribute, _ in self._tracer().BOUNDARIES:
+            assert callable(self._resolve(module_name, attribute)), name
+
+    def test_grid_counts_read_every_grid_function(self):
+        from repro import ModelConfig, paper_evaluation_system
+        from repro.network import FAST_ETHERNET, GIGABIT_ETHERNET
+
+        tracer = self._tracer()
+        system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET)
+        evaluations = [(system, ModelConfig())]
+        grids = [
+            (module_name, attribute)
+            for _, module_name, attribute, count in tracer.BOUNDARIES
+            if count is tracer._grid_counts
+        ]
+        assert len(grids) == 2
+        for module_name, attribute in grids:
+            result = self._resolve(module_name, attribute)(evaluations)
+            counts = tracer._grid_counts((evaluations,), {}, result)
+            assert counts["grid_points"] == 1
+            assert counts["fixed_point_iters"] >= 1
+            assert counts["scalar_fallbacks"] == 0
 
 
 class TestDeclaredEnvironment:
