@@ -1,11 +1,9 @@
 """End-to-end throughput benchmarks of the simulation layer.
 
-Where ``bench_engine.py`` times the bare DES kernel, this module times the
-*simulators* the paper's validation actually runs: the closed-loop
-:class:`MultiClusterSimulator`, the open-loop :class:`TraceDrivenSimulator`
-and the vectorized analytical figure sweep — the three paths PR 4
-optimized (slotted events + virtual FIFO service centres, batched variate
-streams, NumPy grid evaluation).
+Where ``bench_engine.py`` times the bare DES kernel, this module times what
+the paper's validation actually runs: the closed-loop
+:class:`MultiClusterSimulator` (both stats modes) and the analytical figure
+grid.
 
 Two entry points, like the other benches:
 
@@ -37,9 +35,6 @@ from repro.core.vectorized import evaluate_latency_grid
 from repro.experiments.scenarios import CASE_1, PAPER_PARAMETERS, build_scenario_system
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
-from repro.simulation.trace_simulator import TraceDrivenSimulator, TraceSimulationConfig
-from repro.simulation.vectorized_replay import replay_trace
-from repro.workload.messages import generate_trace
 
 
 def _closed_loop(system, messages: int, seed: int = 1, stats_mode: str = "array") -> tuple:
@@ -73,19 +68,6 @@ def _peak_rss_mb(stats_mode: str, messages: int) -> float:
         return float("nan")
 
 
-def _trace_replay(system, trace) -> tuple:
-    """One open-loop trace replay; returns (completed, events scheduled)."""
-    sim = TraceDrivenSimulator(system, trace, TraceSimulationConfig(seed=3))
-    result = sim.run()
-    return result.completed_messages, next(sim.env._eid)
-
-
-def _vectorized_replay(system, trace) -> int:
-    """One event-loop-free trace replay (same inputs as ``_trace_replay``)."""
-    result = replay_trace(system, trace, TraceSimulationConfig(seed=3))
-    return result.completed_messages
-
-
 def _figure_grid(cluster_counts: tuple) -> int:
     """Vectorized analytical sweep over both architectures and sizes."""
     systems = {nc: build_scenario_system(CASE_1, nc, PAPER_PARAMETERS) for nc in cluster_counts}
@@ -117,26 +99,6 @@ def test_closed_loop_online_sink_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="simulator")
-def test_trace_replay_throughput(benchmark):
-    """Open-loop trace replay messages/second."""
-    system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
-    trace = generate_trace([8, 8, 8, 8], num_messages=1_000, seed=5)
-    completed, _ = benchmark(lambda: _trace_replay(system, trace))
-    assert completed == 1_000
-    benchmark.extra_info["messages_per_sec"] = completed / benchmark.stats.stats.min
-
-
-@pytest.mark.benchmark(group="simulator")
-def test_vectorized_replay_throughput(benchmark):
-    """Event-loop-free trace replay messages/second (same trace as the DES row)."""
-    system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
-    trace = generate_trace([8, 8, 8, 8], num_messages=1_000, seed=5)
-    completed = benchmark(lambda: _vectorized_replay(system, trace))
-    assert completed == 1_000
-    benchmark.extra_info["messages_per_sec"] = completed / benchmark.stats.stats.min
-
-
-@pytest.mark.benchmark(group="simulator")
 def test_vectorized_figure_grid(benchmark):
     """Vectorized analytical sweep (evaluations/second over a figure grid)."""
     counts = PAPER_PARAMETERS.cluster_counts
@@ -162,11 +124,9 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
     size-independent enough for the regression gate.
     """
     messages = 400 if quick else 2_000
-    trace_messages = 400 if quick else 2_000
     grid_counts = (1, 2, 4, 8, 16) if quick else PAPER_PARAMETERS.cluster_counts
 
     system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
-    trace = generate_trace([8, 8, 8, 8], num_messages=trace_messages, seed=5)
 
     results = []
 
@@ -197,23 +157,6 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
             "messages": rss_messages,
             "peak_rss_mb": _peak_rss_mb(mode, rss_messages),
         })
-
-    completed, events = _trace_replay(system, trace)
-    seconds = _best_of(lambda: _trace_replay(system, trace), repeats)
-    results.append({
-        "name": "simulator_trace_replay",
-        "seconds": round(seconds, 6),
-        "messages_per_sec": round(completed / seconds, 1),
-        "events_per_sec": round(events / seconds, 1),
-    })
-
-    completed = _vectorized_replay(system, trace)
-    seconds = _best_of(lambda: _vectorized_replay(system, trace), repeats)
-    results.append({
-        "name": "simulator_vectorized_replay",
-        "seconds": round(seconds, 6),
-        "messages_per_sec": round(completed / seconds, 1),
-    })
 
     points = _figure_grid(grid_counts)
     seconds = _best_of(lambda: _figure_grid(grid_counts), repeats)

@@ -30,7 +30,7 @@ Subpackages
 ``repro.core``
     The paper's analytical model (routing, traffic, fixed point, latency).
 ``repro.workload``
-    Arrival processes, destination policies, message sizes and traces.
+    Arrival processes and destination policies.
 ``repro.simulation``
     The validation simulator and analysis-vs-simulation comparison.
 ``repro.parallel``

@@ -36,7 +36,6 @@ HOT_MODULES = frozenset(
         "repro.des.rng",
         "repro.simulation.components",
         "repro.simulation.message",
-        "repro.simulation.vectorized_replay",
     }
 )
 
@@ -56,8 +55,6 @@ KNOWN_SLOTTED = frozenset(
         "Process",
         "Monitor",
         "TimeWeightedMonitor",
-        "TraceRecord",
-        "Tracer",
         "VariateStream",
         "VariateGenerator",
         "RandomStreams",

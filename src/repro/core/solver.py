@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Sequence, Tuple
 
 from ..cluster.processor import ProcessorType
 from ..cluster.system import MultiClusterSystem

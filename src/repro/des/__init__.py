@@ -23,7 +23,7 @@ Quick example
 
 from .core import EmptySchedule, Environment, StopSimulation
 from .events import AbsoluteTimeout, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .monitor import Monitor, TimeWeightedMonitor, TraceRecord, Tracer
+from .monitor import Monitor, TimeWeightedMonitor
 from .process import Interrupt, Process
 from .rng import RandomStreams, VariateGenerator
 
@@ -42,8 +42,6 @@ __all__ = [
     "Interrupt",
     "Monitor",
     "TimeWeightedMonitor",
-    "Tracer",
-    "TraceRecord",
     "RandomStreams",
     "VariateGenerator",
 ]

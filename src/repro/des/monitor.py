@@ -1,24 +1,19 @@
-"""Observation and tracing utilities for simulations.
+"""Observation utilities for simulations.
 
 :class:`Monitor` records tagged scalar observations (e.g. per-message
-latency), :class:`TimeWeightedMonitor` records piecewise-constant signals
-(e.g. queue length over time) and integrates them correctly, and
-:class:`Tracer` records a structured event log that tests and debugging
-tools can inspect.
+latency), and :class:`TimeWeightedMonitor` records piecewise-constant signals
+(e.g. queue length over time) and integrates them correctly.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-__all__ = ["Monitor", "TimeWeightedMonitor", "Tracer", "TraceRecord"]
+__all__ = ["Monitor", "TimeWeightedMonitor"]
 
 
 def _as_double_array(data: Iterable[float]) -> array:
@@ -265,89 +260,3 @@ class TimeWeightedMonitor:
 
     def __repr__(self) -> str:
         return f"<TimeWeightedMonitor {self.name!r} level={self._last_value!r}>"
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """A single structured trace entry."""
-
-    time: float
-    category: str
-    message: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
-class Tracer:
-    """Structured event log with optional category filtering and a size cap.
-
-    Tracing is off by default (``enabled=False``) so that it costs a single
-    attribute check per potential record in hot paths.
-
-    ``max_records`` bounds memory on long traced runs: when set, the log
-    becomes a ring buffer that keeps only the most recent ``max_records``
-    entries.  The first time an old record is dropped a single
-    ``RuntimeWarning`` is emitted; :attr:`dropped` counts every drop since
-    the last :meth:`clear`.
-    """
-
-    __slots__ = ("enabled", "max_records", "_categories", "_records", "_dropped", "_warned")
-
-    def __init__(
-        self,
-        enabled: bool = False,
-        categories: Optional[Iterable[str]] = None,
-        max_records: Optional[int] = None,
-    ) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records!r}")
-        self.enabled = enabled
-        self.max_records = max_records
-        self._categories = set(categories) if categories is not None else None
-        self._records: Deque[TraceRecord] = deque(maxlen=max_records)
-        self._dropped = 0
-        self._warned = False
-
-    def log(self, time: float, category: str, message: str, **data: Any) -> None:
-        """Append a record if tracing is enabled and the category is selected."""
-        if not self.enabled:
-            return
-        if self._categories is not None and category not in self._categories:
-            return
-        records = self._records
-        if records.maxlen is not None and len(records) == records.maxlen:
-            self._dropped += 1
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"Tracer reached max_records={records.maxlen}; oldest records "
-                    "are being dropped (ring buffer)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        records.append(TraceRecord(float(time), category, message, dict(data)))
-
-    @property
-    def records(self) -> Tuple[TraceRecord, ...]:
-        """All retained entries, in order (oldest may have been dropped)."""
-        return tuple(self._records)
-
-    @property
-    def dropped(self) -> int:
-        """Number of records dropped by the ring buffer since the last clear."""
-        return self._dropped
-
-    def filter(self, category: str) -> List[TraceRecord]:
-        """Return only the retained records of the given ``category``."""
-        return [r for r in self._records if r.category == category]
-
-    def clear(self) -> None:
-        """Discard all records and reset the drop counter."""
-        self._records.clear()
-        self._dropped = 0
-        self._warned = False
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __repr__(self) -> str:
-        return f"<Tracer enabled={self.enabled} records={len(self._records)}>"

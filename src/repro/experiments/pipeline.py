@@ -40,6 +40,7 @@ Example
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -108,6 +109,20 @@ def _spec_int(name: str, value) -> int:
             raise ExperimentError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     return value
+
+
+def _spec_real(name: str, value) -> None:
+    """Reject a real-number spec field that is not a finite int or float.
+
+    JSON carries ``NaN`` and ``Infinity``, and a NaN rate or size never lets
+    the simulator finish; bools and strings are not numbers here either.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ExperimentError(f"{name} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,14 @@ class ExperimentSpec:
         for name in ("cluster_counts", "message_sizes", "generation_rates"):
             value = getattr(self, name)
             if value is not None:
+                if not isinstance(value, (list, tuple)):
+                    raise ExperimentError(f"{name} must be a list, got {value!r}")
                 object.__setattr__(self, name, tuple(value))
+        for name in ("message_sizes", "generation_rates"):
+            for value in getattr(self, name) or ():
+                _spec_real(name, value)
+        if self.switch_latency_us is not None:
+            _spec_real("switch_latency_us", self.switch_latency_us)
         # Integer fields must be genuine integers: JSON happily carries
         # 2.5 replications or seed 1.5, which would either crash deep in
         # SeedSequence with a raw TypeError or silently truncate (running

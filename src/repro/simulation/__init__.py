@@ -14,12 +14,6 @@ from .runner import (
     validate_against_analysis,
 )
 from .simulator import MultiClusterSimulator, SimulationConfig, SimulationResult
-from .trace_simulator import (
-    TraceDrivenSimulator,
-    TraceSimulationConfig,
-    TraceSimulationResult,
-)
-from .vectorized_replay import replay_trace
 
 __all__ = [
     "Message",
@@ -40,8 +34,4 @@ __all__ = [
     "aggregate_replications",
     "run_replications",
     "validate_against_analysis",
-    "TraceDrivenSimulator",
-    "TraceSimulationConfig",
-    "TraceSimulationResult",
-    "replay_trace",
 ]

@@ -30,6 +30,7 @@ become monitored outputs of :class:`~repro.simulation.simulator.SimulationResult
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -97,10 +98,17 @@ class FaultSpec:
     policy: str = "stall"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mtbf_s, (int, float)) or self.mtbf_s <= 0:
-            raise ConfigurationError(f"mtbf_s must be a positive number, got {self.mtbf_s!r}")
-        if not isinstance(self.mttr_s, (int, float)) or self.mttr_s <= 0:
-            raise ConfigurationError(f"mttr_s must be a positive number, got {self.mttr_s!r}")
+        for label, value in (
+            ("mtbf_s", self.mtbf_s),
+            ("mttr_s", self.mttr_s),
+            ("failure_shape", self.failure_shape),
+            ("repair_shape", self.repair_shape),
+        ):
+            # NaN fails both comparisons, so it is refused with infinity.
+            if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{label} must be a positive finite number, got {value!r}"
+                )
         if self.failure_distribution not in FAILURE_DISTRIBUTIONS:
             raise ConfigurationError(
                 f"failure_distribution must be one of {FAILURE_DISTRIBUTIONS}, "
@@ -111,12 +119,6 @@ class FaultSpec:
                 f"repair_distribution must be one of {REPAIR_DISTRIBUTIONS}, "
                 f"got {self.repair_distribution!r}"
             )
-        for label, shape in (
-            ("failure_shape", self.failure_shape),
-            ("repair_shape", self.repair_shape),
-        ):
-            if not isinstance(shape, (int, float)) or shape <= 0:
-                raise ConfigurationError(f"{label} must be a positive number, got {shape!r}")
         if self.targets not in FAULT_TARGETS:
             raise ConfigurationError(
                 f"targets must be one of {FAULT_TARGETS}, got {self.targets!r}"

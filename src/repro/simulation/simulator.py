@@ -22,6 +22,7 @@ extension is validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop
 from numbers import Integral
@@ -122,11 +123,15 @@ class SimulationConfig:
     failures: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
-        if self.message_bytes <= 0:
-            raise ConfigurationError(f"message size must be positive, got {self.message_bytes!r}")
-        if self.generation_rate <= 0:
+        # NaN fails every comparison, so these also reject NaN; a NaN rate
+        # or size would otherwise never let the run finish.
+        if not 0 < self.message_bytes < math.inf:
             raise ConfigurationError(
-                f"generation rate must be positive, got {self.generation_rate!r}"
+                f"message size must be positive and finite, got {self.message_bytes!r}"
+            )
+        if not 0 < self.generation_rate < math.inf:
+            raise ConfigurationError(
+                f"generation rate must be positive and finite, got {self.generation_rate!r}"
             )
         if self.num_messages < 1:
             raise ConfigurationError(f"num_messages must be >= 1, got {self.num_messages!r}")

@@ -1,4 +1,4 @@
-"""Workload generators: arrival processes, destination policies, message sizes, traces."""
+"""Workload generators: arrival processes and destination policies."""
 
 from .arrivals import (
     ArrivalProcess,
@@ -15,15 +15,6 @@ from .destinations import (
     NodeAddress,
     UniformDestinations,
 )
-from .messages import (
-    BimodalMessageSize,
-    FixedMessageSize,
-    MessageSizeModel,
-    TraceEntry,
-    UniformMessageSize,
-    WorkloadTrace,
-    generate_trace,
-)
 
 __all__ = [
     "ArrivalProcess",
@@ -37,11 +28,4 @@ __all__ = [
     "LocalizedDestinations",
     "HotspotDestinations",
     "NodeAddress",
-    "MessageSizeModel",
-    "FixedMessageSize",
-    "BimodalMessageSize",
-    "UniformMessageSize",
-    "TraceEntry",
-    "WorkloadTrace",
-    "generate_trace",
 ]

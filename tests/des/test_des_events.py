@@ -261,7 +261,7 @@ class TestEventSlots:
         assert not hasattr(env.timeout(1.0), "__dict__")
 
     def test_event_family_has_no_dict(self, env):
-        from repro.des.events import AbsoluteTimeout, AllOf, AnyOf, Initialize
+        from repro.des.events import Initialize
 
         assert not hasattr(env.event(), "__dict__")
         assert not hasattr(env.timeout_at(1.0), "__dict__")

@@ -1,13 +1,12 @@
-"""Unit tests for monitors and tracing."""
+"""Unit tests for monitors."""
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 
-from repro.des.monitor import Monitor, TimeWeightedMonitor, Tracer
+from repro.des.monitor import Monitor, TimeWeightedMonitor
 
 
 class TestMonitor:
@@ -96,83 +95,6 @@ class TestTimeWeightedMonitor:
     def test_zero_horizon_returns_current(self):
         mon = TimeWeightedMonitor(initial=3.0, start_time=2.0)
         assert mon.time_average(now=2.0) == 3.0
-
-
-class TestTracer:
-    def test_disabled_by_default(self):
-        tracer = Tracer()
-        tracer.log(0.0, "msg", "hello")
-        assert len(tracer) == 0
-
-    def test_enabled_records(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(1.0, "msg", "hello", source=3)
-        assert len(tracer) == 1
-        record = tracer.records[0]
-        assert record.time == 1.0
-        assert record.category == "msg"
-        assert record.data == {"source": 3}
-
-    def test_category_filtering(self):
-        tracer = Tracer(enabled=True, categories={"network"})
-        tracer.log(0.0, "network", "a")
-        tracer.log(0.0, "cpu", "b")
-        assert len(tracer) == 1
-        assert tracer.filter("network")[0].message == "a"
-
-    def test_clear(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(0.0, "x", "y")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_slots_reject_stray_attributes(self):
-        tracer = Tracer()
-        with pytest.raises(AttributeError):
-            tracer.accidental = 1
-
-    def test_unbounded_by_default(self):
-        tracer = Tracer(enabled=True)
-        for i in range(1000):
-            tracer.log(float(i), "x", "y")
-        assert len(tracer) == 1000
-        assert tracer.dropped == 0
-
-    def test_max_records_ring_buffer_keeps_newest(self):
-        tracer = Tracer(enabled=True, max_records=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i in range(10):
-                tracer.log(float(i), "x", f"m{i}")
-        assert len(tracer) == 3
-        assert [r.message for r in tracer.records] == ["m7", "m8", "m9"]
-        assert tracer.dropped == 7
-
-    def test_first_drop_warns_once(self):
-        tracer = Tracer(enabled=True, max_records=2)
-        tracer.log(0.0, "x", "a")
-        tracer.log(1.0, "x", "b")
-        with pytest.warns(RuntimeWarning, match="max_records=2"):
-            tracer.log(2.0, "x", "c")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tracer.log(3.0, "x", "d")  # second drop stays silent
-        assert tracer.dropped == 2
-
-    def test_clear_resets_drop_state(self):
-        tracer = Tracer(enabled=True, max_records=1)
-        tracer.log(0.0, "x", "a")
-        with pytest.warns(RuntimeWarning):
-            tracer.log(1.0, "x", "b")
-        tracer.clear()
-        assert tracer.dropped == 0
-        tracer.log(2.0, "x", "c")
-        with pytest.warns(RuntimeWarning):
-            tracer.log(3.0, "x", "d")
-
-    def test_max_records_validation(self):
-        with pytest.raises(ValueError):
-            Tracer(max_records=0)
 
 
 class TestMonitorExtendFastPaths:

@@ -75,6 +75,28 @@ class TestExperimentSpec:
         with pytest.raises(ExperimentError, match="generation_rates"):
             ExperimentSpec(scenario="case-1", generation_rates=(-1.0,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("generation_rates", "[NaN]"),
+            ("message_sizes", "[NaN]"),
+            ("switch_latency_us", "NaN"),
+            ("message_sizes", "[Infinity]"),
+            ("generation_rates", "[Infinity]"),
+            ("message_sizes", '["512"]'),
+            ("message_sizes", "512"),
+            ("cluster_counts", "4"),
+            ("switch_latency_us", '"3"'),
+            ("generation_rates", "[true]"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_values_rejected(self, field, value):
+        """JSON carries NaN, Infinity, bools and strings; none is a number
+        the simulator can run (a NaN rate or size never finishes)."""
+        text = f'{{"scenario": "case-1", "{field}": {value}}}'
+        with pytest.raises(ExperimentError, match=field):
+            ExperimentSpec.from_json_text(text)
+
     def test_invalid_json_text_rejected(self):
         with pytest.raises(ExperimentError, match="invalid spec JSON"):
             ExperimentSpec.from_json_text("{not json")

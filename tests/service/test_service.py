@@ -267,6 +267,25 @@ class TestErrors:
         # Nothing was queued by any of them.
         assert serial_service.manager.list_jobs() == []
 
+    def test_malformed_numbers_are_400_and_keep_the_connection(self, serial_service):
+        """A string size or a NaN rate gets a 400 JSON error and queues
+        nothing (a NaN rate would hang the one dispatcher), and the
+        kept-alive connection still answers."""
+        client = _Client(serial_service, keep_alive=True)
+        try:
+            for body in (
+                '{"scenario": "case-1", "message_sizes": ["512"]}',
+                '{"scenario": "case-1", "generation_rates": [NaN]}',
+            ):
+                status, response = client.json("POST", "/v1/experiments", body=body)
+                assert status == 400, body
+                assert response["error"]
+            status, health = client.json("GET", "/v1/health")
+            assert status == 200 and health["status"] == "ok"
+        finally:
+            client.close()
+        assert serial_service.manager.list_jobs() == []
+
     def test_empty_body_is_400(self, serial_service):
         status, body = _Client(serial_service).json("POST", "/v1/experiments")
         assert status == 400

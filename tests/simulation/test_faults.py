@@ -54,6 +54,10 @@ class TestFaultSpec:
             {"mtbf_s": 1.0, "mttr_s": 1.0, "repair_shape": -1.0},
             {"mtbf_s": 1.0, "mttr_s": 1.0, "targets": "switches"},
             {"mtbf_s": 1.0, "mttr_s": 1.0, "policy": "retry"},
+            {"mtbf_s": float("nan"), "mttr_s": 1.0},
+            {"mtbf_s": 1.0, "mttr_s": float("nan")},
+            {"mtbf_s": 1.0, "mttr_s": 1.0, "failure_shape": float("inf")},
+            {"mtbf_s": 1.0, "mttr_s": 1.0, "repair_shape": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -32,11 +32,7 @@ from repro.parallel.backends import ProcessPoolBackend, SerialBackend, SocketBac
 from repro.simulation.faults import FaultSpec
 from repro.simulation.runner import run_message_trace_task, run_simulation_task
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
-from repro.simulation.trace_simulator import TraceDrivenSimulator, TraceSimulationConfig
-from repro.simulation.vectorized_replay import replay_trace
-from repro.workload.arrivals import DeterministicArrivals
 from repro.workload.destinations import LocalizedDestinations
-from repro.workload.messages import generate_trace
 
 FIXTURE = Path(__file__).parent / "golden_trace.json"
 
@@ -174,68 +170,6 @@ class TestGoldenMultiClusterSimulator:
         online = replace(config, stats_mode="online")
         rows = run_message_trace_task(system, online, policy, factory)
         assert [list(row) for row in rows] == golden["workload_both-drop"]["messages"]
-
-
-class TestGoldenTraceDrivenSimulator:
-    def test_trace_replay(self, golden):
-        expected = golden["trace_driven"]
-        trace = generate_trace([4, 4], num_messages=200, seed=42)
-        sim = TraceDrivenSimulator(_system(), trace, TraceSimulationConfig(seed=7))
-        result = sim.run()
-        assert result.mean_latency_s.hex() == expected["mean_latency_s"]
-        assert result.makespan_s.hex() == expected["makespan_s"]
-        assert result.completed_messages == expected["completed"]
-        assert result.remote_fraction.hex() == expected["remote_fraction"]
-        for name, value in result.utilizations.items():
-            assert value.hex() == expected["utilizations"][name], name
-        assert [x.hex() for x in sim._latencies] == expected["latencies"]
-
-
-def _ties_trace():
-    """Periodic arrivals: 150 messages share only ~19 distinct clock values."""
-    return generate_trace(
-        [4, 4], num_messages=150,
-        arrival_process=DeterministicArrivals(rate=0.5), seed=21,
-    )
-
-
-class TestGoldenVectorizedReplay:
-    """The event-loop-free replay reproduces the DES goldens bit for bit."""
-
-    def test_replay_trace_matches_trace_driven_fixture(self, golden):
-        """Same fixture entry as the DES replay — the vectorized evaluator
-        must land on the pre-PR4 golden numbers, not merely near them."""
-        expected = golden["trace_driven"]
-        trace = generate_trace([4, 4], num_messages=200, seed=42)
-        result = replay_trace(_system(), trace, TraceSimulationConfig(seed=7))
-        assert result.mean_latency_s.hex() == expected["mean_latency_s"]
-        assert result.makespan_s.hex() == expected["makespan_s"]
-        assert result.completed_messages == expected["completed"]
-        assert result.remote_fraction.hex() == expected["remote_fraction"]
-        for name, value in result.utilizations.items():
-            assert value.hex() == expected["utilizations"][name], name
-
-    def test_deterministic_ties_fixture_both_engines(self, golden):
-        """Deterministic service + periodic arrivals produce heavy event-time
-        ties — the case most likely to expose event-id drift in the lean
-        heap.  Both engines must reproduce the DES-captured fixture."""
-        expected = golden["trace_driven_deterministic_ties"]
-        config = TraceSimulationConfig(seed=7, exponential_service=False)
-
-        des = TraceDrivenSimulator(_system(), _ties_trace(), config)
-        des_result = des.run()
-        assert [x.hex() for x in des._latencies] == expected["latencies"]
-
-        vec_result = replay_trace(_system(), _ties_trace(), config)
-        for result in (des_result, vec_result):
-            assert result.mean_latency_s.hex() == expected["mean_latency_s"]
-            assert result.makespan_s.hex() == expected["makespan_s"]
-            assert result.completed_messages == expected["completed"]
-            assert result.remote_fraction.hex() == expected["remote_fraction"]
-            assert result.confidence_interval.mean.hex() == expected["ci_mean"]
-            assert result.confidence_interval.half_width.hex() == expected["ci_half_width"]
-            for name, value in result.utilizations.items():
-                assert value.hex() == expected["utilizations"][name], name
 
 
 class TestGoldenRandomStreams:

@@ -124,6 +124,12 @@ class TestSimulationConfig:
             SimulationConfig(warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(batch_count=1)
+        # A NaN size or rate would keep the event loop from ever finishing.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="message size"):
+                SimulationConfig(message_bytes=value)
+            with pytest.raises(ConfigurationError, match="generation rate"):
+                SimulationConfig(generation_rate=value)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):

@@ -15,11 +15,17 @@ Edges:
 * importing a module reaches the ``__init__`` of each parent package;
 * inside a package ``__init__``, a top-level re-export of a name is not a
   use, but ``from . import submodule`` is (it is how rule modules register).
+
+A second test imports ``repro.cli`` in a fresh interpreter and checks that
+no ``TEST_ONLY`` module is loaded, so they cost nothing at startup.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -33,12 +39,12 @@ ROOTS = (
     "repro.parallel.worker",
 )
 
-# Open-loop trace replay has no production caller yet: golden trace entries
-# and CI-gated simulator bench rows pin it until a trace ingester gives it a
-# user-facing path.
+# Both are deleted in later changes: the deprecated closed-loop delegate
+# goes with the perfbench tracer boundary that wraps it by module path, and
+# the synthetic trace generator's only users are tests and the golden
+# regenerator.
 TEST_ONLY = frozenset(
     {
-        "repro.simulation.trace_simulator",
         "repro.simulation.vectorized_replay",
         "repro.workload.messages",
     }
@@ -118,6 +124,20 @@ def test_only_listed_modules_lack_a_production_importer():
     unreached = _unreached(SRC)
     assert not unreached - TEST_ONLY, f"only tests import {sorted(unreached - TEST_ONLY)}"
     assert not TEST_ONLY - unreached, f"stale TEST_ONLY entries {sorted(TEST_ONLY - unreached)}"
+
+
+def test_cli_import_loads_no_test_only_module():
+    """A fresh ``import repro.cli`` pays for no module that only tests use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = TEST_ONLY & set(result.stdout.split())
+    assert not loaded, f"import repro.cli loads test-only modules {sorted(loaded)}"
 
 
 def test_walk_follows_lazy_imports_and_skips_reexports(tmp_path):
