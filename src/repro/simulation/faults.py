@@ -104,8 +104,13 @@ class FaultSpec:
             ("failure_shape", self.failure_shape),
             ("repair_shape", self.repair_shape),
         ):
-            # NaN fails both comparisons, so it is refused with infinity.
-            if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            # NaN fails both comparisons, so it is refused with infinity;
+            # a JSON ``true`` is a bool, not a duration or a shape.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value < math.inf
+            ):
                 raise ConfigurationError(
                     f"{label} must be a positive finite number, got {value!r}"
                 )

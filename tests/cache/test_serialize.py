@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -118,3 +119,41 @@ class TestOutcomeRoundTrip:
         for garbage in (None, [], "text", 7):
             with pytest.raises(CachePayloadError):
                 outcome_from_payload(garbage, plan)
+
+
+@pytest.fixture(scope="module")
+def both_payload():
+    """A good payload of a one-point ``both`` campaign, and its plan."""
+    plan = small_plan(mode="both")
+    return outcome_to_payload(ExperimentRunner().run_outcome(plan)), plan
+
+
+def _drop(key):
+    def corrupt(section):
+        del section[key]
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda p: p.update(analysis=None), "analysis pass does not match"),
+        (lambda p: p.update(replicated=None), "simulation pass does not match"),
+        (lambda p: p.update(analysis=[1.0]), "analysis payload must be an object"),
+        (lambda p: _drop("local_latency_s")(p["analysis"]), "'local_latency_s' missing"),
+        (lambda p: _drop("iterations")(p["analysis"]), "'iterations' missing"),
+        (lambda p: p.update(replicated={"0": {}}), "'replicated' field is not a list"),
+        (lambda p: p.update(replicated=p["replicated"] * 2), "simulation pass has 2 points"),
+        (lambda p: p.update(replicated=["x"]), "replicated result must be an object"),
+        (lambda p: _drop("per_replication")(p["replicated"][0]), "'per_replication' missing"),
+    ],
+)
+def test_corrupt_sections_are_payload_errors(both_payload, corrupt, match):
+    """Each malformed section is a CachePayloadError (the store drops the
+    entry and recomputes), never a raw KeyError or TypeError."""
+    payload, plan = both_payload
+    payload = copy.deepcopy(payload)
+    outcome_from_payload(copy.deepcopy(payload), plan)  # the intact copy loads
+    corrupt(payload)
+    with pytest.raises(CachePayloadError, match=match):
+        outcome_from_payload(payload, plan)

@@ -152,6 +152,17 @@ class TestMultiClusterSystem:
         with pytest.raises(ConfigurationError):
             mixed_proc.validate_super_cluster_assumptions()
 
+    def test_super_cluster_assumptions_need_one_ecn_technology(self):
+        mixed_ecn = MultiClusterSystem.from_cluster_sizes(
+            sizes=[4, 4],
+            icn_technologies=[GIGABIT_ETHERNET, GIGABIT_ETHERNET],
+            ecn_technologies=[FAST_ETHERNET, GIGABIT_ETHERNET],
+            icn2_technology=FAST_ETHERNET,
+        )
+        assert mixed_ecn.has_equal_cluster_sizes
+        with pytest.raises(ConfigurationError, match="same ECN technology"):
+            mixed_ecn.validate_super_cluster_assumptions()
+
     def test_rescaled_preserves_total(self):
         system = MultiClusterSystem.super_cluster(4, 64, GIGABIT_ETHERNET, FAST_ETHERNET)
         rescaled = system.rescaled(16)

@@ -129,6 +129,32 @@ class TestVariateGenerator:
         with pytest.raises(ValueError):
             gen.hyperexponential([1.0, 2.0], [0.7, 0.7])
 
+    @pytest.mark.parametrize(
+        "means, probs, match",
+        [
+            ([1.0, 2.0], [1.0], "equal-length"),
+            ([], [], "equal-length"),
+            ([1.0, 0.0], [0.5, 0.5], "positive"),
+        ],
+    )
+    def test_hyperexponential_invalid_branches(self, gen, means, probs, match):
+        with pytest.raises(ValueError, match=match):
+            gen.hyperexponential(means, probs)
+
+    def test_weibull_mean_is_the_requested_mean(self, gen):
+        for shape in (0.7, 1.5):
+            samples = [gen.weibull(shape, 2.0) for _ in range(20_000)]
+            assert np.mean(samples) == pytest.approx(2.0, rel=0.05)
+            assert min(samples) > 0
+
+    @pytest.mark.parametrize(
+        "shape, mean, match",
+        [(0.0, 1.0, "shape"), (-1.5, 1.0, "shape"), (1.5, 0.0, "mean"), (1.5, -2.0, "mean")],
+    )
+    def test_weibull_invalid(self, gen, shape, mean, match):
+        with pytest.raises(ValueError, match=match):
+            gen.weibull(shape, mean)
+
     def test_integer_bounds_inclusive(self, gen):
         samples = {gen.integer(0, 3) for _ in range(500)}
         assert samples == {0, 1, 2, 3}

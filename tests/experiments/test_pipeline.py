@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.pipeline import (
     ExperimentRunner,
     ExperimentSpec,
@@ -88,6 +88,19 @@ class TestExperimentSpec:
             ("cluster_counts", "4"),
             ("switch_latency_us", '"3"'),
             ("generation_rates", "[true]"),
+            ("message_sizes", "[-Infinity]"),
+            ("generation_rates", "[-Infinity]"),
+            ("switch_latency_us", "Infinity"),
+            ("switch_latency_us", "-Infinity"),
+            ("switch_latency_us", "true"),
+            ("switch_latency_us", "[3]"),
+            ("message_sizes", "[null]"),
+            ("message_sizes", "[false]"),
+            ("message_sizes", "[[512]]"),
+            ("generation_rates", '["0.25"]'),
+            ("generation_rates", "0.25"),
+            ("generation_rates", '{"rate": 0.25}'),
+            ("message_sizes", "[512, NaN]"),
         ],
     )
     def test_non_finite_or_non_numeric_values_rejected(self, field, value):
@@ -95,6 +108,41 @@ class TestExperimentSpec:
         the simulator can run (a NaN rate or size never finishes)."""
         text = f'{{"scenario": "case-1", "{field}": {value}}}'
         with pytest.raises(ExperimentError, match=field):
+            ExperimentSpec.from_json_text(text)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"scenario": ""}, "scenario"),
+            ({"scenario": "case-1", "stats_mode": "sampled"}, "stats_mode"),
+            ({"scenario": "case-1", "simulation_messages": 0}, "simulation_messages"),
+            ({"scenario": "case-1", "switch_ports": 1}, "switch_ports"),
+            ({"scenario": "case-1", "switch_latency_us": -0.5}, "switch_latency_us"),
+        ],
+    )
+    def test_out_of_range_scalars_rejected(self, kwargs, match):
+        with pytest.raises(ExperimentError, match=match):
+            ExperimentSpec(**kwargs)
+
+    def test_zero_switch_latency_is_accepted(self):
+        assert ExperimentSpec(scenario="case-1", switch_latency_us=0).switch_latency_us == 0
+
+    @pytest.mark.parametrize(
+        "failures",
+        [
+            '{"mtbf_s": NaN, "mttr_s": 1.0}',
+            '{"mtbf_s": 5.0, "mttr_s": NaN}',
+            '{"mtbf_s": Infinity, "mttr_s": 1.0}',
+            '{"mtbf_s": 5.0, "mttr_s": 1.0, "failure_shape": NaN}',
+            '{"mtbf_s": "5", "mttr_s": 1.0}',
+            '{"mtbf_s": true, "mttr_s": 1.0}',
+        ],
+    )
+    def test_malformed_fault_numbers_rejected(self, failures):
+        """A NaN MTBF used to run as if nothing ever failed, and a NaN MTTR
+        reported availability 1.0; both are refused before any run."""
+        text = f'{{"scenario": "case-1", "mode": "simulate", "failures": {failures}}}'
+        with pytest.raises(ConfigurationError, match="must be a positive finite number"):
             ExperimentSpec.from_json_text(text)
 
     def test_invalid_json_text_rejected(self):
@@ -135,6 +183,10 @@ class TestRegistry:
             register_scenario(existing)
         # replace=True is the escape hatch (restore the same object).
         assert register_scenario(existing, replace=True) is existing
+
+    def test_het_nics_needs_two_clusters(self):
+        with pytest.raises(ExperimentError, match="num_clusters >= 2"):
+            get_scenario("het-nics").system(1)
 
     def test_het_nics_composes_link_matrix(self):
         system = get_scenario("het-nics").system(4)

@@ -268,3 +268,39 @@ class TestHeterogeneousMatrix:
             HeterogeneousLinkMatrix(np.zeros((2, 3)), np.ones((2, 3)))
         with pytest.raises(ConfigurationError):
             HeterogeneousLinkMatrix(np.zeros((2, 2)), np.zeros((2, 2)))  # beta must be > 0
+
+    @pytest.mark.parametrize(
+        "alpha, beta, match",
+        [
+            ([[0.0, 1e-6], [1e-6, 0.0]], [[0.0, 1e-8]], "same shape"),
+            ([[0.0, -1e-6], [1e-6, 0.0]], [[0.0, 1e-8], [1e-8, 0.0]], "latencies"),
+            ([[0.0, 1e-6], [1e-6, 0.0]], [[-1e-8, 1e-8], [1e-8, 0.0]], "per-byte"),
+        ],
+    )
+    def test_entry_validation(self, alpha, beta, match):
+        import numpy as np
+
+        with pytest.raises(ConfigurationError, match=match):
+            HeterogeneousLinkMatrix(np.array(alpha), np.array(beta))
+
+    def test_from_node_technologies_needs_a_node(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            HeterogeneousLinkMatrix.from_node_technologies([])
+
+    def test_single_endpoint_has_no_offdiagonal_pair(self):
+        matrix = HeterogeneousLinkMatrix.homogeneous(1, FAST_ETHERNET)
+        assert matrix.mean_offdiagonal_transmission_time(512) == 0.0
+
+    def test_mean_offdiagonal_rejects_negative_size(self):
+        matrix = HeterogeneousLinkMatrix.homogeneous(3, FAST_ETHERNET)
+        with pytest.raises(ConfigurationError, match="message size"):
+            matrix.mean_offdiagonal_transmission_time(-1)
+
+    def test_mean_offdiagonal_averages_mixed_pairs(self):
+        # GE-GE, GE-FE and FE-GE: every pair with an FE endpoint runs at FE speed.
+        matrix = HeterogeneousLinkMatrix.from_node_technologies(
+            [GIGABIT_ETHERNET, GIGABIT_ETHERNET, FAST_ETHERNET]
+        )
+        mixed = matrix.transmission_time(0, 2, 512)
+        expected = (2 * GIGABIT_ETHERNET.transmission_time(512) + 4 * mixed) / 6
+        assert matrix.mean_offdiagonal_transmission_time(512) == pytest.approx(expected)

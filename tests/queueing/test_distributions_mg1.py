@@ -93,6 +93,29 @@ class TestHyperExponential:
         with pytest.raises(ValueError):
             HyperExponential(means=(1.0, -1.0), probabilities=(0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "means, probabilities, match",
+        [
+            ((), (), "non-empty"),
+            ((1.0, 2.0), (1.0,), "equal length"),
+            ((1.0, 2.0), (1.5, -0.5), "non-negative"),
+        ],
+    )
+    def test_shape_and_probability_validation(self, means, probabilities, match):
+        with pytest.raises(ValueError, match=match):
+            HyperExponential(means=means, probabilities=probabilities)
+
+    def test_fit_requires_positive_mean(self):
+        with pytest.raises(ValueError, match="mean must be positive"):
+            HyperExponential.from_mean_and_scv(0.0, 3.0)
+
+    def test_scaled_keeps_scv(self):
+        d = HyperExponential.from_mean_and_scv(mean=2.0, scv=3.0)
+        scaled = d.scaled(2.5)
+        assert scaled.mean == pytest.approx(5.0)
+        assert scaled.scv == pytest.approx(d.scv)
+        assert scaled.probabilities == d.probabilities
+
     def test_fit_from_mean_and_scv(self):
         d = HyperExponential.from_mean_and_scv(mean=4.0, scv=3.0)
         assert d.mean == pytest.approx(4.0)

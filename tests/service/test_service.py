@@ -286,6 +286,28 @@ class TestErrors:
             client.close()
         assert serial_service.manager.list_jobs() == []
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"scenario": "case-1", "message_sizes": [Infinity]}',
+             "message_sizes must be a finite number, got inf"),
+            ('{"scenario": "case-1", "generation_rates": [true]}',
+             "generation_rates must be a finite number, got True"),
+            ('{"scenario": "case-1", "switch_latency_us": "3"}',
+             "switch_latency_us must be a finite number, got '3'"),
+            ('{"scenario": "case-1", "message_sizes": 512}',
+             "message_sizes must be a list, got 512"),
+            ('{"scenario": "case-1", "mode": "simulate", '
+             '"failures": {"mtbf_s": NaN, "mttr_s": 1.0}}',
+             "mtbf_s must be a positive finite number, got nan"),
+        ],
+    )
+    def test_malformed_number_error_is_the_spec_message(self, serial_service, body, message):
+        """The 400 carries the same message ``repro run`` prints."""
+        status, response = _Client(serial_service).json("POST", "/v1/experiments", body=body)
+        assert (status, response["error"]) == (400, message)
+        assert serial_service.manager.list_jobs() == []
+
     def test_empty_body_is_400(self, serial_service):
         status, body = _Client(serial_service).json("POST", "/v1/experiments")
         assert status == 400

@@ -58,6 +58,13 @@ class TestFaultSpec:
             {"mtbf_s": 1.0, "mttr_s": float("nan")},
             {"mtbf_s": 1.0, "mttr_s": 1.0, "failure_shape": float("inf")},
             {"mtbf_s": 1.0, "mttr_s": 1.0, "repair_shape": float("nan")},
+            {"mtbf_s": float("inf"), "mttr_s": 1.0},
+            {"mtbf_s": 1.0, "mttr_s": float("inf")},
+            {"mtbf_s": 1.0, "mttr_s": 1.0, "failure_shape": float("-inf")},
+            {"mtbf_s": "10", "mttr_s": 1.0},
+            {"mtbf_s": 1.0, "mttr_s": None},
+            {"mtbf_s": True, "mttr_s": 1.0},
+            {"mtbf_s": 1.0, "mttr_s": 1.0, "repair_shape": True},
         ],
     )
     def test_validation(self, kwargs):

@@ -131,6 +131,21 @@ class TestSimulationConfig:
             with pytest.raises(ConfigurationError, match="generation rate"):
                 SimulationConfig(generation_rate=value)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"message_bytes": float("-inf")}, "message size"),
+            ({"message_bytes": -512}, "message size"),
+            ({"generation_rate": float("-inf")}, "generation rate"),
+            ({"generation_rate": -0.25}, "generation rate"),
+            ({"warmup_fraction": float("nan")}, "warmup_fraction"),
+            ({"warmup_fraction": -0.1}, "warmup_fraction"),
+        ],
+    )
+    def test_rejection_names_the_field(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SimulationConfig(**kwargs)
+
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ConfigurationError, match="seed must be"):
@@ -336,6 +351,30 @@ class TestRunnerAndValidation:
         sim_config = SimulationConfig(architecture="blocking", message_bytes=1024)
         with pytest.raises(ConfigurationError):
             validate_against_analysis(small_case1_system, model_config, sim_config)
+
+    @pytest.mark.parametrize(
+        "sim_kwargs, field",
+        [({"message_bytes": 512}, "message_bytes"), ({"generation_rate": 0.5}, "generation_rate")],
+    )
+    def test_validate_names_the_mismatched_field(self, small_case1_system, sim_kwargs, field):
+        model_config = ModelConfig(architecture="non-blocking", message_bytes=1024)
+        sim_config = SimulationConfig(
+            **{"architecture": "non-blocking", "message_bytes": 1024, **sim_kwargs}
+        )
+        with pytest.raises(ConfigurationError, match=field):
+            validate_against_analysis(small_case1_system, model_config, sim_config)
+
+    def test_validate_derives_the_simulation_from_the_model(self, small_case1_system):
+        model_config = ModelConfig(
+            architecture="blocking", message_bytes=512, generation_rate=0.5
+        )
+        derived = validate_against_analysis(small_case1_system, model_config)
+        explicit = validate_against_analysis(
+            small_case1_system,
+            model_config,
+            SimulationConfig(architecture="blocking", message_bytes=512, generation_rate=0.5),
+        )
+        assert derived.simulation_latency_ms == explicit.simulation_latency_ms
 
     def test_validate_default_sim_config(self, small_case1_system):
         model_config = ModelConfig(architecture="non-blocking", message_bytes=512)

@@ -330,6 +330,23 @@ class TestComparisonMetrics:
     def test_max_relative_error(self):
         assert max_relative_error([11.0, 12.0], [10.0, 10.0]) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("metric", [root_mean_square_error, max_relative_error])
+    def test_shape_mismatch_rejected(self, metric):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metric([1.0, 2.0], [1.0])
+
+    def test_rmse_of_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            root_mean_square_error([], [])
+
+    def test_all_zero_observations_have_no_relative_error(self):
+        assert math.isnan(max_relative_error([1.0, 2.0], [0.0, 0.0]))
+        assert math.isnan(mean_absolute_percentage_error([1.0, 2.0], [0.0, 0.0]))
+
+    def test_relative_metrics_skip_zero_observations(self):
+        assert max_relative_error([5.0, 11.0], [0.0, 10.0]) == pytest.approx(0.1)
+        assert mean_absolute_percentage_error([5.0, 11.0], [0.0, 10.0]) == pytest.approx(10.0)
+
     def test_compare_series_summary(self):
         summary = compare_series([1.0, 2.0, 3.0], [1.1, 2.2, 2.7])
         assert summary.n_points == 3

@@ -364,3 +364,16 @@ class TestOnlineMonitorEdgeCases:
         sink = OnlineMonitor("latency")
         sink.record(0.0, 2.0)
         assert "latency" in repr(sink) and "n=1" in repr(sink)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"quantile_bins": 0}, "quantile_bins"),
+            ({"calibration_samples": 0}, "calibration_samples"),
+            ({"batch_count": 1, "expected_count": 100}, "batch_count"),
+            ({"batch_count": 20, "expected_count": 0}, "expected_count"),
+        ],
+    )
+    def test_constructor_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            OnlineMonitor(**kwargs)

@@ -29,6 +29,8 @@ import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 ROOTS = (
@@ -126,18 +128,30 @@ def test_only_listed_modules_lack_a_production_importer():
     assert not TEST_ONLY - unreached, f"stale TEST_ONLY entries {sorted(TEST_ONLY - unreached)}"
 
 
-def test_cli_import_loads_no_test_only_module():
-    """A fresh ``import repro.cli`` pays for no module that only tests use."""
+def _test_only_loaded_by(module: str) -> Set[str]:
+    """The ``TEST_ONLY`` modules a fresh interpreter loads to import ``module``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     ))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, repro.cli; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
         env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    loaded = TEST_ONLY & set(result.stdout.split())
+    return TEST_ONLY & set(result.stdout.split())
+
+
+def test_cli_import_loads_no_test_only_module():
+    """A fresh ``import repro.cli`` pays for no module that only tests use."""
+    loaded = _test_only_loaded_by("repro.cli")
     assert not loaded, f"import repro.cli loads test-only modules {sorted(loaded)}"
+
+
+@pytest.mark.parametrize("module", ["repro", *(root for root in ROOTS if root != "repro.cli")])
+def test_other_entry_points_load_no_test_only_module(module):
+    """The package, the service and the socket worker start without them too."""
+    loaded = _test_only_loaded_by(module)
+    assert not loaded, f"import {module} loads test-only modules {sorted(loaded)}"
 
 
 def test_walk_follows_lazy_imports_and_skips_reexports(tmp_path):

@@ -160,3 +160,20 @@ class TestLinearArray:
         assert stats.num_switches == 2
         assert not stats.full_bisection
 
+
+    def test_exact_average_matches_brute_force(self):
+        topo = LinearArrayTopology(96, 24)
+        k = topo.num_switches
+        assert k == 4
+        brute = sum(abs(i - j) + 1 for i in range(k) for j in range(k)) / k**2
+        assert topo.exact_average_switch_hops == pytest.approx(brute)
+        assert "k=4" in repr(topo)
+
+
+@pytest.mark.parametrize("topology", [FatTreeTopology, LinearArrayTopology])
+@pytest.mark.parametrize(
+    "num_nodes, switch_ports, match", [(0, 24, "num_nodes"), (16, 1, "switch_ports")]
+)
+def test_constructor_validation(topology, num_nodes, switch_ports, match):
+    with pytest.raises(TopologyError, match=match):
+        topology(num_nodes, switch_ports)

@@ -116,6 +116,20 @@ class TestDestinations:
         policy = HotspotDestinations([2, 2], hotspot=hotspot, hotspot_fraction=1.0)
         assert policy.choose(hotspot, rng) != hotspot
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_hotspot_fraction_validation(self, fraction):
+        with pytest.raises(ConfigurationError, match="hotspot fraction"):
+            HotspotDestinations([4, 4], hotspot=(1, 0), hotspot_fraction=fraction)
+
+    def test_hotspot_address_validation(self):
+        with pytest.raises(ConfigurationError):
+            HotspotDestinations([4, 4], hotspot=(2, 0))
+
+    def test_localized_remote_pick_in_a_single_cluster_stays_local(self, rng):
+        policy = LocalizedDestinations([4], locality=0.0)
+        picks = {policy.choose((0, 1), rng) for _ in range(200)}
+        assert picks == {(0, 0), (0, 2), (0, 3)}
+
     def test_invalid_cluster_sizes(self):
         with pytest.raises(ConfigurationError):
             UniformDestinations([])
