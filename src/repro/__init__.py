@@ -52,54 +52,7 @@ The rendered documentation lives in ``docs/`` (architecture map, spec
 reference, CLI guide and HTTP service reference).
 """
 
-from ._version import __version__
-from .cluster import (
-    ClusterSpec,
-    MultiClusterSystem,
-    ProcessorType,
-    das2_like_system,
-    llnl_like_system,
-    paper_evaluation_system,
-)
-from .core import (
-    AnalyticalModel,
-    ClusterOfClustersModel,
-    HeterogeneousModelConfig,
-    HeterogeneousReport,
-    ModelConfig,
-    PerformanceReport,
-)
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    ExperimentError,
-    ReproError,
-    SimulationError,
-    StabilityError,
-    TopologyError,
-)
-from .experiments import (
-    CASE_1,
-    CASE_2,
-    PAPER_PARAMETERS,
-    FigureResult,
-    run_blocking_ratio_study,
-    run_figure,
-)
-from .network import (
-    FAST_ETHERNET,
-    GIGABIT_ETHERNET,
-    BlockingNetworkModel,
-    NetworkTechnology,
-    NonBlockingNetworkModel,
-    SwitchFabric,
-)
-from .simulation import (
-    MultiClusterSimulator,
-    SimulationConfig,
-    SimulationResult,
-    validate_against_analysis,
-)
+from ._lazy import lazy_exports
 
 __all__ = [
     "__version__",
@@ -145,3 +98,30 @@ __all__ = [
     "SimulationError",
     "ExperimentError",
 ]
+
+# Each name is imported from its defining module on first use, so
+# ``import repro`` loads no NumPy, simulator or execution backend.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "._version": ("__version__",),
+    ".cluster.cluster": ("ClusterSpec",),
+    ".cluster.presets": ("das2_like_system", "llnl_like_system", "paper_evaluation_system"),
+    ".cluster.processor": ("ProcessorType",),
+    ".cluster.system": ("MultiClusterSystem",),
+    ".core.cluster_of_clusters": (
+        "ClusterOfClustersModel", "HeterogeneousModelConfig", "HeterogeneousReport",
+    ),
+    ".core.model": ("AnalyticalModel", "ModelConfig", "PerformanceReport"),
+    ".errors": (
+        "ConfigurationError", "ConvergenceError", "ExperimentError", "ReproError",
+        "SimulationError", "StabilityError", "TopologyError",
+    ),
+    ".experiments.blocking_ratio": ("run_blocking_ratio_study",),
+    ".experiments.figures": ("FigureResult", "run_figure"),
+    ".experiments.scenarios": ("CASE_1", "CASE_2", "PAPER_PARAMETERS"),
+    ".network.models": ("BlockingNetworkModel", "NonBlockingNetworkModel"),
+    ".network.switch": ("SwitchFabric",),
+    ".network.technologies": ("FAST_ETHERNET", "GIGABIT_ETHERNET", "NetworkTechnology"),
+    ".simulation.results": ("SimulationResult",),
+    ".simulation.runner": ("validate_against_analysis",),
+    ".simulation.simulator": ("MultiClusterSimulator", "SimulationConfig"),
+})

@@ -27,19 +27,7 @@ comments (:mod:`.suppressions`).  The CLI entry point is
 ``repro lint [PATHS] [--format text|json|github] [--select ...]``.
 """
 
-from .engine import (
-    LintEngine,
-    LintReport,
-    ModuleContext,
-    discover_files,
-    lint_paths,
-    lint_source,
-    module_name_for,
-    select_rules,
-)
-from .reporting import FORMATS, format_report
-from .rules import RULE_REGISTRY, Finding, Rule, register_rule, rule_catalogue
-from .suppressions import SuppressionIndex, scan_suppressions
+from .._lazy import lazy_exports
 
 __all__ = [
     "FORMATS",
@@ -60,3 +48,13 @@ __all__ = [
     "scan_suppressions",
     "select_rules",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".engine": (
+        "discover_files", "lint_paths", "lint_source", "LintEngine", "LintReport",
+        "module_name_for", "ModuleContext", "select_rules",
+    ),
+    ".reporting": ("format_report", "FORMATS"),
+    ".rules.base": ("Finding", "register_rule", "Rule", "rule_catalogue", "RULE_REGISTRY"),
+    ".suppressions": ("scan_suppressions", "SuppressionIndex"),
+})

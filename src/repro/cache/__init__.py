@@ -26,16 +26,7 @@ The CLI exposes the store via ``--cache DIR`` / ``--no-cache`` /
 it.  See ``docs/cli.md`` and ``docs/service.md``.
 """
 
-from .fingerprint import code_fingerprint
-from .serialize import CachePayloadError, outcome_from_payload, outcome_to_payload
-from .store import (
-    CacheEntry,
-    CacheError,
-    CacheStats,
-    ResultCache,
-    coerce_cache,
-    spec_cache_key,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CacheEntry",
@@ -49,3 +40,11 @@ __all__ = [
     "outcome_to_payload",
     "spec_cache_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".fingerprint": ("code_fingerprint",),
+    ".serialize": ("CachePayloadError", "outcome_from_payload", "outcome_to_payload"),
+    ".store": (
+        "CacheEntry", "CacheError", "CacheStats", "coerce_cache", "ResultCache", "spec_cache_key",
+    ),
+})

@@ -4,14 +4,14 @@ The cache's bit-identity contract — a hit renders the *same bytes* as the
 miss that filled it — rules out plain ``json.dumps(float)`` round trips for
 anything downstream formatting touches.  Every float therefore travels as
 ``float.hex()`` (exact for finite values, NaN and the infinities alike),
-every integer as a JSON integer, and the numpy arrays of a
-:class:`~repro.core.vectorized.GridEvaluation` as hex lists restored with
-their original dtypes.
+every integer as a JSON integer, and the tuple columns of a
+:class:`~repro.core.vectorized.GridEvaluation` as lists restored with
+their original types (floats, and ints for ``iterations``).
 
 Only the two execution passes are serialised — the analysis grid and the
-per-point :class:`~repro.simulation.runner.ReplicatedResult` aggregates
+per-point :class:`~repro.simulation.results.ReplicatedResult` aggregates
 (including each replication's full
-:class:`~repro.simulation.simulator.SimulationResult`).  The plan side of
+:class:`~repro.simulation.results.SimulationResult`).  The plan side of
 an :class:`~repro.experiments.pipeline.ExperimentOutcome` is *not* stored:
 it is a deterministic function of the spec, and the store rebuilds it via
 :func:`~repro.experiments.pipeline.build_plan` on every hit, so collectors
@@ -24,9 +24,7 @@ misread.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -77,40 +75,44 @@ def _unhex_map(data: Any, name: str) -> Dict[str, float]:
 
 def _grid_to_payload(grid) -> Dict[str, Any]:
     return {
-        "mean_latency_s": [_hex(v) for v in grid.mean_latency_s.tolist()],
-        "local_latency_s": [_hex(v) for v in grid.local_latency_s.tolist()],
-        "remote_latency_s": [_hex(v) for v in grid.remote_latency_s.tolist()],
-        "effective_rate": [_hex(v) for v in grid.effective_rate.tolist()],
-        "outgoing_probability": [_hex(v) for v in grid.outgoing_probability.tolist()],
-        "iterations": [int(v) for v in grid.iterations.tolist()],
-        "icn2_utilization": [_hex(v) for v in grid.icn2_utilization.tolist()],
-        "throttling_factor": [_hex(v) for v in grid.throttling_factor.tolist()],
+        "mean_latency_s": [_hex(v) for v in grid.mean_latency_s],
+        "local_latency_s": [_hex(v) for v in grid.local_latency_s],
+        "remote_latency_s": [_hex(v) for v in grid.remote_latency_s],
+        "effective_rate": [_hex(v) for v in grid.effective_rate],
+        "outgoing_probability": [_hex(v) for v in grid.outgoing_probability],
+        "iterations": [int(v) for v in grid.iterations],
+        "icn2_utilization": [_hex(v) for v in grid.icn2_utilization],
+        "throttling_factor": [_hex(v) for v in grid.throttling_factor],
         "scalar_fallback": [int(v) for v in grid.scalar_fallback],
     }
 
 
-def _grid_from_payload(data: Any):
+def _grid_from_payload(data: Any, n_points: int):
     from ..core.vectorized import GridEvaluation
 
     if not isinstance(data, dict):
         raise CachePayloadError(f"analysis payload must be an object, got {data!r}")
 
-    def floats(name: str) -> np.ndarray:
+    def column(name: str) -> list:
         values = data.get(name)
         if not isinstance(values, list):
             raise CachePayloadError(f"analysis field {name!r} missing or not a list")
-        return np.array([_unhex(v) for v in values], dtype=np.float64)
+        if len(values) != n_points:
+            raise CachePayloadError(
+                f"analysis field {name!r} has {len(values)} entries, plan has {n_points} points"
+            )
+        return values
 
-    iterations = data.get("iterations")
-    if not isinstance(iterations, list):
-        raise CachePayloadError("analysis field 'iterations' missing or not a list")
+    def floats(name: str) -> Tuple[float, ...]:
+        return tuple(_unhex(v) for v in column(name))
+
     return GridEvaluation(
         mean_latency_s=floats("mean_latency_s"),
         local_latency_s=floats("local_latency_s"),
         remote_latency_s=floats("remote_latency_s"),
         effective_rate=floats("effective_rate"),
         outgoing_probability=floats("outgoing_probability"),
-        iterations=np.array([_int(v, "iterations") for v in iterations], dtype=np.int64),
+        iterations=tuple(_int(v, "iterations") for v in column("iterations")),
         icn2_utilization=floats("icn2_utilization"),
         throttling_factor=floats("throttling_factor"),
         scalar_fallback=tuple(
@@ -175,7 +177,7 @@ def _simulation_result_to_payload(result) -> Dict[str, Any]:
 
 
 def _simulation_result_from_payload(data: Any):
-    from ..simulation.simulator import SimulationResult
+    from ..simulation.results import SimulationResult
 
     if not isinstance(data, dict):
         raise CachePayloadError(f"simulation result must be an object, got {data!r}")
@@ -214,15 +216,21 @@ def _replicated_to_payload(replicated) -> Dict[str, Any]:
 
 
 def _replicated_from_payload(data: Any):
-    from ..simulation.runner import ReplicatedResult
+    from ..simulation.results import ReplicatedResult
 
     if not isinstance(data, dict):
         raise CachePayloadError(f"replicated result must be an object, got {data!r}")
     per_replication = data.get("per_replication")
     if not isinstance(per_replication, list):
         raise CachePayloadError("replicated field 'per_replication' missing or not a list")
+    replications = _int(data.get("replications"), "replications")
+    if len(per_replication) != replications:
+        raise CachePayloadError(
+            f"replicated result has {len(per_replication)} per-replication "
+            f"results but replications={replications}"
+        )
     return ReplicatedResult(
-        replications=_int(data.get("replications"), "replications"),
+        replications=replications,
         mean_latency_s=_unhex(data.get("mean_latency_s")),
         latency_interval=_interval_from_payload(data.get("latency_interval")),
         per_replication=[_simulation_result_from_payload(r) for r in per_replication],
@@ -280,11 +288,7 @@ def outcome_from_payload(payload: Any, plan):
         raise CachePayloadError("cached analysis pass does not match the plan's mode")
     if plan.include_simulation != (replicated is not None):
         raise CachePayloadError("cached simulation pass does not match the plan's mode")
-    grid = None if analysis is None else _grid_from_payload(analysis)
-    if grid is not None and len(grid) != len(plan.points):
-        raise CachePayloadError(
-            f"cached analysis grid has {len(grid)} points, plan has {len(plan.points)}"
-        )
+    grid = None if analysis is None else _grid_from_payload(analysis, len(plan.points))
     folded = None
     if replicated is not None:
         if not isinstance(replicated, list):

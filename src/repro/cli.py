@@ -68,21 +68,12 @@ import os
 import shlex
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from dataclasses import replace as dataclass_replace
 
-from . import __version__
-from .core.model import AnalyticalModel, ModelConfig
+from ._version import __version__
 from .errors import CheckpointError, ConfigurationError, ExperimentError
-from .experiments.ablations import (
-    fixed_point_vs_exact_mva,
-    sweep_generation_rate,
-    sweep_message_size,
-    sweep_switch_latency,
-    sweep_switch_ports,
-)
-from .experiments.blocking_ratio import run_blocking_ratio_study
 from .experiments.figures import FIGURE_SPECS, run_figure
 from .experiments.pipeline import (
     ExperimentRunner,
@@ -99,19 +90,17 @@ from .experiments.scenarios import (
     build_scenario_system,
     get_scenario,
 )
-from .parallel import (
-    BACKEND_NAMES,
-    SweepEngine,
-    SweepJournal,
-    resolve_jobs,
-    socket_backend_from_spec,
-    ssh_backend_from_spec,
-    stderr_progress,
-)
-from .simulation.runner import validate_against_analysis
-from .simulation.simulator import SimulationConfig
-from .stats.sinks import STATS_MODES, validate_histogram_range
+from .parallel.engine import BACKEND_NAMES, SweepEngine, resolve_jobs, stderr_progress
+from .stats.modes import STATS_MODES, validate_histogram_range
 from .viz.tables import format_fixed_width_table, write_csv
+
+if TYPE_CHECKING:
+    from .parallel.checkpoint import SweepJournal
+
+# Only what the parser and the cached paths need is imported here; each
+# computing verb imports its own driver (the model, the simulator, the
+# execution backends), so a cache hit, --help, 'scenarios' and 'info'
+# load no NumPy.
 
 __all__ = [
     "main",
@@ -253,7 +242,7 @@ def build_cache(args: argparse.Namespace):
     target = getattr(args, "cache", None) or os.environ.get("REPRO_CACHE_DIR")
     if not target:
         return None
-    from .cache import CacheError, ResultCache
+    from .cache.store import CacheError, ResultCache
 
     try:
         return ResultCache(target)
@@ -268,6 +257,8 @@ def build_journal(args: argparse.Namespace) -> Optional[SweepJournal]:
     path = resume or checkpoint
     if path is None:
         return None
+    from .parallel.checkpoint import SweepJournal
+
     if resume is not None and not os.path.exists(resume):
         raise SystemExit(
             f"--resume {resume}: no such journal (use --checkpoint to start one)"
@@ -305,9 +296,13 @@ def build_engine(args: argparse.Namespace, progress=None) -> SweepEngine:
     workers = getattr(args, "workers", None)
     try:
         if backend == "socket":
+            from .parallel.backends import socket_backend_from_spec
+
             # resolve_jobs keeps --jobs 0 meaning "one per CPU core" here too.
             backend = socket_backend_from_spec(workers, default_workers=resolve_jobs(args.jobs))
         elif backend == "ssh":
+            from .parallel.backends import ssh_backend_from_spec
+
             ssh_kwargs = {}
             if os.environ.get("REPRO_SSH_COMMAND"):
                 ssh_kwargs["ssh_command"] = shlex.split(os.environ["REPRO_SSH_COMMAND"])
@@ -540,6 +535,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
+    from .experiments.blocking_ratio import run_blocking_ratio_study
+
     engine = build_engine(args)
     study = run_blocking_ratio_study(engine=engine)
     check_idle_journal(engine)
@@ -559,6 +556,10 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .core.model import ModelConfig
+    from .simulation.runner import validate_against_analysis
+    from .simulation.simulator import SimulationConfig
+
     scenario = SCENARIOS[args.case]
     system = build_scenario_system(scenario, args.clusters)
     model_config = ModelConfig(
@@ -587,6 +588,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
+    from .experiments.ablations import (
+        fixed_point_vs_exact_mva,
+        sweep_generation_rate,
+        sweep_message_size,
+        sweep_switch_latency,
+        sweep_switch_ports,
+    )
+
     studies = {
         "switch-ports": sweep_switch_ports,
         "switch-latency": sweep_switch_latency,
@@ -770,6 +779,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .core.model import AnalyticalModel, ModelConfig
+
     scenario = SCENARIOS[args.case]
     system = build_scenario_system(scenario, args.clusters)
     report = AnalyticalModel(
@@ -822,7 +833,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 def _open_cli_cache(args: argparse.Namespace):
     """Open the cache named by ``--cache``/``REPRO_CACHE_DIR`` (required)."""
-    from .cache import CacheError, ResultCache
+    from .cache.store import CacheError, ResultCache
 
     target = args.cache or os.environ.get("REPRO_CACHE_DIR")
     if not target:
@@ -888,7 +899,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
-    from .service import JobManager, ReproService
+    from .service.http import ReproService
+    from .service.jobs import JobManager
 
     cache = _open_cli_cache(args)
     manager = JobManager(
@@ -917,7 +929,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported lazily: the analysis package is pure stdlib but entirely
     # unrelated to the numeric pipeline the other verbs load.
-    from .analysis import format_report, lint_paths, rule_catalogue
+    from .analysis.engine import lint_paths
+    from .analysis.reporting import format_report
+    from .analysis.rules.base import rule_catalogue
 
     if args.list_rules:
         for row in rule_catalogue():

@@ -1,9 +1,6 @@
 """Multi-cluster system model (HMSCS): processors, clusters, systems and presets."""
 
-from .cluster import ClusterSpec
-from .presets import das2_like_system, llnl_like_system, paper_evaluation_system
-from .processor import DEFAULT_PROCESSOR, ProcessorType
-from .system import MultiClusterSystem
+from .._lazy import lazy_exports
 
 __all__ = [
     "ProcessorType",
@@ -14,3 +11,10 @@ __all__ = [
     "das2_like_system",
     "llnl_like_system",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cluster": ("ClusterSpec",),
+    ".presets": ("das2_like_system", "llnl_like_system", "paper_evaluation_system"),
+    ".processor": ("DEFAULT_PROCESSOR", "ProcessorType"),
+    ".system": ("MultiClusterSystem",),
+})

@@ -1,22 +1,6 @@
 """The paper's analytical performance model (primary contribution)."""
 
-from .cluster_of_clusters import (
-    ClusterOfClustersModel,
-    HeterogeneousModelConfig,
-    HeterogeneousReport,
-    evaluate_heterogeneous_grid,
-)
-from .latency import LatencyBreakdown, WaitingTimes, mean_message_latency, waiting_time
-from .model import PAPER_GENERATION_RATE, AnalyticalModel, ModelConfig, PerformanceReport
-from .routing import (
-    local_destinations,
-    local_probability,
-    outgoing_probability,
-    remote_destinations,
-)
-from .service_centers import ServiceCenterModels, build_service_centers
-from .traffic import TrafficRates, compute_traffic_rates
-from .vectorized import GridEvaluation, evaluate_latency_grid
+from .._lazy import lazy_exports
 
 __all__ = [
     "AnalyticalModel",
@@ -42,3 +26,18 @@ __all__ = [
     "waiting_time",
     "mean_message_latency",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cluster_of_clusters": (
+        "ClusterOfClustersModel", "evaluate_heterogeneous_grid", "HeterogeneousModelConfig",
+        "HeterogeneousReport",
+    ),
+    ".latency": ("LatencyBreakdown", "mean_message_latency", "waiting_time", "WaitingTimes"),
+    ".model": ("AnalyticalModel", "ModelConfig", "PAPER_GENERATION_RATE", "PerformanceReport"),
+    ".routing": (
+        "local_destinations", "local_probability", "outgoing_probability", "remote_destinations",
+    ),
+    ".service_centers": ("build_service_centers", "ServiceCenterModels"),
+    ".traffic": ("compute_traffic_rates", "TrafficRates"),
+    ".vectorized": ("evaluate_latency_grid", "GridEvaluation"),
+})

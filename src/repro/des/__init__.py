@@ -21,11 +21,7 @@ Quick example
 [(2, 1.0), (1, 2.0), (0, 3.0)]
 """
 
-from .core import EmptySchedule, Environment, StopSimulation
-from .events import AbsoluteTimeout, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .monitor import Monitor, TimeWeightedMonitor
-from .process import Interrupt, Process
-from .rng import RandomStreams, VariateGenerator
+from .._lazy import lazy_exports
 
 __all__ = [
     "Environment",
@@ -45,3 +41,13 @@ __all__ = [
     "RandomStreams",
     "VariateGenerator",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": ("EmptySchedule", "Environment", "StopSimulation"),
+    ".events": (
+        "AbsoluteTimeout", "AllOf", "AnyOf", "Condition", "ConditionValue", "Event", "Timeout",
+    ),
+    ".monitor": ("Monitor", "TimeWeightedMonitor"),
+    ".process": ("Interrupt", "Process"),
+    ".rng": ("RandomStreams", "VariateGenerator"),
+})

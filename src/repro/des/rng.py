@@ -37,10 +37,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RandomStreams", "VariateGenerator", "VariateStream", "DEFAULT_BLOCK_SIZE"]
+from ..batching import DEFAULT_BLOCK_SIZE
 
-#: Default number of variates pre-drawn per refill of a :class:`VariateStream`.
-DEFAULT_BLOCK_SIZE = 1024
+__all__ = ["RandomStreams", "VariateGenerator", "VariateStream"]
 
 
 class VariateStream:

@@ -1,45 +1,6 @@
 """Experiment harness: paper scenarios, figure drivers, ratio study and ablations."""
 
-from .ablations import (
-    AblationRow,
-    AblationStudy,
-    fixed_point_vs_exact_mva,
-    service_distribution_ablation,
-    sweep_generation_rate,
-    sweep_message_size,
-    sweep_switch_latency,
-    sweep_switch_ports,
-)
-from .blocking_ratio import (
-    BlockingRatioStudy,
-    RatioPoint,
-    run_blocking_ratio_study,
-)
-from .figures import FIGURE_SPECS, FigurePoint, FigureResult, FigureSpec, run_figure
-from .pipeline import (
-    Collector,
-    ExperimentPlan,
-    ExperimentResult,
-    ExperimentRunner,
-    ExperimentSpec,
-    build_plan,
-    smoke_spec,
-)
-from .report import ReproductionReport, ShapeChecks, generate_report
-from .scenarios import (
-    CASE_1,
-    CASE_2,
-    PAPER_PARAMETERS,
-    SCENARIO_REGISTRY,
-    SCENARIOS,
-    NetworkScenario,
-    PaperParameters,
-    Scenario,
-    build_scenario_system,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "NetworkScenario",
@@ -81,3 +42,23 @@ __all__ = [
     "fixed_point_vs_exact_mva",
     "service_distribution_ablation",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".ablations": (
+        "AblationRow", "AblationStudy", "fixed_point_vs_exact_mva",
+        "service_distribution_ablation", "sweep_generation_rate", "sweep_message_size",
+        "sweep_switch_latency", "sweep_switch_ports",
+    ),
+    ".blocking_ratio": ("BlockingRatioStudy", "RatioPoint", "run_blocking_ratio_study"),
+    ".figures": ("FIGURE_SPECS", "FigurePoint", "FigureResult", "FigureSpec", "run_figure"),
+    ".pipeline": (
+        "build_plan", "Collector", "ExperimentPlan", "ExperimentResult", "ExperimentRunner",
+        "ExperimentSpec", "smoke_spec",
+    ),
+    ".report": ("generate_report", "ReproductionReport", "ShapeChecks"),
+    ".scenarios": (
+        "build_scenario_system", "CASE_1", "CASE_2", "get_scenario", "NetworkScenario",
+        "PAPER_PARAMETERS", "PaperParameters", "register_scenario", "Scenario", "scenario_names",
+        "SCENARIO_REGISTRY", "SCENARIOS",
+    ),
+})

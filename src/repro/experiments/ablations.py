@@ -26,14 +26,14 @@ policy as the other drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.model import AnalyticalModel, ModelConfig
 from ..core.routing import outgoing_probability
 from ..core.service_centers import build_service_centers
 from ..core.vectorized import GridEvaluation, evaluate_latency_grid
 from ..network.switch import SwitchFabric
-from ..parallel import Backend, SweepEngine, SweepJournal, SweepTask
+from ..parallel.engine import SweepEngine, SweepTask
 from ..queueing.mva import MVAStation, mean_value_analysis
 from ..simulation.simulator import MultiClusterSimulator, SimulationConfig
 from ..viz.tables import format_markdown_table
@@ -45,6 +45,10 @@ from .scenarios import (
     PaperParameters,
     build_scenario_system,
 )
+
+if TYPE_CHECKING:
+    from ..parallel.backends import Backend
+    from ..parallel.checkpoint import SweepJournal
 
 __all__ = [
     "AblationRow",

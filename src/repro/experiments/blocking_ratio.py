@@ -11,11 +11,10 @@ checked quantitatively; the observed band is recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.model import ModelConfig
 from ..core.vectorized import evaluate_latency_grid
-from ..parallel import Backend, SweepEngine, SweepJournal
 from ..viz.tables import format_markdown_table
 from .scenarios import (
     CASE_1,
@@ -25,6 +24,11 @@ from .scenarios import (
     PaperParameters,
     build_scenario_system,
 )
+
+if TYPE_CHECKING:
+    from ..parallel.backends import Backend
+    from ..parallel.checkpoint import SweepJournal
+    from ..parallel.engine import SweepEngine
 
 __all__ = ["RatioPoint", "BlockingRatioStudy", "run_blocking_ratio_study"]
 

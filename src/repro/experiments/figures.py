@@ -17,11 +17,10 @@ benchmarks and the CLI print the same rows/series the paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from ..core.vectorized import evaluate_latency_grid
 from ..errors import ExperimentError
-from ..parallel import Backend, SweepEngine, SweepJournal
 from ..stats.compare import compare_series, ComparisonSummary
 from ..viz.ascii_chart import line_chart
 from ..viz.tables import format_fixed_width_table, format_markdown_table
@@ -39,6 +38,11 @@ from .scenarios import (
     PAPER_PARAMETERS,
     PaperParameters,
 )
+
+if TYPE_CHECKING:
+    from ..parallel.backends import Backend
+    from ..parallel.checkpoint import SweepJournal
+    from ..parallel.engine import SweepEngine
 
 __all__ = [
     "FigureSpec",
@@ -198,6 +202,7 @@ class FigureCollector(Collector):
 
     def collect(self, outcome: ExperimentOutcome) -> FigureResult:
         result = FigureResult(spec=self.spec, parameters=self.parameters)
+        analysis_ms = outcome.analysis.mean_latency_ms
         for point in outcome.plan.points:
             sim_latency_ms: Optional[float] = None
             sim_ci_ms: Optional[float] = None
@@ -210,7 +215,7 @@ class FigureCollector(Collector):
                 FigurePoint(
                     num_clusters=point.num_clusters,
                     message_bytes=int(point.message_bytes),
-                    analysis_latency_ms=float(outcome.analysis.mean_latency_ms[point.index]),
+                    analysis_latency_ms=analysis_ms[point.index],
                     simulation_latency_ms=sim_latency_ms,
                     simulation_ci_half_width_ms=sim_ci_ms,
                 )

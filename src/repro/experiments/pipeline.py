@@ -10,16 +10,18 @@ blocking-ratio study, the ablations, the validation runner and the CLI's
    on *how* it will be executed.
 2. **Plan** — :func:`build_plan` expands a spec against the scenario
    registry into an :class:`ExperimentPlan`: the ordered grid of
-   :class:`PlanPoint`\\ s, the systems they run on, the analysis
-   evaluations and (for simulating modes) a :class:`SimulationPlan` of
-   seeded, labelled :class:`~repro.parallel.SweepTask`\\ s.  Per-point
-   seeds are ``SeedSequence``-spawned from the spec seed and per-replication
-   seeds from the point seed, so results are bit-identical on every
-   execution backend and :class:`~repro.parallel.SweepJournal` fingerprints
-   (task count + labels) are stable.
+   :class:`PlanPoint`\\ s, the systems they run on and the analysis
+   evaluations.  For simulating modes, :attr:`ExperimentPlan.simulation`
+   holds a :class:`SimulationPlan` of seeded, labelled
+   :class:`~repro.parallel.engine.SweepTask`\\ s, built when a simulation
+   pass first reads it (a cache hit never does).  Per-point seeds are
+   ``SeedSequence``-spawned from the spec seed and per-replication seeds
+   from the point seed, so results are bit-identical on every execution
+   backend and :class:`~repro.parallel.checkpoint.SweepJournal`
+   fingerprints (task count + labels) are stable.
 3. **Execute** — an :class:`ExperimentRunner` owns the execution policy
    uniformly: backend selection, checkpoint journaling and progress
-   reporting all flow through one :class:`~repro.parallel.SweepEngine`.
+   reporting all flow through one :class:`~repro.parallel.engine.SweepEngine`.
 4. **Collect** — a :class:`Collector` folds the per-point grid evaluation
    and the ``(index, result)`` simulation outcomes into a result type; the
    drivers install collectors producing their traditional artefacts
@@ -44,29 +46,15 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.model import ModelConfig
 from ..core.vectorized import GridEvaluation, evaluate_latency_grid
 from ..errors import ConfigurationError, ExperimentError
-from ..parallel import (
-    Backend,
-    SweepEngine,
-    SweepJournal,
-    SweepTask,
-    resolve_engine,
-    spawn_seeds,
-)
-from ..simulation.faults import FaultSpec
-from ..simulation.runner import (
-    ReplicatedResult,
-    aggregate_replications,
-    replication_configs,
-    run_simulation_task,
-)
-from ..simulation.simulator import SimulationConfig
+from ..parallel.engine import SweepEngine, SweepTask, resolve_engine
+from ..simulation.fault_spec import FaultSpec
 from ..stats.compare import ComparisonSummary, compare_series
-from ..stats.sinks import STATS_MODES, validate_histogram_range
+from ..stats.modes import STATS_MODES, validate_histogram_range
 from ..viz.tables import format_fixed_width_table, format_markdown_table
 from ..workload.destinations import DestinationPolicy
 from .scenarios import (
@@ -75,6 +63,17 @@ from .scenarios import (
     Scenario,
     get_scenario,
 )
+
+if TYPE_CHECKING:
+    from ..core.model import ModelConfig
+    from ..parallel.backends import Backend
+    from ..parallel.checkpoint import SweepJournal
+    from ..simulation.results import ReplicatedResult
+    from ..simulation.simulator import SimulationConfig
+
+# The model, the simulator, the replication runner and seeding (NumPy) are
+# imported by the methods that compute with them: building a plan and
+# serving it from the result cache loads none of them.
 
 __all__ = [
     "EXPERIMENT_MODES",
@@ -97,7 +96,7 @@ __all__ = [
 EXPERIMENT_MODES = ("analysis", "simulate", "both")
 
 #: Label callback signature: ``label(point, rep_index, rep_config) -> str``.
-LabelFn = Callable[["PlanPoint", int, SimulationConfig], str]
+LabelFn = Callable[["PlanPoint", int, "SimulationConfig"], str]
 
 
 def _spec_int(name: str, value) -> int:
@@ -159,7 +158,7 @@ class ExperimentSpec:
         Optional overrides of the Table-2 switch fabric.
     stats_mode:
         Observation-sink strategy of the simulation pass
-        (:data:`repro.stats.sinks.STATS_MODES`): ``"array"`` retains every
+        (:data:`repro.stats.modes.STATS_MODES`): ``"array"`` retains every
         sample (bit-identical legacy behaviour), ``"online"`` streams
         through bounded-memory accumulators.
     histogram_range:
@@ -171,7 +170,7 @@ class ExperimentSpec:
         ``stats_mode="array"`` — the array sink has exact percentiles and
         no histogram to configure.
     failures:
-        Optional :class:`~repro.simulation.faults.FaultSpec` (or its JSON
+        Optional :class:`~repro.simulation.fault_spec.FaultSpec` (or its JSON
         object form) attaching seeded failure/repair schedules to links
         and/or nodes of every simulated point.  ``None`` (the default)
         keeps the always-up model *unless* the scenario declares its own
@@ -417,6 +416,7 @@ class ExperimentPlan:
     pass: ``"paper"`` for the §4 homogeneous model or
     ``"cluster-of-clusters"`` for the §7 heterogeneous extension used by
     scenarios with unequal clusters or per-cluster technologies.
+    ``label`` names the simulation tasks (``None``: the default label).
     """
 
     spec: ExperimentSpec
@@ -425,8 +425,8 @@ class ExperimentPlan:
     architecture: str
     points: List[PlanPoint]
     systems: Dict[int, Any]
-    simulation: Optional[SimulationPlan] = None
     analysis_kind: str = "paper"
+    label: Optional[LabelFn] = field(default=None, repr=False, compare=False)
 
     @property
     def include_analysis(self) -> bool:
@@ -435,11 +435,56 @@ class ExperimentPlan:
 
     @property
     def include_simulation(self) -> bool:
-        """Whether the plan carries simulation tasks."""
-        return self.simulation is not None
+        """Whether the plan carries a simulation pass."""
+        return self.spec.include_simulation
+
+    @cached_property
+    def simulation(self) -> Optional[SimulationPlan]:
+        """The seeded, labelled task list of the simulation pass, or ``None``.
+
+        Built once, on first access: a cache hit or an analysis-only run
+        never reads it.  Point seeds are ``SeedSequence``-spawned from
+        ``spec.seed`` in grid order.
+        """
+        if not self.include_simulation:
+            return None
+        from ..parallel.seeding import spawn_seeds
+        from ..simulation.simulator import SimulationConfig
+
+        spec = self.spec
+        # A spec-level failures block beats the scenario default; both are
+        # carried inside the per-point SimulationConfig, so replication
+        # seeding and remote workers see exactly the same fault model.
+        failures = spec.failures if spec.failures is not None else self.scenario.default_failures
+        point_runs = [
+            (
+                point,
+                self.systems[point.num_clusters],
+                SimulationConfig(
+                    architecture=self.architecture,
+                    message_bytes=float(point.message_bytes),
+                    generation_rate=point.generation_rate,
+                    num_messages=spec.simulation_messages,
+                    seed=point_seed,
+                    stats_mode=spec.stats_mode,
+                    histogram_range=spec.histogram_range,
+                    failures=failures,
+                ),
+            )
+            for point, point_seed in zip(self.points, spawn_seeds(spec.seed, len(self.points)))
+        ]
+        return build_simulation_plan(
+            point_runs,
+            replications=spec.replications,
+            label=self.label or _default_label(spec, self.architecture),
+            destination_policy=self.scenario.destination_policy,
+            arrival_factory=self.scenario.arrival_factory,
+        )
 
     def analysis_evaluations(self) -> List[Tuple[Any, ModelConfig]]:
         """The ``(system, config)`` pairs of the analysis pass (either model)."""
+        from ..core.model import ModelConfig
+
         return [
             (
                 self.systems[point.num_clusters],
@@ -504,6 +549,8 @@ def build_simulation_plan(
     arguments* (when present) so remote workers reconstruct the exact
     workload.
     """
+    from ..simulation.runner import replication_configs, run_simulation_task
+
     tasks: List[SweepTask] = []
     task_point: List[int] = []
     policy_cache: Dict[int, Any] = {}
@@ -547,8 +594,9 @@ def build_plan(
 
     The grid is ordered message size → cluster count → generation rate,
     which reduces to the paper's figure-table row order for single-rate
-    campaigns.  Point seeds are ``SeedSequence``-spawned from ``spec.seed``
-    in grid order.
+    campaigns.  Every spec, scenario and system error is raised here,
+    before any work starts; the simulation tasks are built later, by
+    :attr:`ExperimentPlan.simulation`, and named by ``label``.
     """
     scenario = get_scenario(spec.scenario)
     if spec.include_analysis and not scenario.analysis_capable:
@@ -593,38 +641,6 @@ def build_plan(
         )
     ]
 
-    simulation: Optional[SimulationPlan] = None
-    if spec.include_simulation:
-        point_seeds = spawn_seeds(spec.seed, len(points))
-        # A spec-level failures block beats the scenario default; both are
-        # carried inside the per-point SimulationConfig, so replication
-        # seeding and remote workers see exactly the same fault model.
-        failures = spec.failures if spec.failures is not None else scenario.default_failures
-        point_runs = [
-            (
-                point,
-                systems[point.num_clusters],
-                SimulationConfig(
-                    architecture=architecture,
-                    message_bytes=float(point.message_bytes),
-                    generation_rate=point.generation_rate,
-                    num_messages=spec.simulation_messages,
-                    seed=point_seed,
-                    stats_mode=spec.stats_mode,
-                    histogram_range=spec.histogram_range,
-                    failures=failures,
-                ),
-            )
-            for point, point_seed in zip(points, point_seeds)
-        ]
-        simulation = build_simulation_plan(
-            point_runs,
-            replications=spec.replications,
-            label=label if label is not None else _default_label(spec, architecture),
-            destination_policy=scenario.destination_policy,
-            arrival_factory=scenario.arrival_factory,
-        )
-
     return ExperimentPlan(
         spec=spec,
         scenario=scenario,
@@ -632,8 +648,8 @@ def build_plan(
         architecture=architecture,
         points=points,
         systems=systems,
-        simulation=simulation,
         analysis_kind=analysis_kind,
+        label=label,
     )
 
 
@@ -698,6 +714,8 @@ class ExperimentRunner:
 
     def run_simulation_plan(self, simulation: SimulationPlan) -> List[ReplicatedResult]:
         """Execute a simulation plan and fold results per point, in order."""
+        from ..simulation.runner import aggregate_replications
+
         results = self.engine.run(simulation.tasks)
         per_point: List[List[Any]] = [[] for _ in range(simulation.n_points)]
         for point_idx, result in zip(simulation.task_point, results):
@@ -852,6 +870,9 @@ class TableCollector(Collector):
             scenario_name=plan.scenario.name,
             architecture=plan.architecture,
         )
+        analysis_column = (
+            outcome.analysis.mean_latency_ms if outcome.analysis is not None else None
+        )
         for point in plan.points:
             analysis_ms: Optional[float] = None
             sim_ms: Optional[float] = None
@@ -860,8 +881,8 @@ class TableCollector(Collector):
             availability: Optional[float] = None
             throughput: Optional[float] = None
             dropped: Optional[int] = None
-            if outcome.analysis is not None:
-                analysis_ms = float(outcome.analysis.mean_latency_ms[point.index])
+            if analysis_column is not None:
+                analysis_ms = analysis_column[point.index]
             if outcome.replicated is not None:
                 agg = outcome.replicated[point.index]
                 sim_ms = agg.mean_latency_ms

@@ -15,13 +15,17 @@ ordering), plus the blocking-ratio study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from ..parallel import Backend, SweepEngine, SweepJournal, resolve_engine
+from ..parallel.engine import SweepEngine, resolve_engine
 from ..viz.tables import format_markdown_table
 from .blocking_ratio import BlockingRatioStudy, run_blocking_ratio_study
 from .figures import FIGURE_SPECS, FigureResult, run_figure
 from .scenarios import PAPER_PARAMETERS, PaperParameters
+
+if TYPE_CHECKING:
+    from ..parallel.backends import Backend
+    from ..parallel.checkpoint import SweepJournal
 
 __all__ = ["ShapeChecks", "ReproductionReport", "generate_report"]
 

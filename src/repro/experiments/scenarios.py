@@ -27,6 +27,7 @@ instead of adding another bespoke experiment driver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -34,7 +35,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..cluster.presets import das2_like_system, llnl_like_system, paper_evaluation_system
 from ..cluster.system import MultiClusterSystem
 from ..errors import ExperimentError
-from ..network.heterogeneous import HeterogeneousLinkMatrix
 from ..network.switch import PAPER_SWITCH, SwitchFabric
 from ..network.technologies import (
     FAST_ETHERNET,
@@ -42,7 +42,7 @@ from ..network.technologies import (
     MYRINET,
     NetworkTechnology,
 )
-from ..simulation.faults import FaultSpec
+from ..simulation.fault_spec import FaultSpec
 from ..workload.arrivals import ArrivalProcess, ErlangArrivals, HyperexponentialArrivals
 from ..workload.destinations import (
     DestinationPolicy,
@@ -263,19 +263,30 @@ def scenario_names() -> Tuple[str, ...]:
 # -- system builders ---------------------------------------------------------
 
 
+def _mixed_nic_parameters(technologies: Sequence[NetworkTechnology]) -> Tuple[float, float]:
+    """Effective ``(α, β)`` of per-node NICs under Eq. 10's pairwise rule.
+
+    A pair ``i ≠ j`` transmits in ``T_ij = α_ij + M·β_ij`` with the slower
+    endpoint dominating (``α_ij = max(α_i, α_j)``, ``β_ij = max(β_i, β_j)``).
+    Over the ``n(n-1)`` ordered pairs, ``α_eff = mean T(0)`` and
+    ``β_eff = mean T(1) − mean T(0)``, each mean a correctly rounded sum.
+    """
+    pairs = [
+        (a, b)
+        for i, a in enumerate(technologies)
+        for j, b in enumerate(technologies)
+        if i != j
+    ]
+    alpha = math.fsum(max(a.alpha, b.alpha) for a, b in pairs) / len(pairs)
+    one_byte = math.fsum(max(a.alpha, b.alpha) + max(a.beta, b.beta) for a, b in pairs)
+    return alpha, one_byte / len(pairs) - alpha
+
+
 def _mixed_nic_technology(
     technologies: Sequence[NetworkTechnology], name: str = "mixed-nics"
 ) -> NetworkTechnology:
-    """Aggregate per-node NIC technologies into one effective technology.
-
-    Builds the pairwise ``T_ij = α_ij + M·β_ij`` matrix (Eq. 10, slower
-    endpoint dominates) with :class:`HeterogeneousLinkMatrix` and reads the
-    effective α/β off the mean off-diagonal transmission time:
-    ``α_eff = mean T(0)`` and ``β_eff = mean T(1) − mean T(0)``.
-    """
-    matrix = HeterogeneousLinkMatrix.from_node_technologies(technologies)
-    alpha = matrix.mean_offdiagonal_transmission_time(0.0)
-    beta = matrix.mean_offdiagonal_transmission_time(1.0) - alpha
+    """Aggregate per-node NIC technologies into one effective technology."""
+    alpha, beta = _mixed_nic_parameters(technologies)
     return NetworkTechnology(
         name=name, latency_s=alpha, bandwidth_bytes_per_s=1.0 / beta
     )

@@ -1,34 +1,6 @@
 """Communication-network models: technologies, switches, and service-time models."""
 
-from .heterogeneous import HeterogeneousLinkMatrix
-from .models import (
-    BlockingNetworkModel,
-    CommunicationNetworkModel,
-    NonBlockingNetworkModel,
-    build_network_model,
-)
-from .switch import PAPER_SWITCH, SwitchFabric
-from .technologies import (
-    FAST_ETHERNET,
-    GIGABIT_ETHERNET,
-    INFINIBAND_4X,
-    MYRINET,
-    TECHNOLOGY_PRESETS,
-    TEN_GIGABIT_ETHERNET,
-    NetworkTechnology,
-    get_technology,
-)
-from .units import (
-    BYTES_PER_MEGABYTE,
-    MICROSECONDS_PER_SECOND,
-    bandwidth_to_seconds_per_byte,
-    bytes_per_s_to_mbps,
-    mbps_to_bytes_per_s,
-    ms_to_s,
-    s_to_ms,
-    s_to_us,
-    us_to_s,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "NetworkTechnology",
@@ -45,7 +17,6 @@ __all__ = [
     "NonBlockingNetworkModel",
     "BlockingNetworkModel",
     "build_network_model",
-    "HeterogeneousLinkMatrix",
     "us_to_s",
     "s_to_us",
     "ms_to_s",
@@ -56,3 +27,20 @@ __all__ = [
     "MICROSECONDS_PER_SECOND",
     "BYTES_PER_MEGABYTE",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".models": (
+        "BlockingNetworkModel", "build_network_model", "CommunicationNetworkModel",
+        "NonBlockingNetworkModel",
+    ),
+    ".switch": ("PAPER_SWITCH", "SwitchFabric"),
+    ".technologies": (
+        "FAST_ETHERNET", "get_technology", "GIGABIT_ETHERNET", "INFINIBAND_4X", "MYRINET",
+        "NetworkTechnology", "TECHNOLOGY_PRESETS", "TEN_GIGABIT_ETHERNET",
+    ),
+    ".units": (
+        "bandwidth_to_seconds_per_byte", "BYTES_PER_MEGABYTE", "bytes_per_s_to_mbps",
+        "mbps_to_bytes_per_s", "MICROSECONDS_PER_SECOND", "ms_to_s", "s_to_ms", "s_to_us",
+        "us_to_s",
+    ),
+})

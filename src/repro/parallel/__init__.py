@@ -33,27 +33,7 @@ backend, across machines:
     backends (which is what keeps them bit-identical).
 """
 
-from .backends import (
-    Backend,
-    PersistentPoolBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    SocketBackend,
-    SSHBackend,
-    TaskOutcome,
-    socket_backend_from_spec,
-    ssh_backend_from_spec,
-)
-from .checkpoint import RunJournal, SweepJournal
-from .engine import (
-    BACKEND_NAMES,
-    SweepEngine,
-    SweepTask,
-    resolve_engine,
-    resolve_jobs,
-    stderr_progress,
-)
-from .seeding import spawn_seed_sequences, spawn_seeds
+from .._lazy import lazy_exports
 
 __all__ = [
     "BACKEND_NAMES",
@@ -76,3 +56,17 @@ __all__ = [
     "ssh_backend_from_spec",
     "stderr_progress",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".backends": (
+        "Backend", "PersistentPoolBackend", "ProcessPoolBackend", "SerialBackend",
+        "socket_backend_from_spec", "SocketBackend", "ssh_backend_from_spec", "SSHBackend",
+        "TaskOutcome",
+    ),
+    ".checkpoint": ("RunJournal", "SweepJournal"),
+    ".engine": (
+        "BACKEND_NAMES", "resolve_engine", "resolve_jobs", "stderr_progress", "SweepEngine",
+        "SweepTask",
+    ),
+    ".seeding": ("spawn_seed_sequences", "spawn_seeds"),
+})

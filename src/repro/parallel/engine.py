@@ -49,11 +49,28 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import WorkerError
-from .backends import Backend, ProcessPoolBackend, SerialBackend, SocketBackend
-from .checkpoint import SweepJournal
+
+if TYPE_CHECKING:
+    from .backends import Backend
+    from .checkpoint import SweepJournal
+
+# The backends (multiprocessing, sockets) and the journal are imported
+# where they are first used, so building an engine that a cache hit never
+# runs costs nothing.
 
 __all__ = ["SweepTask", "SweepEngine", "resolve_engine", "resolve_jobs", "stderr_progress"]
 
@@ -93,6 +110,8 @@ def _coerce_journal(
 ) -> Optional[SweepJournal]:
     """Accept a ready journal, a path to open one, or ``None``."""
     if isinstance(journal, (str, os.PathLike)):
+        from .checkpoint import SweepJournal
+
         return SweepJournal(journal)
     return journal
 
@@ -277,6 +296,8 @@ class SweepEngine:
 
     def _resolve_backend(self, task_count: int) -> Backend:
         """Materialise the backend for one ``run`` call."""
+        from .backends import Backend, ProcessPoolBackend, SerialBackend, SocketBackend
+
         spec = self.backend
         if isinstance(spec, Backend):
             return spec
@@ -332,6 +353,8 @@ def resolve_engine(
             if engine.journal is None:
                 engine.journal = _coerce_journal(checkpoint)
             else:
+                from .checkpoint import SweepJournal
+
                 requested = (
                     checkpoint.path
                     if isinstance(checkpoint, SweepJournal)

@@ -1,14 +1,6 @@
 """Queueing-theory substrate: service-time distributions and exact MVA."""
 
-from .distributions import (
-    Deterministic,
-    Distribution,
-    Erlang,
-    Exponential,
-    HyperExponential,
-    UniformDistribution,
-)
-from .mva import MVAResult, MVAStation, mean_value_analysis
+from .._lazy import lazy_exports
 
 __all__ = [
     "Distribution",
@@ -21,3 +13,11 @@ __all__ = [
     "MVAResult",
     "mean_value_analysis",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".distributions": (
+        "Deterministic", "Distribution", "Erlang", "Exponential", "HyperExponential",
+        "UniformDistribution",
+    ),
+    ".mva": ("mean_value_analysis", "MVAResult", "MVAStation"),
+})

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..des.rng import DEFAULT_BLOCK_SIZE, VariateGenerator
+from ..batching import DEFAULT_BLOCK_SIZE
+from ..des.rng import VariateGenerator
 
 __all__ = [
     "Distribution",

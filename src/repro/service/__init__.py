@@ -25,7 +25,11 @@ Start one from the shell with ``repro serve --cache DIR``; the endpoint
 reference with request/response examples lives in ``docs/service.md``.
 """
 
-from .http import ReproService
-from .jobs import Job, JobManager
+from .._lazy import lazy_exports
 
 __all__ = ["Job", "JobManager", "ReproService"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".http": ("ReproService",),
+    ".jobs": ("Job", "JobManager"),
+})

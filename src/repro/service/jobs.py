@@ -46,7 +46,8 @@ from ..experiments.pipeline import (
     TableCollector,
     build_plan,
 )
-from ..parallel import PersistentPoolBackend, SweepEngine, resolve_jobs
+from ..parallel.backends import PersistentPoolBackend
+from ..parallel.engine import SweepEngine, resolve_jobs
 
 __all__ = ["Job", "JobManager"]
 

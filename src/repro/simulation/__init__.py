@@ -1,19 +1,6 @@
 """Validation simulator: event-driven HMSCS model matching the paper's §6 setup."""
 
-from .components import LatencySink, ServiceCenterSim
-from .faults import FaultInjector, FaultSchedule, FaultSpec, FaultyServiceCenterSim
-from .message import Message
-from .runner import (
-    ReplicatedResult,
-    ValidationPoint,
-    aggregate_replications,
-    replication_configs,
-    run_replications,
-    run_message_trace_task,
-    run_simulation_task,
-    validate_against_analysis,
-)
-from .simulator import MultiClusterSimulator, SimulationConfig, SimulationResult
+from .._lazy import lazy_exports
 
 __all__ = [
     "Message",
@@ -35,3 +22,16 @@ __all__ = [
     "run_replications",
     "validate_against_analysis",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".components": ("LatencySink", "ServiceCenterSim"),
+    ".fault_spec": ("FaultSpec",),
+    ".faults": ("FaultInjector", "FaultSchedule", "FaultyServiceCenterSim"),
+    ".message": ("Message",),
+    ".results": ("ReplicatedResult", "SimulationResult"),
+    ".runner": (
+        "aggregate_replications", "replication_configs", "run_message_trace_task",
+        "run_replications", "run_simulation_task", "validate_against_analysis", "ValidationPoint",
+    ),
+    ".simulator": ("MultiClusterSimulator", "SimulationConfig"),
+})

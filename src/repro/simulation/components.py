@@ -21,7 +21,8 @@ from ..des.monitor import Monitor, TimeWeightedMonitor
 from ..des.rng import VariateGenerator
 from ..errors import SimulationError
 from ..queueing.distributions import Distribution
-from ..stats.sinks import OnlineMonitor, validate_stats_mode
+from ..stats.modes import validate_stats_mode
+from ..stats.sinks import OnlineMonitor
 from .message import Message
 
 __all__ = ["ServiceCenterSim", "LatencySink"]

@@ -7,13 +7,13 @@ independent simulation replications and aggregates them;
 the same configuration and reports the relative error.
 
 Replication seeds are derived from the master seed with
-:func:`repro.parallel.spawn_seeds` (``numpy.random.SeedSequence.spawn``),
+:func:`repro.parallel.seeding.spawn_seeds` (``numpy.random.SeedSequence.spawn``),
 *not* ``seed + i``: additive seeds made adjacent sweep points share
 almost-identical replication seed sets, correlating what should be
 independent measurements.  Because the seed list is a pure function of the
 master seed, running the replications serially (``jobs=1``, the default),
 across a process pool (``jobs>1``) or through any other execution backend of
-:class:`repro.parallel.SweepEngine` (``backend="socket"`` for the TCP work
+:class:`repro.parallel.engine.SweepEngine` (``backend="socket"`` for the TCP work
 queue) produces bit-identical :class:`SimulationResult`\\ s.
 """
 
@@ -27,15 +27,18 @@ import numpy as np
 from ..cluster.system import MultiClusterSystem
 from ..core.model import AnalyticalModel, ModelConfig, PerformanceReport
 from ..errors import ConfigurationError
-from ..parallel import Backend, SweepEngine, SweepJournal, spawn_seeds
+from ..parallel.backends import Backend
+from ..parallel.checkpoint import SweepJournal
+from ..parallel.engine import SweepEngine
+from ..parallel.seeding import spawn_seeds
 from ..stats.compare import relative_error
-from ..stats.intervals import ConfidenceInterval, mean_confidence_interval
+from ..stats.intervals import mean_confidence_interval
 from ..workload.destinations import DestinationPolicy
 from .components import LatencySink
-from .simulator import MultiClusterSimulator, SimulationConfig, SimulationResult
+from .results import ReplicatedResult, SimulationResult
+from .simulator import MultiClusterSimulator, SimulationConfig
 
 __all__ = [
-    "ReplicatedResult",
     "ValidationPoint",
     "replication_configs",
     "run_simulation_task",
@@ -44,21 +47,6 @@ __all__ = [
     "run_replications",
     "validate_against_analysis",
 ]
-
-
-@dataclass(frozen=True)
-class ReplicatedResult:
-    """Aggregate of several independent simulation replications."""
-
-    replications: int
-    mean_latency_s: float
-    latency_interval: Optional[ConfidenceInterval]
-    per_replication: List[SimulationResult]
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean latency over replications in milliseconds."""
-        return self.mean_latency_s * 1e3
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,14 @@ from ..des.rng import RandomStreams
 from ..errors import ConfigurationError, SimulationError
 from ..network.models import build_network_model
 from ..queueing.distributions import Deterministic, Distribution, Exponential
-from ..stats.intervals import ConfidenceInterval
-from ..stats.sinks import STATS_MODES, validate_histogram_range
+from ..stats.modes import STATS_MODES, validate_histogram_range
 from ..workload.arrivals import ArrivalProcess
 from ..workload.destinations import DestinationPolicy, UniformDestinations
 from .components import LatencySink, ServiceCenterSim
-from .faults import FaultInjector, FaultSchedule, FaultSpec, FaultyServiceCenterSim
+from .fault_spec import FaultSpec
+from .faults import FaultInjector, FaultSchedule, FaultyServiceCenterSim
 from .message import Message
+from .results import SimulationResult
 
 #: Signature of the optional per-processor arrival-process factory: it maps
 #: the processor's (speed-scaled) request rate to an :class:`ArrivalProcess`.
@@ -49,7 +50,6 @@ ArrivalFactory = Callable[[float], ArrivalProcess]
 
 __all__ = [
     "SimulationConfig",
-    "SimulationResult",
     "MultiClusterSimulator",
 ]
 
@@ -89,7 +89,7 @@ class SimulationConfig:
     batch_count:
         Number of batches for the batch-means confidence interval.
     stats_mode:
-        Observation-sink strategy (:data:`repro.stats.sinks.STATS_MODES`):
+        Observation-sink strategy (:data:`repro.stats.modes.STATS_MODES`):
         ``"array"`` retains every sample and message (bit-identical legacy
         behaviour, exact percentiles, per-message traces); ``"online"``
         streams everything through bounded-memory accumulators so run
@@ -104,7 +104,7 @@ class SimulationConfig:
         needs no histogram, so combining it with ``stats_mode="array"``
         raises a :class:`~repro.errors.ConfigurationError`.
     failures:
-        Optional :class:`~repro.simulation.faults.FaultSpec` (or its JSON
+        Optional :class:`~repro.simulation.fault_spec.FaultSpec` (or its JSON
         mapping) attaching seeded failure/repair schedules to links and/or
         nodes.  ``None`` (the default) keeps the always-up model and draws
         from exactly the same streams as every earlier release.
@@ -166,77 +166,6 @@ class SimulationConfig:
                 )
         if self.failures is not None and not isinstance(self.failures, FaultSpec):
             object.__setattr__(self, "failures", FaultSpec.from_json(self.failures))
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Summary of one simulation run.
-
-    ``latency_summary`` carries count/mean/std/min/max/p50/p95/p99 of the
-    post-warm-up latency stream (seconds).  Count, min and max are exact in
-    both stats modes; in ``online`` mode the percentiles are histogram
-    estimates at the sink's documented resolution.
-    """
-
-    mean_latency_s: float
-    confidence_interval: Optional[ConfidenceInterval]
-    mean_local_latency_s: float
-    mean_remote_latency_s: float
-    measured_messages: int
-    completed_messages: int
-    remote_fraction: float
-    simulated_time_s: float
-    utilizations: Dict[str, float]
-    mean_occupancies: Dict[str, float]
-    seed: int
-    stats_mode: str = "array"
-    latency_summary: Optional[Dict[str, float]] = None
-    #: Per-target availability over the run (``None`` unless faults were on).
-    availability: Optional[Dict[str, float]] = None
-    #: Messages lost to the ``"drop"`` fault policy.
-    dropped_messages: int = 0
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean message latency in milliseconds (the figures' unit)."""
-        return self.mean_latency_s * 1e3
-
-    @property
-    def mean_availability(self) -> Optional[float]:
-        """Unweighted mean availability across fault targets (``None`` without faults)."""
-        if not self.availability:
-            return None
-        return sum(self.availability.values()) / len(self.availability)
-
-    @property
-    def throughput_msg_s(self) -> float:
-        """Completed messages per simulated second (degraded under faults)."""
-        if self.simulated_time_s <= 0:
-            return 0.0
-        return self.completed_messages / self.simulated_time_s
-
-    def as_dict(self) -> Dict[str, float]:
-        """Headline metrics as a flat dictionary.
-
-        The fault columns (availability, throughput, drops) only appear on
-        fault-enabled runs so fixtures of the always-up model keep their
-        historical byte-exact shape.
-        """
-        out = {
-            "mean_latency_ms": self.mean_latency_ms,
-            "mean_local_latency_ms": self.mean_local_latency_s * 1e3,
-            "mean_remote_latency_ms": self.mean_remote_latency_s * 1e3,
-            "measured_messages": float(self.measured_messages),
-            "remote_fraction": self.remote_fraction,
-            "simulated_time_s": self.simulated_time_s,
-        }
-        if self.confidence_interval is not None:
-            out["ci_half_width_ms"] = self.confidence_interval.half_width * 1e3
-        if self.availability is not None:
-            out["availability"] = self.mean_availability or 0.0
-            out["throughput_msg_s"] = self.throughput_msg_s
-            out["dropped_messages"] = float(self.dropped_messages)
-        return out
 
 
 class MultiClusterSimulator:

@@ -1,18 +1,6 @@
 """Statistics toolkit: online accumulators, output analysis and comparison metrics."""
 
-from .compare import (
-    ComparisonSummary,
-    absolute_error,
-    compare_series,
-    max_relative_error,
-    mean_absolute_percentage_error,
-    relative_error,
-    root_mean_square_error,
-)
-from .histogram import Histogram
-from .intervals import ConfidenceInterval, batch_means, mean_confidence_interval, t_quantile
-from .online import RunningStatistics
-from .sinks import STATS_MODES, OnlineMonitor, StatsSink, validate_stats_mode
+from .._lazy import lazy_exports
 
 __all__ = [
     "STATS_MODES",
@@ -33,3 +21,15 @@ __all__ = [
     "ComparisonSummary",
     "compare_series",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".compare": (
+        "absolute_error", "compare_series", "ComparisonSummary", "max_relative_error",
+        "mean_absolute_percentage_error", "relative_error", "root_mean_square_error",
+    ),
+    ".histogram": ("Histogram",),
+    ".intervals": ("batch_means", "ConfidenceInterval", "mean_confidence_interval", "t_quantile"),
+    ".modes": ("STATS_MODES", "validate_stats_mode"),
+    ".online": ("RunningStatistics",),
+    ".sinks": ("OnlineMonitor", "StatsSink"),
+})

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "relative_error",
@@ -36,43 +34,46 @@ def absolute_error(predicted: float, observed: float) -> float:
     return abs(predicted - observed)
 
 
+def _aligned(
+    predicted: Sequence[float], observed: Sequence[float]
+) -> Tuple[List[float], List[float]]:
+    p = [float(value) for value in predicted]
+    o = [float(value) for value in observed]
+    if len(p) != len(o):
+        raise ValueError(f"shape mismatch: ({len(p)},) vs ({len(o)},)")
+    return p, o
+
+
+def _relative_errors(p: List[float], o: List[float]) -> List[float]:
+    """Pointwise ``|p - o| / |o|``, skipping points with ``o == 0``."""
+    return [abs((a - b) / b) for a, b in zip(p, o) if b != 0]
+
+
 def mean_absolute_percentage_error(
     predicted: Sequence[float], observed: Sequence[float]
 ) -> float:
     """MAPE (in percent) between two aligned series."""
-    p = np.asarray(list(predicted), dtype=float)
-    o = np.asarray(list(observed), dtype=float)
-    if p.shape != o.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {o.shape}")
-    if p.size == 0:
+    p, o = _aligned(predicted, observed)
+    if not p:
         raise ValueError("cannot compute MAPE of empty series")
-    mask = o != 0
-    if not np.any(mask):
+    errors = _relative_errors(p, o)
+    if not errors:
         return math.nan
-    return float(np.mean(np.abs((p[mask] - o[mask]) / o[mask])) * 100.0)
+    return math.fsum(errors) / len(errors) * 100.0
 
 
 def root_mean_square_error(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """RMSE between two aligned series."""
-    p = np.asarray(list(predicted), dtype=float)
-    o = np.asarray(list(observed), dtype=float)
-    if p.shape != o.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {o.shape}")
-    if p.size == 0:
+    p, o = _aligned(predicted, observed)
+    if not p:
         raise ValueError("cannot compute RMSE of empty series")
-    return float(np.sqrt(np.mean((p - o) ** 2)))
+    return math.sqrt(math.fsum((a - b) * (a - b) for a, b in zip(p, o)) / len(p))
 
 
 def max_relative_error(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """Largest pointwise relative error between two aligned series."""
-    p = np.asarray(list(predicted), dtype=float)
-    o = np.asarray(list(observed), dtype=float)
-    if p.shape != o.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {o.shape}")
-    mask = o != 0
-    if not np.any(mask):
-        return math.nan
-    return float(np.max(np.abs((p[mask] - o[mask]) / o[mask])))
+    errors = _relative_errors(*_aligned(predicted, observed))
+    return max(errors) if errors else math.nan
 
 
 @dataclass(frozen=True)

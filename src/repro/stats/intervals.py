@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import ConvergenceError
 
 __all__ = ["ConfidenceInterval", "t_quantile", "mean_confidence_interval", "batch_means"]
@@ -213,6 +211,10 @@ def mean_confidence_interval(
     sample: Sequence[float], confidence: float = 0.95
 ) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of an i.i.d. sample."""
+    # NumPy is imported where it computes: cached results carry
+    # ConfidenceInterval, and a cache hit must not load NumPy.
+    import numpy as np
+
     data = np.asarray(list(sample), dtype=float)
     n = data.size
     if n == 0:
@@ -254,6 +256,8 @@ def batch_means(
     observation is discarded** — dropping the tail would bias the estimate
     towards older output whenever the run length is not batch-aligned.
     """
+    import numpy as np
+
     data = np.asarray(list(observations), dtype=float)
     if num_batches < 2:
         raise ValueError(f"num_batches must be >= 2, got {num_batches!r}")

@@ -1,6 +1,6 @@
 """Deterministic test harnesses for the distributed execution layer."""
 
-from .chaos import ChaosController, ChaosSpec, controller, parse_chaos_spec, reset, set_role
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChaosSpec",
@@ -10,3 +10,9 @@ __all__ = [
     "set_role",
     "reset",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".chaos": (
+        "ChaosController", "ChaosSpec", "controller", "parse_chaos_spec", "reset", "set_role",
+    ),
+})

@@ -1,12 +1,6 @@
 """Interconnect topologies: the paper's fat-tree and linear switch array."""
 
-from .base import Topology, TopologyStats
-from .fattree import FatTreeTopology, fat_tree_stages, fat_tree_switch_count
-from .linear_array import (
-    LinearArrayTopology,
-    average_traversed_switches,
-    linear_array_switch_count,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Topology",
@@ -18,3 +12,11 @@ __all__ = [
     "linear_array_switch_count",
     "average_traversed_switches",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Topology", "TopologyStats"),
+    ".fattree": ("fat_tree_stages", "fat_tree_switch_count", "FatTreeTopology"),
+    ".linear_array": (
+        "average_traversed_switches", "linear_array_switch_count", "LinearArrayTopology",
+    ),
+})

@@ -1,12 +1,6 @@
 """Terminal-friendly visualisation: ASCII charts and table/CSV writers."""
 
-from .ascii_chart import bar_chart, line_chart
-from .tables import (
-    format_fixed_width_table,
-    format_markdown_table,
-    rows_to_csv_text,
-    write_csv,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "line_chart",
@@ -16,3 +10,10 @@ __all__ = [
     "rows_to_csv_text",
     "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".ascii_chart": ("bar_chart", "line_chart"),
+    ".tables": (
+        "format_fixed_width_table", "format_markdown_table", "rows_to_csv_text", "write_csv",
+    ),
+})

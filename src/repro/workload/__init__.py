@@ -1,20 +1,6 @@
 """Workload generators: arrival processes and destination policies."""
 
-from .arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    ErlangArrivals,
-    HyperexponentialArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
-from .destinations import (
-    DestinationPolicy,
-    HotspotDestinations,
-    LocalizedDestinations,
-    NodeAddress,
-    UniformDestinations,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ArrivalProcess",
@@ -29,3 +15,14 @@ __all__ = [
     "HotspotDestinations",
     "NodeAddress",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".arrivals": (
+        "ArrivalProcess", "DeterministicArrivals", "ErlangArrivals", "HyperexponentialArrivals",
+        "MMPPArrivals", "PoissonArrivals",
+    ),
+    ".destinations": (
+        "DestinationPolicy", "HotspotDestinations", "LocalizedDestinations", "NodeAddress",
+        "UniformDestinations",
+    ),
+})

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..des.rng import DEFAULT_BLOCK_SIZE, VariateGenerator
+from ..batching import DEFAULT_BLOCK_SIZE
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..des.rng import VariateGenerator
 
 __all__ = [
     "ArrivalProcess",

@@ -9,10 +9,13 @@ that remark be tested quantitatively (ablation ``traffic_locality``).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-from ..des.rng import DEFAULT_BLOCK_SIZE, VariateGenerator
+from ..batching import DEFAULT_BLOCK_SIZE
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..des.rng import VariateGenerator
 
 __all__ = [
     "NodeAddress",

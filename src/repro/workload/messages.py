@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..des.rng import DEFAULT_BLOCK_SIZE, RandomStreams, VariateGenerator
+from ..batching import DEFAULT_BLOCK_SIZE
+from ..des.rng import RandomStreams, VariateGenerator
 from ..errors import ConfigurationError
 from .arrivals import ArrivalProcess, PoissonArrivals
 from .destinations import DestinationPolicy, NodeAddress, UniformDestinations

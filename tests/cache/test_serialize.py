@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import math
 
-import numpy as np
 import pytest
 
 from repro.cache import CachePayloadError, outcome_from_payload, outcome_to_payload
@@ -57,8 +56,10 @@ class TestOutcomeRoundTrip:
         grid, grid2 = outcome.analysis, restored.analysis
         for name in ("mean_latency_s", "remote_latency_s", "iterations", "throttling_factor"):
             a, b = getattr(grid, name), getattr(grid2, name)
-            assert np.array_equal(a, b, equal_nan=True)
-            assert a.dtype == b.dtype
+            assert isinstance(b, tuple) and b == a
+            assert [type(value) for value in b] == [type(value) for value in a]
+        assert all(type(value) is float for value in grid2.mean_latency_s)
+        assert all(type(value) is int for value in grid2.iterations)
         assert len(restored.replicated) == len(outcome.replicated)
         for mine, theirs in zip(outcome.replicated, restored.replicated):
             assert theirs == mine
@@ -146,6 +147,16 @@ def _drop(key):
         (lambda p: p.update(replicated=p["replicated"] * 2), "simulation pass has 2 points"),
         (lambda p: p.update(replicated=["x"]), "replicated result must be an object"),
         (lambda p: _drop("per_replication")(p["replicated"][0]), "'per_replication' missing"),
+        # Ragged sections: a column shorter than the plan, a point whose
+        # per-replication list disagrees with its replication count.
+        (
+            lambda p: p["analysis"].update(effective_rate=[], iterations=[]),
+            "'effective_rate' has 0 entries, plan has 1 points",
+        ),
+        (
+            lambda p: p["replicated"][0]["per_replication"].pop(),
+            "1 per-replication results but replications=2",
+        ),
     ],
 )
 def test_corrupt_sections_are_payload_errors(both_payload, corrupt, match):

@@ -12,7 +12,7 @@ from repro.experiments.pipeline import (
     smoke_spec,
 )
 from repro.experiments.scenarios import get_scenario, scenario_names
-from repro.simulation.faults import FaultSpec
+from repro.simulation.fault_spec import FaultSpec
 
 FAILURE_SCENARIOS = ("das2-churn", "llnl-failures", "case-1-lossy")
 

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError, ExperimentError, SimulationError
 from repro.experiments.pipeline import ExperimentSpec, build_plan
 from repro.simulation.components import LatencySink
 from repro.simulation.simulator import SimulationConfig
-from repro.stats.sinks import validate_histogram_range
+from repro.stats.modes import validate_histogram_range
 
 
 def online_spec(**overrides):

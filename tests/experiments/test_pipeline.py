@@ -202,6 +202,26 @@ class TestRegistry:
             < FAST_ETHERNET.beta * 1.01
         )
 
+    @pytest.mark.parametrize(
+        "clusters, alpha, beta",
+        [
+            (2, "0x1.4f8b588e368f1p-14", "0x1.990b64a39cc00p-24"),
+            (4, "0x1.3a92a30553262p-14", "0x1.5c7c50f93bc00p-24"),
+            (8, "0x1.3494b84bed9a7p-14", "0x1.4b2edda3fb800p-24"),
+            (32, "0x1.311a0ef90d7adp-14", "0x1.4122ed40ef000p-24"),
+        ],
+    )
+    def test_het_nics_pairwise_average_is_pinned(self, clusters, alpha, beta):
+        """The effective ICN2 α and β of het-nics's alternating GE/FE NICs,
+        bit for bit (the values an n x n link matrix's off-diagonal mean
+        gave at these cluster counts)."""
+        from repro.experiments.scenarios import _mixed_nic_parameters
+        from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
+
+        nics = [GIGABIT_ETHERNET if i % 2 == 0 else FAST_ETHERNET for i in range(clusters)]
+        got = _mixed_nic_parameters(nics)
+        assert (got[0].hex(), got[1].hex()) == (alpha, beta)
+
     def test_llnl_shape_is_fixed(self):
         with pytest.raises(ExperimentError, match="4-cluster"):
             get_scenario("llnl-like").system(2)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.heterogeneous import HeterogeneousLinkMatrix
 from repro.network.models import (
     BlockingNetworkModel,
     NonBlockingNetworkModel,
@@ -205,102 +204,3 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             build_network_model("blocking", FAST_ETHERNET, PAPER_SWITCH, 0)
 
-
-class TestHeterogeneousMatrix:
-    def test_homogeneous_construction(self):
-        matrix = HeterogeneousLinkMatrix.homogeneous(4, FAST_ETHERNET)
-        assert matrix.size == 4
-        assert matrix.transmission_time(0, 1, 1024) == pytest.approx(
-            FAST_ETHERNET.transmission_time(1024)
-        )
-
-    def test_from_node_technologies_slowest_dominates(self):
-        matrix = HeterogeneousLinkMatrix.from_node_technologies(
-            [GIGABIT_ETHERNET, FAST_ETHERNET]
-        )
-        # The GE-FE pair is limited by FE's bandwidth and GE's latency.
-        t = matrix.transmission_time(0, 1, 1024)
-        assert t == pytest.approx(max(GIGABIT_ETHERNET.alpha, FAST_ETHERNET.alpha)
-                                  + 1024 * max(GIGABIT_ETHERNET.beta, FAST_ETHERNET.beta))
-
-    def test_mean_offdiagonal(self):
-        matrix = HeterogeneousLinkMatrix.homogeneous(3, FAST_ETHERNET)
-        assert matrix.mean_offdiagonal_transmission_time(512) == pytest.approx(
-            FAST_ETHERNET.transmission_time(512)
-        )
-
-    def test_self_messages_cost_nothing(self):
-        # Regression: the constructors zeroed diagonal alpha but left the
-        # technology beta, so a self-addressed message still cost M*beta.
-        for matrix in (
-            HeterogeneousLinkMatrix.homogeneous(3, FAST_ETHERNET),
-            HeterogeneousLinkMatrix.from_node_technologies(
-                [GIGABIT_ETHERNET, FAST_ETHERNET, FAST_ETHERNET]
-            ),
-        ):
-            for node in range(matrix.size):
-                assert matrix.transmission_time(node, node, 4096) == 0.0
-
-    def test_diagonal_beta_tolerated_off_diagonal_still_validated(self):
-        import numpy as np
-
-        # Zero on the diagonal is the constructors' own convention ...
-        beta = np.full((2, 2), FAST_ETHERNET.beta)
-        np.fill_diagonal(beta, 0.0)
-        HeterogeneousLinkMatrix(np.zeros((2, 2)), beta)
-        # ... but a zero off-diagonal beta is still a configuration error.
-        bad = np.full((2, 2), FAST_ETHERNET.beta)
-        bad[0, 1] = 0.0
-        with pytest.raises(ConfigurationError):
-            HeterogeneousLinkMatrix(np.zeros((2, 2)), bad)
-
-    def test_index_validation(self):
-        matrix = HeterogeneousLinkMatrix.homogeneous(2, FAST_ETHERNET)
-        with pytest.raises(ConfigurationError):
-            matrix.transmission_time(0, 5, 100)
-        with pytest.raises(ConfigurationError):
-            matrix.transmission_time(0, 1, -1)
-
-    def test_shape_validation(self):
-        import numpy as np
-
-        with pytest.raises(ConfigurationError):
-            HeterogeneousLinkMatrix(np.zeros((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ConfigurationError):
-            HeterogeneousLinkMatrix(np.zeros((2, 2)), np.zeros((2, 2)))  # beta must be > 0
-
-    @pytest.mark.parametrize(
-        "alpha, beta, match",
-        [
-            ([[0.0, 1e-6], [1e-6, 0.0]], [[0.0, 1e-8]], "same shape"),
-            ([[0.0, -1e-6], [1e-6, 0.0]], [[0.0, 1e-8], [1e-8, 0.0]], "latencies"),
-            ([[0.0, 1e-6], [1e-6, 0.0]], [[-1e-8, 1e-8], [1e-8, 0.0]], "per-byte"),
-        ],
-    )
-    def test_entry_validation(self, alpha, beta, match):
-        import numpy as np
-
-        with pytest.raises(ConfigurationError, match=match):
-            HeterogeneousLinkMatrix(np.array(alpha), np.array(beta))
-
-    def test_from_node_technologies_needs_a_node(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            HeterogeneousLinkMatrix.from_node_technologies([])
-
-    def test_single_endpoint_has_no_offdiagonal_pair(self):
-        matrix = HeterogeneousLinkMatrix.homogeneous(1, FAST_ETHERNET)
-        assert matrix.mean_offdiagonal_transmission_time(512) == 0.0
-
-    def test_mean_offdiagonal_rejects_negative_size(self):
-        matrix = HeterogeneousLinkMatrix.homogeneous(3, FAST_ETHERNET)
-        with pytest.raises(ConfigurationError, match="message size"):
-            matrix.mean_offdiagonal_transmission_time(-1)
-
-    def test_mean_offdiagonal_averages_mixed_pairs(self):
-        # GE-GE, GE-FE and FE-GE: every pair with an FE endpoint runs at FE speed.
-        matrix = HeterogeneousLinkMatrix.from_node_technologies(
-            [GIGABIT_ETHERNET, GIGABIT_ETHERNET, FAST_ETHERNET]
-        )
-        mixed = matrix.transmission_time(0, 2, 512)
-        expected = (2 * GIGABIT_ETHERNET.transmission_time(512) + 4 * mixed) / 6
-        assert matrix.mean_offdiagonal_transmission_time(512) == pytest.approx(expected)

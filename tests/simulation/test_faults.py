@@ -10,12 +10,8 @@ from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.queueing.distributions import Deterministic
-from repro.simulation.faults import (
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    FaultyServiceCenterSim,
-)
+from repro.simulation.fault_spec import FaultSpec
+from repro.simulation.faults import FaultInjector, FaultSchedule, FaultyServiceCenterSim
 from repro.simulation.message import Message
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 

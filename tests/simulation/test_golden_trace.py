@@ -11,7 +11,7 @@ The ``workload_*`` entries pin one closed-loop workload class each (hot-spot
 destinations, bursty arrivals, node churn, link outages, drop policies).
 They were captured from the generator-based processors, before every
 closed-loop workload moved onto one flat event loop, and hold every
-:class:`~repro.simulation.simulator.SimulationResult` field as
+:class:`~repro.simulation.results.SimulationResult` field as
 ``float.hex()`` plus the measured messages' timing rows.
 """
 
@@ -29,7 +29,7 @@ from repro.experiments.scenarios import PaperParameters, get_scenario
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.parallel import SweepEngine, SweepTask
 from repro.parallel.backends import ProcessPoolBackend, SerialBackend, SocketBackend
-from repro.simulation.faults import FaultSpec
+from repro.simulation.fault_spec import FaultSpec
 from repro.simulation.runner import run_message_trace_task, run_simulation_task
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 from repro.workload.destinations import LocalizedDestinations

@@ -20,12 +20,8 @@ from repro.des.monitor import Monitor
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import batch_means
 from repro.stats.online import RunningStatistics
-from repro.stats.sinks import (
-    STATS_MODES,
-    OnlineMonitor,
-    StatsSink,
-    validate_stats_mode,
-)
+from repro.stats.modes import STATS_MODES, validate_stats_mode
+from repro.stats.sinks import OnlineMonitor, StatsSink
 
 BATCHES = 20
 PARITY_REL = 1e-9

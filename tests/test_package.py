@@ -143,6 +143,74 @@ class TestPerfbenchBoundaries:
             assert counts["scalar_fallbacks"] == 0
 
 
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+class TestColdPath:
+    """A cache hit, ``--help``, ``scenarios`` and ``info`` import only what
+    they use: no NumPy, no execution backend, no simulator and no solver."""
+
+    #: Modules none of those commands may load (any ``repro.des`` one too).
+    HEAVY = (
+        "numpy",
+        "multiprocessing",
+        "concurrent.futures",
+        "socket",
+        "repro.simulation.simulator",
+        "repro.simulation.runner",
+        "repro.core.solver",
+        "repro.parallel.backends",
+    )
+
+    #: Runs every registered scenario's smoke spec into CACHE, writing
+    #: OUT/<name>.<kind>.csv; then (the light verbs) --help, scenarios and
+    #: info; then writes the loaded module names to OUT/modules.txt.
+    SCRIPT = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "from repro.experiments.scenarios import SCENARIO_REGISTRY\n"
+        "kind, cache, out = sys.argv[1:]\n"
+        "for name in SCENARIO_REGISTRY:\n"
+        "    csv = f'{out}/{name}.{kind}.csv'\n"
+        "    assert main(['run', name, '--smoke', '--cache', cache, '--csv', csv]) == 0\n"
+        "for argv in (['--help'], ['scenarios'], ['info']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(argv)\n"
+        "        except SystemExit:\n"
+        "            pass\n"
+        "with open(f'{out}/modules.txt', 'w') as handle:\n"
+        "    handle.write('\\n'.join(sorted(sys.modules)))\n"
+    )
+
+    def _run(self, kind, cache, out):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, kind, str(cache), str(out)],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stderr, (out / "modules.txt").read_text().split()
+
+    def test_cache_hits_and_light_verbs_load_no_numpy(self, tmp_path):
+        from repro.experiments.scenarios import SCENARIO_REGISTRY
+
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        out.mkdir()
+        self._run("miss", cache, out)  # fills the cache, one fresh interpreter
+        stderr, loaded = self._run("hit", cache, out)  # a second fresh interpreter
+        assert stderr.count("[cache hit]") == len(SCENARIO_REGISTRY), stderr
+        assert "[cache miss]" not in stderr
+        for name in SCENARIO_REGISTRY:
+            miss = (out / f"{name}.miss.csv").read_bytes()
+            assert (out / f"{name}.hit.csv").read_bytes() == miss, name
+        heavy = [m for m in loaded if m in self.HEAVY or m.startswith("repro.des")]
+        assert not heavy, f"cache hits and light verbs loaded {heavy}"
+
+
 class TestDeclaredEnvironment:
     def test_smoke_run_imports_no_scipy(self, tmp_path):
         """A cold ``repro run --smoke`` computes its confidence intervals
@@ -153,13 +221,10 @@ class TestDeclaredEnvironment:
             "assert main(['run', 'case-1', '--smoke', '--no-cache', '--csv', sys.argv[1]]) == 0\n"
             "assert 'scipy' not in sys.modules, 'the smoke run imported scipy'\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         out = tmp_path / "points.csv"
         result = subprocess.run(
-            [sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script, str(out)], env=_src_env(),
+            capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
         assert out.read_text().startswith("clusters,")

@@ -11,10 +11,14 @@ Edges:
 
 * every ``import`` and ``from ... import`` in a module, lazy ones included;
 * ``from pkg import name`` reaches ``pkg.name`` when that is a submodule,
-  else the module that defines ``name`` (following package re-exports);
+  else the module that defines ``name`` (following package re-exports,
+  eager ones and the ``lazy_exports`` table of a PEP 562 ``__init__``);
 * importing a module reaches the ``__init__`` of each parent package;
-* inside a package ``__init__``, a top-level re-export of a name is not a
-  use, but ``from . import submodule`` is (it is how rule modules register).
+* inside a package ``__init__``, a top-level re-export of a name (an
+  import the ``__init__`` itself never reads) is not a use, and neither is
+  an entry of its lazy export table; ``from . import submodule`` is a use
+  (it is how rule modules register), and so is importing the
+  ``lazy_exports`` helper the ``__init__`` calls.
 
 A second test imports ``repro.cli`` in a fresh interpreter and checks that
 no ``TEST_ONLY`` module is loaded, so they cost nothing at startup.
@@ -53,7 +57,7 @@ TEST_ONLY = frozenset(
 )
 
 # (imported module, (name, bound name) pairs or None for a plain ``import``,
-# whether the statement is a top-level ``from`` import of a package __init__)
+# whether the name is a package __init__'s top-level re-export)
 Import = Tuple[str, Optional[Tuple[Tuple[str, str], ...]], bool]
 
 
@@ -69,6 +73,7 @@ def _imports(module: str, path: Path) -> List[Import]:
     is_package = path.name == "__init__.py"
     package = module.split(".") if is_package else module.split(".")[:-1]
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     found: List[Import] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -76,8 +81,10 @@ def _imports(module: str, path: Path) -> List[Import]:
         elif isinstance(node, ast.ImportFrom):
             base = package[: len(package) - node.level + 1] if node.level else []
             target = ".".join(base + ([node.module] if node.module else []))
-            names = tuple((alias.name, alias.asname or alias.name) for alias in node.names)
-            found.append((target, names, is_package and node in tree.body))
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                reexport = is_package and node in tree.body and bound not in read
+                found.append((target, ((alias.name, bound),), reexport))
     return found
 
 
@@ -88,10 +95,22 @@ def _public_names(init: Path) -> List[str]:
     raise AssertionError(f"{init} defines no __all__")
 
 
+def _lazy_exports(package: str, path: Path) -> Dict[str, str]:
+    """Name -> defining module, from a package's ``lazy_exports(globals(), {...})``."""
+    table: Dict[str, str] = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        call = getattr(node, "value", None)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "lazy_exports":
+            for module, names in ast.literal_eval(call.args[1]).items():
+                table.update((name, package + module) for name in names)
+    return table
+
+
 def _unreached(src: Path, roots: Iterable[str] = ROOTS) -> Set[str]:
     modules = _modules(src)
     imports = {module: _imports(module, path) for module, path in modules.items()}
     packages = {module for module, path in modules.items() if path.name == "__init__.py"}
+    lazy = {package: _lazy_exports(package, modules[package]) for package in packages}
 
     def define(module: str, name: str) -> str:
         """The submodule ``module.name``, else the module that defines ``name``."""
@@ -102,6 +121,8 @@ def _unreached(src: Path, roots: Iterable[str] = ROOTS) -> Set[str]:
                 for original, bound in names if in_init else ():
                     if bound == name:
                         return define(target, original)
+            if name in lazy[module]:
+                return define(lazy[module][name], name)
         return module
 
     pending = list(roots) + [define("repro", name) for name in _public_names(modules["repro"])]
@@ -155,19 +176,32 @@ def test_other_entry_points_load_no_test_only_module(module):
 
 
 def test_walk_follows_lazy_imports_and_skips_reexports(tmp_path):
+    lazy_init = (
+        "from .._lazy import lazy_exports\n__all__ = ['used', 'unused']\n"
+        "__getattr__, __dir__ = lazy_exports(globals(), {'.a': ('used',), '.b': ('unused',)})\n"
+    )
     files = {
-        "repro/__init__.py": "from .api import run\n__all__ = ['run']\n",
+        "repro/__init__.py": (
+            "from ._lazy import lazy_exports\nfrom .api import run\n"
+            "__all__ = ['run', 'top']\n"
+            "__getattr__, __dir__ = lazy_exports(globals(), {'.top': ('top',)})\n"
+        ),
+        "repro/_lazy.py": "def lazy_exports(namespace, exports):\n    pass\n",
         "repro/api.py": "def run():\n    from .lazy import go\n",
-        "repro/lazy.py": "from .pkg import helper\n",
+        "repro/lazy.py": "from .pkg import helper\nfrom .lz import used\n",
+        "repro/top.py": "top = 1\n",
         "repro/pkg/__init__.py": (
             "from .impl import helper\nfrom .dead import unused\nfrom . import registered\n"
         ),
         "repro/pkg/impl.py": "helper = 1\n",
         "repro/pkg/dead.py": "unused = 1\n",
         "repro/pkg/registered.py": "",
+        "repro/lz/__init__.py": lazy_init,
+        "repro/lz/a.py": "used = 1\n",
+        "repro/lz/b.py": "unused = 1\n",
         "repro/orphan.py": "from .api import run\n",
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
-    assert _unreached(tmp_path, roots=()) == {"repro.pkg.dead", "repro.orphan"}
+    assert _unreached(tmp_path, roots=()) == {"repro.pkg.dead", "repro.lz.b", "repro.orphan"}
