@@ -222,6 +222,26 @@ class TestRegistry:
         got = _mixed_nic_parameters(nics)
         assert (got[0].hex(), got[1].hex()) == (alpha, beta)
 
+    def test_het_nics_pairwise_average_ignores_node_order(self):
+        """Correctly rounded sums: any order of the same NICs gives the same
+        α and β, bit for bit."""
+        from repro.experiments.scenarios import _mixed_nic_parameters
+        from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
+
+        ge, fe = GIGABIT_ETHERNET, FAST_ETHERNET
+        reference = _mixed_nic_parameters([ge, fe, ge, fe, fe, ge, ge])
+        for nics in ([ge, ge, ge, ge, fe, fe, fe], [fe, fe, fe, ge, ge, ge, ge]):
+            assert _mixed_nic_parameters(nics) == reference
+
+    @pytest.mark.parametrize("clusters", [2, 3, 16])
+    def test_het_nics_of_one_technology_is_that_technology(self, clusters):
+        from repro.experiments.scenarios import _mixed_nic_parameters
+        from repro.network.technologies import GIGABIT_ETHERNET
+
+        alpha, beta = _mixed_nic_parameters([GIGABIT_ETHERNET] * clusters)
+        assert alpha == pytest.approx(GIGABIT_ETHERNET.alpha, rel=1e-12)
+        assert beta == pytest.approx(GIGABIT_ETHERNET.beta, rel=1e-9)
+
     def test_llnl_shape_is_fixed(self):
         with pytest.raises(ExperimentError, match="4-cluster"):
             get_scenario("llnl-like").system(2)
@@ -251,6 +271,42 @@ class TestBuildPlan:
             )
             expected.extend(c.seed for c in replication_configs(master, 2))
         assert [t.args[1].seed for t in plan.simulation.tasks] == expected
+
+    def test_simulation_tasks_are_built_once_on_first_access(self, monkeypatch):
+        """``build_plan`` spawns no seeds; the first read of
+        ``plan.simulation`` builds the task list and later reads reuse it."""
+        import repro.parallel.seeding as seeding
+        # Bound before the patch: the replication seeds stay uncounted, and
+        # the runner never keeps the counting function.
+        import repro.simulation.runner  # noqa: F401
+
+        calls = []
+
+        def counting_spawn(seed, count):
+            calls.append((seed, count))
+            return spawn_seeds(seed, count)
+
+        monkeypatch.setattr(seeding, "spawn_seeds", counting_spawn)
+        spec = ExperimentSpec(
+            scenario="case-1", mode="both", cluster_counts=(2, 4),
+            message_sizes=(512,), simulation_messages=100, seed=5,
+        )
+        plan = build_plan(spec)
+        assert plan.include_simulation
+        assert calls == []
+        first = plan.simulation
+        assert calls == [(5, 2)]
+        assert len(first.tasks) == len(plan.points) * spec.replications
+        assert plan.simulation is first
+        assert calls == [(5, 2)]
+
+    def test_analysis_only_plan_has_no_simulation_pass(self):
+        spec = ExperimentSpec(
+            scenario="case-1", mode="analysis", cluster_counts=(2,), message_sizes=(512,),
+        )
+        plan = build_plan(spec)
+        assert plan.include_analysis and not plan.include_simulation
+        assert plan.simulation is None
 
     def test_analysis_requested_for_simulate_only_scenario_fails(self):
         with pytest.raises(ExperimentError, match="does not support"):

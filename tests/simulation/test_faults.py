@@ -299,6 +299,16 @@ class TestSimulatorFaults:
         out = result.as_dict()
         assert {"availability", "throughput_msg_s", "dropped_messages"} <= set(out)
 
+    def test_mean_availability_ignores_key_order(self, small_case1_system, faulty_config):
+        """A cache hit rebuilds ``availability`` with sorted keys; its mean
+        must equal the miss's, whose keys came in fault-target order."""
+        result = MultiClusterSimulator(small_case1_system, faulty_config).run()
+        values = {"icn2": 1.0, "ecn1[0]": 2.0**-53, "icn1[1]": 2.0**-53}
+        mine = replace(result, availability=values)
+        resorted = replace(result, availability=dict(sorted(values.items())))
+        assert mine.mean_availability == resorted.mean_availability == (1.0 + 2.0**-52) / 3
+        assert mine.as_dict() == resorted.as_dict()
+
     def test_fault_free_run_omits_fault_columns(self, small_case1_system, faulty_config):
         clean = replace(faulty_config, failures=None)
         result = MultiClusterSimulator(small_case1_system, clean).run()

@@ -354,6 +354,17 @@ class TestComparisonMetrics:
         assert "MAPE" in str(summary)
         assert set(summary.as_dict()) == {"mape_percent", "rmse", "max_relative_error", "n_points"}
 
+    def test_errors_are_correctly_rounded_sums(self):
+        """MAPE sums its relative errors 1, 2**-53 and 2**-53 exactly: a
+        left-to-right float sum rounds each tie away and depends on order."""
+        predicted = [2.0, 2.0**54 - 2, 2.0**54 - 2]
+        observed = [1.0, 2.0**54, 2.0**54]
+        expected = (1.0 + 2.0**-52) / 3 * 100.0
+        forward = compare_series(predicted, observed)
+        backward = compare_series(predicted[::-1], observed[::-1])
+        assert forward.mape_percent == backward.mape_percent == expected
+        assert forward.rmse == backward.rmse
+
     def test_perfect_prediction(self):
         summary = compare_series([1.0, 2.0], [1.0, 2.0])
         assert summary.mape_percent == pytest.approx(0.0)

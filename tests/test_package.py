@@ -46,6 +46,11 @@ class TestPublicAPI:
             "repro.simulation",
             "repro.experiments",
             "repro.viz",
+            "repro.parallel",
+            "repro.cache",
+            "repro.service",
+            "repro.analysis",
+            "repro.testing",
             "repro.cli",
         ],
     )
@@ -67,6 +72,11 @@ class TestPublicAPI:
             "repro.simulation",
             "repro.experiments",
             "repro.viz",
+            "repro.parallel",
+            "repro.cache",
+            "repro.service",
+            "repro.analysis",
+            "repro.testing",
         ],
     )
     def test_subpackage_all_exports_resolve(self, module):
@@ -209,6 +219,97 @@ class TestColdPath:
             assert (out / f"{name}.hit.csv").read_bytes() == miss, name
         heavy = [m for m in loaded if m in self.HEAVY or m.startswith("repro.des")]
         assert not heavy, f"cache hits and light verbs loaded {heavy}"
+
+
+class TestLightModules:
+    """Each module a cache hit reads its spec, plan and results with loads
+    none of :attr:`TestColdPath.HEAVY` on its own, so a regression names
+    the module that brought the weight in."""
+
+    SCRIPT = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(' '.join(sys.modules))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.batching",
+            "repro.cache.serialize",
+            "repro.cache.store",
+            "repro.cli",
+            "repro.core.vectorized",
+            "repro.experiments.pipeline",
+            "repro.experiments.scenarios",
+            "repro.simulation.fault_spec",
+            "repro.simulation.results",
+            "repro.stats.compare",
+            "repro.stats.intervals",
+            "repro.stats.modes",
+            "repro.workload.arrivals",
+            "repro.workload.destinations",
+        ],
+    )
+    def test_module_loads_nothing_heavy(self, module):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, module], env=_src_env(),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        heavy = [m for m in loaded if m in TestColdPath.HEAVY or m.startswith("repro.des")]
+        assert not heavy, f"importing {module} loaded {heavy}"
+
+
+class TestLazyExports:
+    """Package ``__init__``s re-export through :func:`repro._lazy.lazy_exports`:
+    importing a package loads none of its modules, and reading a name
+    imports the one module that defines it."""
+
+    PACKAGES = (
+        "repro",
+        "repro.core",
+        "repro.experiments",
+        "repro.parallel",
+        "repro.simulation",
+        "repro.stats",
+    )
+
+    def test_importing_packages_loads_no_module(self):
+        script = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *self.PACKAGES], env=_src_env(),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert set(result.stdout.split()) == {*self.PACKAGES, "repro._lazy"}
+
+    def test_reading_a_name_imports_and_stores_its_definition(self):
+        from repro._lazy import lazy_exports
+        from repro.parallel.engine import SweepEngine
+
+        namespace = {"__name__": "repro.parallel"}
+        getattr_, dir_ = lazy_exports(namespace, {".engine": ("SweepEngine",)})
+        assert dir_() == ["SweepEngine", "__name__"]  # listed before it is read
+        assert getattr_("SweepEngine") is SweepEngine
+        # Stored in the namespace, so the module __getattr__ runs once per name.
+        assert namespace["SweepEngine"] is SweepEngine
+        assert dir_() == ["SweepEngine", "__name__"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.parallel
+
+        with pytest.raises(
+            AttributeError, match="module 'repro.parallel' has no attribute 'spawn_seed'"
+        ):
+            repro.parallel.spawn_seed
+        assert not hasattr(repro.parallel, "spawn_seed")
 
 
 class TestDeclaredEnvironment:
