@@ -172,7 +172,8 @@ class JobManager:
             return active
         job = Job(id="", spec=spec, cache_key=key, plan=plan)
         if plan.include_simulation:
-            job.total_tasks = len(plan.simulation.tasks)
+            # Counted, not built: a hit never needs the simulation task list.
+            job.total_tasks = len(plan.points) * spec.replications
         # The job's one cache lookup, outside the lock.  A hit (or a lookup
         # that raises) settles the job here, timed from submission; a miss
         # leaves it queued and not yet started.

@@ -30,7 +30,7 @@ become monitored outputs of :class:`~repro.simulation.results.SimulationResult`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..des.events import AbsoluteTimeout
 from ..des.rng import RandomStreams, VariateGenerator
@@ -208,6 +208,15 @@ class FaultInjector:
         self._link_schedules: Dict[str, FaultSchedule] = {}
         self.node_schedules: Dict[Tuple[int, int], FaultSchedule] = {}
         self.node_dropped = 0
+
+    def stream_names(
+        self, center_names: Iterable[str], nodes: Iterable[Tuple[int, int]]
+    ) -> List[str]:
+        """The streams this run's schedules draw from, for one derivation batch."""
+        names = [f"fault-{name}" for name in center_names] if self.spec.on_links else []
+        if self.spec.on_nodes:
+            names += (f"fault-node-{cluster_idx}-{proc_idx}" for cluster_idx, proc_idx in nodes)
+        return names
 
     def _schedule(self, stream_name: str) -> FaultSchedule:
         spec = self.spec

@@ -201,6 +201,9 @@ class MultiClusterSimulator:
             if self.config.failures is not None
             else None
         )
+        # One derivation batch for every stream the run reads; the centres,
+        # the sources and the fault schedules below only look them up.
+        self._streams.streams(self._stream_names())
 
         self.env = Environment()
         self._build_service_centers()
@@ -215,6 +218,20 @@ class MultiClusterSimulator:
         )
 
     # -- construction -----------------------------------------------------------------
+
+    def _stream_names(self) -> List[str]:
+        """The name of every random stream this run draws from."""
+        clusters = range(len(self.cluster_sizes))
+        nodes = [(c, p) for c in clusters for p in range(self.cluster_sizes[c])]
+        names = [
+            *(f"service-{kind}-{c}" for c in clusters for kind in ("icn1", "ecn1")),
+            "service-icn2",
+            *(f"{kind}-{c}-{p}" for c, p in nodes for kind in ("arrivals", "destination")),
+        ]
+        if self.faults is not None:
+            centers = [f"{kind}[{c}]" for c in clusters for kind in ("icn1", "ecn1")]
+            names += self.faults.stream_names([*centers, "icn2"], nodes)
+        return names
 
     def _service_distribution(self, mean: float) -> Distribution:
         if self.config.exponential_service:

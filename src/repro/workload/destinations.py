@@ -9,7 +9,8 @@ that remark be tested quantitatively (ablation ``traffic_locality``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from ..batching import DEFAULT_BLOCK_SIZE
 from ..errors import ConfigurationError
@@ -27,10 +28,26 @@ __all__ = [
 
 #: A node address is (cluster index, processor index within the cluster).
 NodeAddress = Tuple[int, int]
+#: Flat node index -> address.
+AddressTable = Tuple[NodeAddress, ...]
+
+
+@lru_cache(maxsize=32)
+def _address_table(cluster_sizes: Tuple[int, ...]) -> AddressTable:
+    """Flat node index -> (cluster, processor), shared by every policy over ``cluster_sizes``."""
+    return tuple(
+        (cluster, proc) for cluster, size in enumerate(cluster_sizes) for proc in range(size)
+    )
 
 
 class DestinationPolicy:
-    """Base class for destination selection policies."""
+    """Base class for destination selection policies.
+
+    A policy numbers the nodes ``0 .. total_nodes - 1`` in (cluster,
+    processor) order.  Subclasses implement :meth:`_pick`, which gets the
+    source's flat index and the flat index -> address table along with the
+    source's address, both resolved once per chooser.
+    """
 
     #: Every built-in policy draws random numbers to pick a destination.
     #: (Workload batching checks this flag to find a stream's consumers.)
@@ -46,64 +63,68 @@ class DestinationPolicy:
 
     def choose(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
         """Pick a destination different from ``source``."""
-        raise NotImplementedError
+        return self._pick(source, self._flatten(source), _address_table(self.cluster_sizes), rng)
 
     def chooser(
         self, source: NodeAddress, rng: VariateGenerator, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> Callable[[], NodeAddress]:
         """Return a zero-argument callable drawing successive destinations.
 
-        The base implementation falls back to one :meth:`choose` call per
-        invocation; policies whose draw pattern allows it (a single fixed
-        draw family per stream) override this with a batched variant that
-        reproduces the scalar sequence bit-for-bit.  A batched chooser
-        reads ahead on ``rng``, so it must be the stream's only consumer.
+        The base implementation makes the draws of one :meth:`choose` call
+        per invocation, with the source's flat index computed once;
+        policies whose draw pattern allows it (a single fixed draw family
+        per stream) override this with a batched variant that reproduces
+        the scalar sequence bit-for-bit.  A batched chooser reads ahead on
+        ``rng``, so it must be the stream's only consumer.
         """
-        return lambda: self.choose(source, rng)
+        src_flat = self._flatten(source)
+        table = _address_table(self.cluster_sizes)
+        pick = self._pick
+        return lambda: pick(source, src_flat, table, rng)
+
+    def _pick(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
+        """A destination for ``source``, whose flat index is ``src_flat``."""
+        raise NotImplementedError
 
     # -- helpers ---------------------------------------------------------------------
 
-    @property
-    def _address_table(self) -> List[NodeAddress]:
-        """Flat index -> (cluster, processor) lookup table (built lazily)."""
-        table = self.__dict__.get("_address_table_cache")
-        if table is None:
-            table = [self._unflatten(i) for i in range(self.total_nodes)]
-            self.__dict__["_address_table_cache"] = table
-        return table
-
-    def _uniform_other_node(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
-        """Uniform choice over all nodes except ``source`` (flat index trick)."""
-        src_flat = self._flatten(source)
+    def _uniform_other_node(
+        self, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
+        """Uniform choice over all nodes except flat index ``src_flat``."""
         pick = rng.integer(0, self.total_nodes - 2)
         if pick >= src_flat:
             pick += 1
-        return self._unflatten(pick)
+        return table[pick]
 
-    def _uniform_in_cluster(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
+    def _uniform_in_cluster(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
         cluster, proc = source
         size = self.cluster_sizes[cluster]
         if size < 2:
             # No other local node exists; fall back to any other node.
-            return self._uniform_other_node(source, rng)
+            return self._uniform_other_node(src_flat, table, rng)
         pick = rng.integer(0, size - 2)
         if pick >= proc:
             pick += 1
         return (cluster, pick)
 
-    def _uniform_remote(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
-        cluster, _ = source
-        remote_total = self.total_nodes - self.cluster_sizes[cluster]
-        if remote_total < 1:
-            return self._uniform_in_cluster(source, rng)
-        pick = rng.integer(0, remote_total - 1)
-        for c, size in enumerate(self.cluster_sizes):
-            if c == cluster:
-                continue
-            if pick < size:
-                return (c, pick)
-            pick -= size
-        raise AssertionError("unreachable: remote pick out of range")  # pragma: no cover
+    def _uniform_remote(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
+        cluster, proc = source
+        size = self.cluster_sizes[cluster]
+        if size == self.total_nodes:
+            return self._uniform_in_cluster(source, src_flat, table, rng)
+        # The remote nodes are the flat indices outside the source cluster's
+        # block, which starts at src_flat - proc.
+        pick = rng.integer(0, self.total_nodes - size - 1)
+        if pick >= src_flat - proc:
+            pick += size
+        return table[pick]
 
     def _flatten(self, address: NodeAddress) -> int:
         cluster, proc = address
@@ -113,19 +134,14 @@ class DestinationPolicy:
             raise ConfigurationError(f"processor index {proc} out of range for cluster {cluster}")
         return sum(self.cluster_sizes[:cluster]) + proc
 
-    def _unflatten(self, flat: int) -> NodeAddress:
-        for cluster, size in enumerate(self.cluster_sizes):
-            if flat < size:
-                return (cluster, flat)
-            flat -= size
-        raise ConfigurationError(f"flat index {flat} out of range")
-
 
 class UniformDestinations(DestinationPolicy):
     """Assumption 3: uniform over all other nodes of the system."""
 
-    def choose(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
-        return self._uniform_other_node(source, rng)
+    def _pick(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
+        return self._uniform_other_node(src_flat, table, rng)
 
     def chooser(
         self, source: NodeAddress, rng: VariateGenerator, block_size: int = DEFAULT_BLOCK_SIZE
@@ -134,12 +150,11 @@ class UniformDestinations(DestinationPolicy):
 
         Draws the same ``integer(0, total_nodes - 2)`` sequence as
         :meth:`choose` (bit-identical) but in blocks, and resolves flat
-        indices through a precomputed address table instead of a per-call
-        scan over the cluster sizes.
+        indices through the address table.
         """
         src_flat = self._flatten(source)
         pick_stream = rng.integer_stream(0, self.total_nodes - 2, block_size)
-        table = self._address_table
+        table = _address_table(self.cluster_sizes)
 
         def choose() -> NodeAddress:
             pick = pick_stream()
@@ -163,10 +178,12 @@ class LocalizedDestinations(DestinationPolicy):
             raise ConfigurationError(f"locality must lie in [0, 1], got {locality!r}")
         self.locality = float(locality)
 
-    def choose(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
+    def _pick(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
         if rng.bernoulli(self.locality):
-            return self._uniform_in_cluster(source, rng)
-        return self._uniform_remote(source, rng)
+            return self._uniform_in_cluster(source, src_flat, table, rng)
+        return self._uniform_remote(source, src_flat, table, rng)
 
 
 class HotspotDestinations(DestinationPolicy):
@@ -187,7 +204,9 @@ class HotspotDestinations(DestinationPolicy):
         self.hotspot = hotspot
         self.hotspot_fraction = float(hotspot_fraction)
 
-    def choose(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
+    def _pick(
+        self, source: NodeAddress, src_flat: int, table: AddressTable, rng: VariateGenerator
+    ) -> NodeAddress:
         if source != self.hotspot and rng.bernoulli(self.hotspot_fraction):
             return self.hotspot
-        return self._uniform_other_node(source, rng)
+        return self._uniform_other_node(src_flat, table, rng)

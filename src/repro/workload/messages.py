@@ -256,6 +256,14 @@ def generate_trace(
     if total_nodes < 2:
         raise ConfigurationError("trace generation needs at least two nodes")
     per_node = max(1, num_messages // total_nodes + 1)
+    # Every node's streams in one derivation batch.
+    suffixes = ("-arrivals", "-destinations", "-sizes") if stream_layout == "per-family" else ("",)
+    streams.streams(
+        f"trace-{cluster}-{proc}{suffix}"
+        for cluster, size in enumerate(cluster_sizes)
+        for proc in range(size)
+        for suffix in suffixes
+    )
 
     entries: List[TraceEntry] = []
     for cluster, size in enumerate(cluster_sizes):

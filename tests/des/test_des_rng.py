@@ -10,21 +10,32 @@ from hypothesis import strategies as st
 from repro.des.rng import RandomStreams, VariateGenerator
 
 
-def _reference_state(seed: int, name: str) -> dict:
-    """PCG64 state of the list-entropy formulation every golden was made with."""
+def _reference_entropy(seed: int, name: str) -> list:
+    """The list entropy every golden was made with."""
     digest = name.encode("utf-8")
-    entropy = [seed, sum(digest), len(name), *digest[:16]]
-    return np.random.default_rng(np.random.SeedSequence(entropy)).bit_generator.state
+    return [seed, sum(digest), len(name), *digest[:16]]
+
+
+def _reference_state(seed: int, name: str) -> dict:
+    """PCG64 state of ``SeedSequence`` over the reference entropy."""
+    seq = np.random.SeedSequence(_reference_entropy(seed, name))
+    return np.random.default_rng(seq).bit_generator.state
 
 
 REFERENCE_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**70 + 3)
 REFERENCE_NAMES = (
-    "",
+    "",  # shorter entropy than the pool of 4 words
     "service-icn2",
     "destination-255-0",  # over 16 bytes: only the first 16 enter as bytes
     "füße-λ-路由-κόμβος",  # non-ASCII: 16 characters, 29 UTF-8 bytes
     "x" * 5_000,
 )
+
+
+@pytest.fixture(scope="module")
+def reference_batches():
+    """Each reference seed's streams, every reference name in one ragged batch."""
+    return {seed: RandomStreams(seed).streams(REFERENCE_NAMES) for seed in REFERENCE_SEEDS}
 
 
 class TestRandomStreams:
@@ -70,8 +81,8 @@ class TestRandomStreams:
 
     @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_stream_state_matches_reference(self, seed, name):
-        state = RandomStreams(seed).stream(name).rng.bit_generator.state
+    def test_stream_state_matches_reference(self, reference_batches, seed, name):
+        state = reference_batches[seed][name].rng.bit_generator.state
         assert state == _reference_state(seed, name)
 
     @given(seed=st.integers(min_value=0, max_value=2**80 - 1), name=st.text())
@@ -79,6 +90,60 @@ class TestRandomStreams:
     def test_stream_state_matches_reference_property(self, seed, name):
         state = RandomStreams(seed).stream(name).rng.bit_generator.state
         assert state == _reference_state(seed, name)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**80 - 1),
+        names=st.lists(st.text(max_size=40), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100)
+    def test_streams_batch_matches_reference_property(self, seed, names):
+        streams = RandomStreams(seed)
+        cached = {name: streams.stream(name) for name in names[::3]}
+        # Duplicates and names already cached ride along in the batch.
+        batch = streams.streams([*names, *names[:2]])
+        assert list(batch) == list(dict.fromkeys(names))
+        for name, generator in batch.items():
+            assert generator is cached.get(name, generator) is streams.stream(name)
+            assert generator.rng.bit_generator.state == _reference_state(seed, name)
+
+    def test_high_words_pack_as_seed_sequence_splits_them(self):
+        """A byte sum or length of 2**32 or more enters as two words.
+
+        Only a name of over 16 MB reaches that, so the packing is driven
+        directly with such numbers.
+        """
+        from repro.des.rng import _pack_entropy, _seed_states
+
+        rows = [
+            (2**40 + 5, 3, [1, 2, 3]),
+            (7, 2**33 + 1, [9] * 16),
+            (2**32, 2**32 - 1, []),
+        ]
+        head = np.zeros((len(rows), 16), dtype=np.uint8)
+        for i, (_, _, data) in enumerate(rows):
+            head[i, : len(data)] = data
+        entropy, n_words = _pack_entropy(
+            [5, 6],
+            np.array([row[0] for row in rows], dtype=np.uint64),
+            np.array([row[1] for row in rows], dtype=np.uint64),
+            head,
+            np.array([len(row[2]) for row in rows]),
+        )
+        states = _seed_states(entropy, n_words)
+        for state, (total, length, data) in zip(states, rows):
+            seq = np.random.SeedSequence([5 + (6 << 32), total, length, *data])
+            assert state.tolist() == seq.generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "n_words, dtype",
+        [(2, np.uint64), (8, np.uint64), (4, np.uint32), (8, np.uint32), (4, np.int64)],
+    )
+    def test_derived_seed_refuses_other_requests(self, n_words, dtype):
+        seed = RandomStreams(3).stream("x").rng.bit_generator.seed_seq
+        expected = np.random.SeedSequence(_reference_entropy(3, "x")).generate_state(4, np.uint64)
+        assert seed.generate_state(4, np.uint64).tolist() == expected.tolist()
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed.generate_state(n_words, dtype)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):

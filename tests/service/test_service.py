@@ -482,6 +482,59 @@ class TestWarmPool:
         assert not os.path.exists(journal)
 
 
+class _CountingBackend(_GatedBackend):
+    """A gated serial backend that records how many tasks each run hands it."""
+
+    def __init__(self, gate: threading.Event) -> None:
+        super().__init__(gate)
+        self.runs = []
+
+    def execute(self, tasks):
+        self.runs.append(len(tasks))
+        return super().execute(tasks)
+
+
+class TestTaskCount:
+    """A job counts its simulation tasks from the grid; only a miss builds them."""
+
+    def test_hit_builds_no_simulation_tasks(self, serial_service, monkeypatch):
+        plans = []
+
+        def recording_build_plan(spec):
+            plans.append(build_plan(spec))
+            return plans[-1]
+
+        monkeypatch.setattr("repro.service.jobs.build_plan", recording_build_plan)
+        manager = serial_service.manager
+        spec = small_spec(cluster_counts=[2, 4], replications=2)
+        assert manager.wait(manager.submit(spec).id).state == "done"
+
+        hit = manager.submit(spec)
+        assert hit.cached and hit.state == "done"
+        assert "simulation" not in plans[-1].__dict__
+        assert hit.total_tasks == hit.done_tasks == 4
+
+    def test_miss_total_is_the_dispatched_task_count(self, tmp_path):
+        gate = threading.Event()
+        backend = _CountingBackend(gate)
+        cache = ResultCache(tmp_path / "cache", fingerprint=FP)
+        manager = JobManager(cache, jobs=1, backend=backend)
+        try:
+            first = manager.submit(small_spec())
+            _wait_until_running(manager)
+            # The dispatcher is held on the first job, so the second's total
+            # is still the one counted at submission.
+            second = manager.submit(small_spec(cluster_counts=[2, 4], replications=3))
+            submitted_total = second.total_tasks
+            gate.set()
+            assert manager.wait(first.id).state == "done"
+            assert manager.wait(second.id).state == "done"
+        finally:
+            manager.close()
+        assert submitted_total == backend.runs[1] == 6
+        assert second.as_dict()["progress"] == {"done": 6, "total": 6}
+
+
 class TestLoadShedding:
     def test_negative_queue_bound_rejected(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint=FP)

@@ -342,6 +342,34 @@ class TestSimulatorFaults:
         assert result.availability
         assert any(name.startswith("node[") for name in result.availability)
 
+    def test_run_derives_no_stream_after_construction(
+        self, small_case1_system, faulty_config, monkeypatch
+    ):
+        """Construction derives every stream in one batch; the run only reads them."""
+        from repro.des import rng
+
+        batches = []
+        derive = rng._seed_states
+
+        def counted(entropy, lengths):
+            batches.append(len(lengths))
+            return derive(entropy, lengths)
+
+        monkeypatch.setattr(rng, "_seed_states", counted)
+        both = replace(
+            faulty_config,
+            failures=FaultSpec(mtbf_s=5.0, mttr_s=1.0, targets="both", policy="drop"),
+        )
+        simulator = MultiClusterSimulator(small_case1_system, both)
+        # 4 clusters x 8 processors: 9 service centres, 2 streams per
+        # processor, and a fault stream per centre and per processor.
+        assert batches == [9 + 2 * 32 + 9 + 32]
+        result = simulator.run()
+        assert batches == [9 + 2 * 32 + 9 + 32]
+        assert result.dropped_messages > 0
+        assert any(name.startswith("node[") for name in result.availability)
+        assert "icn2" in result.availability
+
     def test_stall_increases_mean_latency(self, small_case1_system, faulty_config):
         clean = replace(faulty_config, failures=None)
         faulty = MultiClusterSimulator(small_case1_system, faulty_config).run()

@@ -138,10 +138,21 @@ class TestDestinations:
         with pytest.raises(ConfigurationError):
             UniformDestinations([0, 4])
 
-    def test_invalid_source_address(self, rng):
-        policy = UniformDestinations([2, 2])
-        with pytest.raises(ConfigurationError):
-            policy.choose((5, 0), rng)
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            UniformDestinations([2, 2]),
+            LocalizedDestinations([2, 2], locality=0.5),
+            HotspotDestinations([2, 2], hotspot=(1, 0)),
+        ],
+        ids=["uniform", "localized", "hotspot"],
+    )
+    def test_invalid_source_address(self, rng, policy):
+        for source in ((5, 0), (0, 2), (-1, 0)):
+            with pytest.raises(ConfigurationError):
+                policy.choose(source, rng)
+            with pytest.raises(ConfigurationError):
+                policy.chooser(source, rng)
 
 
 class TestMessageSizes:
