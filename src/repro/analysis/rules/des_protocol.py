@@ -14,7 +14,7 @@ mistakes produce simulations that hang or silently do nothing:
 The rule finds every ``env.process(...)`` registration in the module,
 collects the names of the registered generator functions, and then checks
 each such function's ``yield`` statements.  Yields of calls, names and
-awaitable compositions are accepted (the value's type cannot be proven
+other expressions are accepted (the value's type cannot be proven
 statically); only provably wrong yields — constants and bare yields — are
 flagged.
 """

@@ -48,10 +48,6 @@ KNOWN_SLOTTED = frozenset(
         "Timeout",
         "AbsoluteTimeout",
         "Initialize",
-        "ConditionValue",
-        "Condition",
-        "AllOf",
-        "AnyOf",
         "Process",
         "Monitor",
         "TimeWeightedMonitor",

@@ -1,10 +1,12 @@
 """Discrete-event simulation kernel (SimPy-compatible subset).
 
 This package is the simulation substrate of the reproduction: a
-deterministic, generator-based discrete-event kernel with processes,
-timeouts, conditions, independent random streams and measurement helpers.
-The multi-cluster validation simulator in :mod:`repro.simulation` is
-written entirely against this API.
+deterministic discrete-event kernel with generator processes, timeouts,
+independent random streams and measurement helpers.  The multi-cluster
+validation simulator in :mod:`repro.simulation` runs no processes: its
+closed loop borrows the environment's heap (``_queue``, ``_eid``) and
+clock (``_now``) and the timeout event types, until it owns a heap of its
+own.
 
 Quick example
 -------------
@@ -30,12 +32,7 @@ __all__ = [
     "Event",
     "Timeout",
     "AbsoluteTimeout",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
     "Process",
-    "Interrupt",
     "Monitor",
     "TimeWeightedMonitor",
     "RandomStreams",
@@ -44,10 +41,8 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".core": ("EmptySchedule", "Environment", "StopSimulation"),
-    ".events": (
-        "AbsoluteTimeout", "AllOf", "AnyOf", "Condition", "ConditionValue", "Event", "Timeout",
-    ),
+    ".events": ("AbsoluteTimeout", "Event", "Timeout"),
     ".monitor": ("Monitor", "TimeWeightedMonitor"),
-    ".process": ("Interrupt", "Process"),
+    ".process": ("Process",),
     ".rng": ("RandomStreams", "VariateGenerator"),
 })

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .events import AbsoluteTimeout, AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
+from .events import AbsoluteTimeout, Event, NORMAL, Timeout, URGENT
 from .process import Process, ProcessGenerator
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
@@ -68,7 +68,6 @@ class Environment:
         self._now: float = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_proc: Optional[Process] = None
 
     # -- clock & introspection ---------------------------------------------
 
@@ -76,11 +75,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (``None`` between events)."""
-        return self._active_proc
 
     @property
     def queue_size(self) -> int:
@@ -119,14 +113,6 @@ class Environment:
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create a condition that fires when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a condition that fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 

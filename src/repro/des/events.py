@@ -26,7 +26,7 @@ re-raised inside every waiting process).
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from ..errors import SimulationError
 
@@ -41,10 +41,6 @@ __all__ = [
     "Timeout",
     "AbsoluteTimeout",
     "Initialize",
-    "ConditionValue",
-    "Condition",
-    "AllOf",
-    "AnyOf",
 ]
 
 
@@ -107,15 +103,6 @@ class Event:
             raise AttributeError(f"Value of {self!r} is not yet available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """``True`` if a failure was caught by some waiting process."""
-        return self._defused
-
-    @defused.setter
-    def defused(self, value: bool) -> None:
-        self._defused = bool(value)
-
     # -- triggering -------------------------------------------------------
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
@@ -144,15 +131,6 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event and schedule it.
-
-        Used as a callback to chain events together.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     # -- misc -------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -160,13 +138,6 @@ class Event:
         if self.triggered:
             detail = f" value={self._value!r} ok={self._ok}"
         return f"<{type(self).__name__}{detail} at 0x{id(self):x}>"
-
-    # Support ``ev1 & ev2`` / ``ev1 | ev2`` composition like SimPy.
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
 
 
 class Timeout(Event):
@@ -246,156 +217,3 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
-
-
-class ConditionValue:
-    """Ordered mapping of events to values produced by a :class:`Condition`.
-
-    Behaves like a read-only dictionary keyed by the original event objects
-    and preserves the order in which events were passed to the condition.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> Iterable[Event]:
-        return iter(self.events)
-
-    def values(self) -> Iterable[Any]:
-        return (event.value for event in self.events)
-
-    def items(self) -> Iterable[tuple]:
-        return ((event, event.value) for event in self.events)
-
-    def todict(self) -> dict:
-        """Return a plain ``{event: value}`` dictionary."""
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event that fires when a predicate over child events holds.
-
-    The predicate ``evaluate(events, count)`` receives the list of child
-    events and the number already processed.  :class:`AllOf` and
-    :class:`AnyOf` are the two standard instantiations.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("Cannot mix events from different environments")
-
-        # Immediately check already-processed children, then subscribe.
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)  # type: ignore[union-attr]
-
-        if not self._events and not self.triggered:
-            # An empty condition is trivially satisfied.
-            self.succeed(ConditionValue())
-
-        # Ensure the composite value is built once the condition fires.
-        if self.callbacks is not None:
-            self.callbacks.append(self._build_value)
-
-    # -- internal ---------------------------------------------------------
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.processed or event.triggered:
-                value.events.append(event)
-
-    def _build_value(self, _event: Event) -> None:
-        self._remove_callbacks()
-        if self._ok:
-            value = ConditionValue()
-            self._populate_value(value)
-            self._value = value
-
-    def _remove_callbacks(self) -> None:
-        for event in self._events:
-            if event.callbacks is not None and self._check in event.callbacks:
-                event.callbacks.remove(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            # Propagate the first failure.
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue())
-
-    # -- predicates -------------------------------------------------------
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Predicate used by :class:`AllOf`."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """Predicate used by :class:`AnyOf`."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition that fires once *all* child events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires once *any* child event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

@@ -1,4 +1,4 @@
-"""Generator-based simulation processes and interrupts.
+"""Generator-based simulation processes.
 
 A *process* wraps a Python generator.  The generator yields
 :class:`~repro.des.events.Event` instances; whenever a yielded event is
@@ -10,64 +10,18 @@ the generator terminates, so processes can wait for one another.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import SimulationError
-from .events import Event, Initialize, NORMAL, PENDING, URGENT
+from .events import Event, Initialize, NORMAL, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
 
-__all__ = ["Interrupt", "Process", "ProcessGenerator"]
+__all__ = ["Process", "ProcessGenerator"]
 
 #: Type alias for generators usable as process bodies.
 ProcessGenerator = Generator[Event, Any, Any]
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The ``cause`` passed to :meth:`Process.interrupt` is available via the
-    :attr:`cause` property.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"
-
-
-class _InterruptEvent(Event):
-    """Internal urgent event delivering an :class:`Interrupt` to a process."""
-
-    __slots__ = ("_process",)
-
-    def __init__(self, env: "Environment", process: "Process", cause: Any) -> None:
-        super().__init__(env)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._process = process
-        self.callbacks = [self._deliver]
-        env.schedule(self, priority=URGENT)
-
-    def _deliver(self, event: Event) -> None:
-        """Detach the process from its current target and resume it with the interrupt."""
-        process = self._process
-        if not process.is_alive:
-            # The process terminated before the interrupt could be delivered.
-            return
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            # Stop the original event from resuming the process a second time.
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        process._resume(event)
 
 
 class Process(Event):
@@ -86,23 +40,16 @@ class Process(Event):
         The generator to execute.  It must yield :class:`Event` objects.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
         if not isinstance(generator, GeneratorType):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event the process is currently waiting for (``None`` when the
-        #: process is being initialised or has terminated).
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     # -- introspection ----------------------------------------------------
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
@@ -117,19 +64,6 @@ class Process(Event):
     def __repr__(self) -> str:
         return f"<Process({self.name}) object at 0x{id(self):x}>"
 
-    # -- control ----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process.
-
-        The process must be alive and must not try to interrupt itself.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("A process is not allowed to interrupt itself")
-        _InterruptEvent(self.env, self, cause)
-
     # -- engine callbacks --------------------------------------------------
 
     def _resume(self, event: Event) -> None:
@@ -139,8 +73,6 @@ class Process(Event):
         waiting for and drives the generator until it yields the next
         untriggered event (or terminates).
         """
-        self.env._active_proc = self
-
         while True:
             try:
                 if event._ok:
@@ -157,14 +89,12 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 self.env.schedule(self, priority=NORMAL)
-                self._target = None
                 break
             except BaseException as exc:
                 # Generator raised: the process event fails.
                 self._ok = False
                 self._value = exc
                 self.env.schedule(self, priority=NORMAL)
-                self._target = None
                 break
 
             # The generator yielded ``next_event``.
@@ -180,10 +110,7 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event not yet processed: wait for it.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Event already processed: loop immediately with its outcome.
             event = next_event
-
-        self.env._active_proc = None

@@ -33,11 +33,6 @@ class ArrivalProcess:
     #: Nominal mean rate (events per unit time) of the process.
     rate: float = 0.0
 
-    #: Whether :meth:`interarrival` consumes random numbers.  Trace and
-    #: simulator batching use this to decide when a shared stream has a
-    #: single consumer (and batched lookahead is therefore bit-identical).
-    consumes_rng: bool = True
-
     def interarrival(self, rng: VariateGenerator) -> float:
         """Draw the next inter-arrival time."""
         raise NotImplementedError
@@ -85,7 +80,6 @@ class DeterministicArrivals(ArrivalProcess):
     """Constant inter-arrival times (periodic sources)."""
 
     rate: float = 1.0
-    consumes_rng = False
 
     def __post_init__(self) -> None:
         if self.rate <= 0:

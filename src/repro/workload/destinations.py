@@ -49,10 +49,6 @@ class DestinationPolicy:
     source's address, both resolved once per chooser.
     """
 
-    #: Every built-in policy draws random numbers to pick a destination.
-    #: (Workload batching checks this flag to find a stream's consumers.)
-    consumes_rng: bool = True
-
     def __init__(self, cluster_sizes: Sequence[int]) -> None:
         if not cluster_sizes or any(s < 1 for s in cluster_sizes):
             raise ConfigurationError(f"invalid cluster sizes {cluster_sizes!r}")

@@ -9,6 +9,7 @@ PR 3 lambda-into-the-sweep bug (REP201).
 
 from __future__ import annotations
 
+import ast
 import re
 import tomllib
 from pathlib import Path
@@ -267,6 +268,33 @@ class TestSlottedSubclassDict:
     def test_suppression_honored(self):
         source = "class MyTimeout(Timeout):  # repro: noqa REP302\n    pass\n"
         assert rule_ids(source, SIM_PATH) == []
+
+
+class TestSlotsNameTables:
+    """The linter sees one file at a time, so the slots rules name their hot
+    modules and slotted bases as strings; a deleted module or class must
+    leave those tables too.  Both checks read the tree with ``ast``."""
+
+    SRC = Path(__file__).resolve().parents[2] / "src"
+
+    def _module_path(self, module: str) -> Path:
+        path = self.SRC.joinpath(*module.split("."))
+        return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+    def test_hot_modules_exist(self):
+        from repro.analysis.rules.slots import HOT_MODULES
+
+        missing = sorted(m for m in HOT_MODULES if not self._module_path(m).is_file())
+        assert missing == []
+
+    def test_known_slotted_are_classes_of_hot_modules(self):
+        from repro.analysis.rules.slots import HOT_MODULES, KNOWN_SLOTTED
+
+        classes = set()
+        for module in HOT_MODULES:
+            tree = ast.parse(self._module_path(module).read_text(encoding="utf-8"))
+            classes.update(node.name for node in tree.body if isinstance(node, ast.ClassDef))
+        assert sorted(KNOWN_SLOTTED - classes) == []
 
 
 # ---------------------------------------------------------------- REP401

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.des.core import Environment
-from repro.des.events import ConditionValue
 from repro.errors import SimulationError
 
 
@@ -101,105 +99,6 @@ class TestTimeout:
         assert env.timeout(3.25).delay == 3.25
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        order = []
-
-        def waiter(env, t1, t2):
-            result = yield env.all_of([t1, t2])
-            order.append((env.now, len(result)))
-
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        env.process(waiter(env, t1, t2))
-        env.run()
-        assert order == [(3.0, 2)]
-
-    def test_any_of_fires_on_first(self, env):
-        order = []
-
-        def waiter(env, t1, t2):
-            yield env.any_of([t1, t2])
-            order.append(env.now)
-
-        t1 = env.timeout(1.0)
-        t2 = env.timeout(3.0)
-        env.process(waiter(env, t1, t2))
-        env.run()
-        assert order == [1.0]
-
-    def test_and_operator(self, env):
-        reached = []
-
-        def waiter(env):
-            yield env.timeout(1.0) & env.timeout(2.0)
-            reached.append(env.now)
-
-        env.process(waiter(env))
-        env.run()
-        assert reached == [2.0]
-
-    def test_or_operator(self, env):
-        reached = []
-
-        def waiter(env):
-            yield env.timeout(1.0) | env.timeout(2.0)
-            reached.append(env.now)
-
-        env.process(waiter(env))
-        env.run()
-        assert reached == [1.0]
-
-    def test_empty_all_of_fires_immediately(self, env):
-        cond = env.all_of([])
-        assert cond.triggered
-
-    def test_condition_value_mapping(self, env):
-        collected = {}
-
-        def waiter(env, t1, t2):
-            result = yield env.all_of([t1, t2])
-            collected["t1"] = result[t1]
-            collected["t2"] = result[t2]
-
-        t1 = env.timeout(1.0, value=10)
-        t2 = env.timeout(2.0, value=20)
-        env.process(waiter(env, t1, t2))
-        env.run()
-        assert collected == {"t1": 10, "t2": 20}
-
-    def test_condition_value_equality_with_dict(self, env):
-        t1 = env.timeout(0.5, value=1)
-        cond = env.all_of([t1])
-        env.run()
-        value = cond.value
-        assert isinstance(value, ConditionValue)
-        assert value == {t1: 1}
-        assert list(value.keys()) == [t1]
-        assert list(value.values()) == [1]
-
-    def test_mixing_environments_rejected(self, env):
-        other = Environment()
-        t_other = other.timeout(1.0)
-        with pytest.raises(ValueError):
-            env.all_of([t_other])
-
-    def test_failed_child_fails_condition(self, env):
-        captured = []
-
-        def waiter(env, bad):
-            try:
-                yield env.all_of([bad, env.timeout(5.0)])
-            except RuntimeError as exc:
-                captured.append(str(exc))
-
-        bad = env.event()
-        env.process(waiter(env, bad))
-        bad.fail(RuntimeError("child failed"))
-        env.run()
-        assert captured == ["child failed"]
-
-
 class TestAbsoluteTimeout:
     def test_fires_at_exact_absolute_time(self, env):
         log = []
@@ -265,8 +164,6 @@ class TestEventSlots:
 
         assert not hasattr(env.event(), "__dict__")
         assert not hasattr(env.timeout_at(1.0), "__dict__")
-        assert not hasattr(env.all_of([]), "__dict__")
-        assert not hasattr(env.any_of([]), "__dict__")
 
         def proc(env):
             yield env.timeout(1.0)

@@ -17,6 +17,9 @@ class TestMonitor:
         assert math.isnan(mon.maximum())
         assert mon.count == 0
 
+    def test_empty_monitor_percentile_is_nan(self):
+        assert math.isnan(Monitor().percentile(50))
+
     def test_record_and_statistics(self):
         mon = Monitor("latency")
         for t, v in enumerate([2.0, 4.0, 6.0, 8.0]):
@@ -79,6 +82,13 @@ class TestTimeWeightedMonitor:
         assert mon.current == 1.0
         assert mon.maximum == 2.0
         assert mon.minimum == 0.0
+
+    def test_level_below_start_updates_minimum(self):
+        mon = TimeWeightedMonitor(initial=2.0)
+        mon.update(1.0, 1.0)
+        assert mon.minimum == 1.0
+        mon.update_unchecked(2.0, -1.0)
+        assert (mon.minimum, mon.maximum) == (-1.0, 2.0)
 
     def test_time_going_backwards_rejected(self):
         mon = TimeWeightedMonitor()

@@ -1,10 +1,10 @@
-"""Unit tests for DES processes and interrupts."""
+"""Unit tests for DES processes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.des.process import Interrupt, Process
+from repro.des.process import Process
 from repro.errors import SimulationError
 
 
@@ -106,73 +106,3 @@ class TestProcessBasics:
         env.process(worker(env, ready))
         env.run()
         assert results == [(2.0, "early")]
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                causes.append((interrupt.cause, env.now))
-
-        def attacker(env, target):
-            yield env.timeout(1.0)
-            target.interrupt(cause="stop now")
-
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        env.run()
-        # The interrupt is delivered at t = 1.0 (the abandoned timeout still
-        # drains from the queue afterwards, which is fine — nobody waits on it).
-        assert causes == [("stop now", 1.0)]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                log.append(("interrupted", env.now))
-            yield env.timeout(2.0)
-            log.append(("done", env.now))
-
-        def attacker(env, target):
-            yield env.timeout(3.0)
-            target.interrupt()
-
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        env.run()
-        assert log == [("interrupted", 3.0), ("done", 5.0)]
-
-    def test_interrupting_dead_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        errors = []
-
-        def selfish(env):
-            yield env.timeout(1.0)
-            try:
-                env.active_process.interrupt()
-            except SimulationError as exc:
-                errors.append(str(exc))
-
-        env.process(selfish(env))
-        env.run()
-        assert len(errors) == 1
-
-    def test_interrupt_str(self):
-        interrupt = Interrupt("why")
-        assert "why" in str(interrupt)
-        assert interrupt.cause == "why"

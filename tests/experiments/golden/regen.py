@@ -12,9 +12,8 @@ The captured artefacts:
   (stdout or the written file) for one small, deterministic invocation of
   each command.
 * ``driver_results.json`` — ``float.hex()``-exact headline numbers of the
-  library drivers (figures, ratio, validate, ablations) plus the default
-  ``generate_trace`` output, so bit-identity does not depend on table
-  formatting.
+  library drivers (figures, ratio, validate, ablations), so bit-identity
+  does not depend on table formatting.
 
 Only run this script to *re-seed* the fixtures after an intentional
 behaviour change; the test suite (``tests/experiments/test_golden_cli.py``)
@@ -89,7 +88,6 @@ def capture_driver_results():
     from repro.experiments.scenarios import SCENARIOS, build_scenario_system
     from repro.simulation.runner import validate_against_analysis
     from repro.simulation.simulator import SimulationConfig
-    from repro.workload.messages import generate_trace
 
     data = {}
 
@@ -151,17 +149,6 @@ def capture_driver_results():
             }
             for row in study.rows
         ]
-
-    trace = generate_trace([4, 4], num_messages=64, seed=3)
-    data["trace"] = [
-        {
-            "time": entry.time.hex(),
-            "source": list(entry.source),
-            "destination": list(entry.destination),
-            "size_bytes": entry.size_bytes.hex(),
-        }
-        for entry in trace
-    ]
     return data
 
 

@@ -159,16 +159,3 @@ class TestDriverGoldenResults:
         )
         assert point.analysis_latency_ms.hex() == golden["analysis_ms"]
         assert point.simulation_latency_ms.hex() == golden["simulation_ms"]
-
-    def test_default_trace_hex_exact(self):
-        """generate_trace's shared-stream layout is frozen across releases."""
-        from repro.workload.messages import generate_trace
-
-        golden = golden_json()["trace"]
-        trace = generate_trace([4, 4], num_messages=64, seed=3)
-        assert len(trace) == len(golden)
-        for entry, want in zip(trace, golden):
-            assert entry.time.hex() == want["time"]
-            assert list(entry.source) == want["source"]
-            assert list(entry.destination) == want["destination"]
-            assert entry.size_bytes.hex() == want["size_bytes"]

@@ -247,6 +247,13 @@ class TestFaultInjector:
             b.is_down(t) for t in range(0, 200, 3)
         ]
 
+    def test_deterministic_repair_takes_exactly_mttr(self, streams):
+        spec = FaultSpec(mtbf_s=10.0, mttr_s=1.5, repair_distribution="deterministic")
+        schedule = FaultInjector(spec, streams).link_schedule("icn1")
+        schedule._ensure(500.0)
+        assert len(schedule._starts) > 10
+        assert all(end == fail + 1.5 for fail, end in zip(schedule._starts, schedule._ends))
+
     def test_weibull_sampler_preserves_mean(self, streams):
         spec = FaultSpec(
             mtbf_s=10.0, mttr_s=1.0, failure_distribution="weibull", failure_shape=1.5
@@ -323,6 +330,17 @@ class TestSimulatorFaults:
         b = MultiClusterSimulator(small_case1_system, faulty_config).run()
         assert a.as_dict() == b.as_dict()
         assert a.availability == b.availability
+
+    def test_deterministic_link_repairs_run(self, small_case1_system, faulty_config):
+        fixed = replace(
+            faulty_config,
+            failures=FaultSpec(mtbf_s=5.0, mttr_s=1.0, repair_distribution="deterministic"),
+        )
+        a = MultiClusterSimulator(small_case1_system, fixed).run()
+        b = MultiClusterSimulator(small_case1_system, fixed).run()
+        assert a.as_dict() == b.as_dict()
+        assert a.availability == b.availability
+        assert 0.0 < a.mean_availability < 1.0
 
     def test_drop_policy_counts_losses(self, small_case1_system, faulty_config):
         lossy = replace(

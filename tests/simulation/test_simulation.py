@@ -179,6 +179,13 @@ class TestMultiClusterSimulator:
         assert result.confidence_interval is not None
         assert "mean_latency_ms" in result.as_dict()
 
+    def test_throughput_is_zero_at_zero_simulated_time(self, small_case1_system, small_config):
+        from dataclasses import replace
+
+        result = MultiClusterSimulator(small_case1_system, small_config).run()
+        assert result.throughput_msg_s == result.completed_messages / result.simulated_time_s
+        assert replace(result, simulated_time_s=0.0).throughput_msg_s == 0.0
+
     def test_reproducible_with_same_seed(self, small_case1_system, small_config):
         a = MultiClusterSimulator(small_case1_system, small_config).run()
         b = MultiClusterSimulator(small_case1_system, small_config).run()

@@ -45,16 +45,9 @@ ROOTS = (
     "repro.parallel.worker",
 )
 
-# Both are deleted in later changes: the deprecated closed-loop delegate
-# goes with the perfbench tracer boundary that wraps it by module path, and
-# the synthetic trace generator's only users are tests and the golden
-# regenerator.
-TEST_ONLY = frozenset(
-    {
-        "repro.simulation.vectorized_replay",
-        "repro.workload.messages",
-    }
-)
+# Deleted in a later change: the deprecated closed-loop delegate goes with
+# the perfbench tracer boundary that wraps it by module path.
+TEST_ONLY = frozenset({"repro.simulation.vectorized_replay"})
 
 # (imported module, (name, bound name) pairs or None for a plain ``import``,
 # whether the name is a package __init__'s top-level re-export)

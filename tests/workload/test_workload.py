@@ -1,23 +1,26 @@
-"""Unit tests for arrival processes, destination policies, message sizes and traces."""
+"""Unit tests for arrival processes and destination policies."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
-from repro.workload.arrivals import DeterministicArrivals, MMPPArrivals, PoissonArrivals
+from repro.workload.arrivals import (
+    ArrivalProcess,
+    DeterministicArrivals,
+    ErlangArrivals,
+    HyperexponentialArrivals,
+    MMPPArrivals,
+    PoissonArrivals,
+)
 from repro.workload.destinations import (
     HotspotDestinations,
     LocalizedDestinations,
     UniformDestinations,
-)
-from repro.workload.messages import (
-    BimodalMessageSize,
-    FixedMessageSize,
-    UniformMessageSize,
-    generate_trace,
 )
 
 
@@ -36,6 +39,11 @@ class TestArrivals:
     def test_poisson_validation(self):
         with pytest.raises(ConfigurationError):
             PoissonArrivals(rate=0.0)
+
+    def test_mean_interarrival_refuses_non_positive_rate(self):
+        # The base class's nominal rate is 0; subclasses refuse it at construction.
+        with pytest.raises(ConfigurationError, match="non-positive rate"):
+            ArrivalProcess().mean_interarrival()
 
     def test_deterministic_constant(self, rng):
         process = DeterministicArrivals(rate=2.0)
@@ -154,95 +162,82 @@ class TestDestinations:
             with pytest.raises(ConfigurationError):
                 policy.chooser(source, rng)
 
+    @pytest.mark.parametrize("source", [(0, 0), (1, 2), (2, 0)], ids=["0,0", "1,2", "2,0"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            UniformDestinations([3, 5, 1]),
+            LocalizedDestinations([3, 5, 1], locality=0.6),
+            HotspotDestinations([3, 5, 1], hotspot=(1, 2), hotspot_fraction=0.3),
+        ],
+        ids=["uniform", "localized", "hotspot"],
+    )
+    def test_chooser_matches_choose(self, policy, source):
+        """A chooser (batched for the uniform policy) draws what ``choose`` calls draw."""
+        chooser = policy.chooser(source, RandomStreams(5).stream("destinations"))
+        twin = RandomStreams(5).stream("destinations")
+        drawn = [chooser() for _ in range(3000)]
+        assert drawn == [policy.choose(source, twin) for _ in range(3000)]
+        assert source not in drawn
 
-class TestMessageSizes:
-    def test_fixed(self, rng):
-        model = FixedMessageSize(1024)
-        assert model.sample(rng) == 1024
-        assert model.mean == 1024
-        with pytest.raises(ConfigurationError):
-            FixedMessageSize(0)
-
-    def test_bimodal_mean(self, rng):
-        model = BimodalMessageSize(short_bytes=100, long_bytes=1000, long_fraction=0.5)
-        assert model.mean == pytest.approx(550)
-        samples = {model.sample(rng) for _ in range(200)}
-        assert samples == {100, 1000}
-
-    def test_bimodal_validation(self):
-        with pytest.raises(ConfigurationError):
-            BimodalMessageSize(long_fraction=2.0)
-
-    def test_uniform_size(self, rng):
-        model = UniformMessageSize(100, 200)
-        assert model.mean == 150
-        assert all(100 <= model.sample(rng) <= 200 for _ in range(100))
-        with pytest.raises(ConfigurationError):
-            UniformMessageSize(200, 100)
-
-
-class TestTraceGeneration:
-    def test_trace_sorted_and_sized(self):
-        trace = generate_trace([4, 4], num_messages=500, seed=3)
-        assert len(trace) == 500
-        times = [e.time for e in trace]
-        assert times == sorted(times)
-        assert trace.duration == times[-1]
-
-    def test_trace_destinations_valid(self):
-        trace = generate_trace([4, 4], num_messages=300, seed=4)
-        for entry in trace:
-            assert entry.source != entry.destination
-            assert 0 <= entry.destination[0] < 2
-            assert 0 <= entry.destination[1] < 4
-
-    def test_trace_reproducibility(self):
-        a = generate_trace([2, 2], num_messages=100, seed=5)
-        b = generate_trace([2, 2], num_messages=100, seed=5)
-        assert a.entries == b.entries
-
-    def test_trace_mean_size(self):
-        trace = generate_trace([2, 2], num_messages=50, seed=6)
-        assert trace.mean_size == pytest.approx(1024.0)
-
-    def test_messages_per_source(self):
-        trace = generate_trace([2, 2], num_messages=400, seed=7)
-        counts = trace.messages_per_source()
-        assert sum(counts.values()) == 400
-        assert len(counts) <= 4
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            generate_trace([2, 2], num_messages=-1)
-        with pytest.raises(ConfigurationError):
-            generate_trace([1], num_messages=10)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chooser_matches_choose_property(self, data):
+        """On any layout, policy and source, a chooser equals ``choose`` and
+        picks only other nodes of the layout."""
+        sizes = data.draw(
+            st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
+            label="sizes",
+        )
+        addresses = [(c, p) for c, size in enumerate(sizes) for p in range(size)]
+        kind = data.draw(st.sampled_from(["uniform", "localized", "hotspot"]), label="kind")
+        if kind == "uniform":
+            policy = UniformDestinations(sizes)
+        elif kind == "localized":
+            policy = LocalizedDestinations(sizes, locality=data.draw(st.floats(0.0, 1.0)))
+        else:
+            policy = HotspotDestinations(
+                sizes,
+                hotspot=data.draw(st.sampled_from(addresses), label="hotspot"),
+                hotspot_fraction=data.draw(st.floats(0.0, 1.0)),
+            )
+        source = data.draw(st.sampled_from(addresses), label="source")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        chooser = policy.chooser(source, RandomStreams(seed).stream("d"), block_size=7)
+        twin = RandomStreams(seed).stream("d")
+        drawn = [chooser() for _ in range(40)]
+        assert drawn == [policy.choose(source, twin) for _ in range(40)]
+        assert source not in drawn
+        assert set(drawn) <= set(addresses)
 
 
 class TestRenewalArrivals:
     """Erlang / hyperexponential arrival processes (scenario building blocks)."""
 
     def test_erlang_mean_rate(self, rng):
-        from repro.workload.arrivals import ErlangArrivals
-
         process = ErlangArrivals(rate=2.0, shape=4)
         samples = [process.interarrival(rng) for _ in range(4000)]
         assert sum(samples) / len(samples) == pytest.approx(0.5, rel=0.1)
 
-    def test_erlang_sampler_bit_identical_to_scalar(self):
-        from repro.des.rng import RandomStreams
-        from repro.workload.arrivals import ErlangArrivals
-
-        process = ErlangArrivals(rate=0.25, shape=3)
-        scalar_rng = RandomStreams(11).stream("erlang")
-        batched_rng = RandomStreams(11).stream("erlang")
+    @pytest.mark.parametrize(
+        "process",
+        [
+            PoissonArrivals(rate=0.25),
+            ErlangArrivals(rate=0.25, shape=3),
+            HyperexponentialArrivals(rate=0.25, cv2=4.0),
+        ],
+        ids=lambda process: type(process).__name__,
+    )
+    def test_sampler_bit_identical_to_scalar(self, process):
+        """A sampler reads ahead in blocks but draws what scalar calls draw."""
+        scalar_rng = RandomStreams(11).stream("arrivals")
+        batched_rng = RandomStreams(11).stream("arrivals")
         sampler = process.sampler(batched_rng)
         scalar = [process.interarrival(scalar_rng) for _ in range(300)]
         batched = [sampler() for _ in range(300)]
         assert scalar == batched
 
     def test_erlang_smoother_than_poisson(self, rng):
-        from repro.workload.arrivals import ErlangArrivals, PoissonArrivals
-
         def cv2(samples):
             mean = sum(samples) / len(samples)
             var = sum((s - mean) ** 2 for s in samples) / len(samples)
@@ -253,16 +248,12 @@ class TestRenewalArrivals:
         assert cv2(erlang) < cv2(poisson)
 
     def test_erlang_validation(self):
-        from repro.workload.arrivals import ErlangArrivals
-
         with pytest.raises(ConfigurationError):
             ErlangArrivals(rate=0.0)
         with pytest.raises(ConfigurationError):
             ErlangArrivals(rate=1.0, shape=0)
 
     def test_hyperexponential_mean_and_burstiness(self, rng):
-        from repro.workload.arrivals import HyperexponentialArrivals
-
         process = HyperexponentialArrivals(rate=2.0, cv2=4.0)
         samples = [process.interarrival(rng) for _ in range(8000)]
         mean = sum(samples) / len(samples)
@@ -271,8 +262,6 @@ class TestRenewalArrivals:
         assert var / mean**2 > 2.0  # clearly burstier than exponential (CV² = 1)
 
     def test_hyperexponential_balanced_means_fit(self):
-        from repro.workload.arrivals import HyperexponentialArrivals
-
         process = HyperexponentialArrivals(rate=0.25, cv2=4.0)
         (m1, m2), (p1, p2) = process.phases
         assert p1 + p2 == pytest.approx(1.0)
@@ -280,115 +269,10 @@ class TestRenewalArrivals:
         assert p1 * m1 + p2 * m2 == pytest.approx(4.0)  # overall mean 1/rate
 
     def test_hyperexponential_validation(self):
-        from repro.workload.arrivals import HyperexponentialArrivals
-
         with pytest.raises(ConfigurationError):
             HyperexponentialArrivals(rate=1.0, cv2=0.5)
         with pytest.raises(ConfigurationError):
             HyperexponentialArrivals(rate=0.0)
-
-
-class TestTraceBatching:
-    """generate_trace's VariateStream batching (PR 5 satellite)."""
-
-    def test_sole_consumer_batched_path_matches_scalar(self):
-        """Deterministic arrivals + fixed sizes leave the destination draws
-        as the shared stream's sole consumer, so the batched chooser must
-        reproduce the scalar trace bit for bit."""
-        from repro.des.rng import RandomStreams
-        from repro.workload.arrivals import DeterministicArrivals
-        from repro.workload.destinations import UniformDestinations
-
-        sizes = [4, 4]
-        trace = generate_trace(
-            sizes, 48, arrival_process=DeterministicArrivals(rate=2.0), seed=5
-        )
-        # Scalar reference: replay the historical per-call loop by hand.
-        arrival = DeterministicArrivals(rate=2.0)
-        dest = UniformDestinations(sizes)
-        streams = RandomStreams(5)
-        expected = []
-        for cluster, size in enumerate(sizes):
-            for proc in range(size):
-                rng = streams.stream(f"trace-{cluster}-{proc}")
-                t = 0.0
-                for _ in range(48 // 8 + 1):
-                    t += arrival.interarrival(rng)
-                    expected.append((t, (cluster, proc), dest.choose((cluster, proc), rng)))
-        expected.sort(key=lambda e: e[0])
-        for entry, (t, source, destination) in zip(trace, expected[:48]):
-            assert entry.time == t
-            assert entry.source == source
-            assert entry.destination == destination
-
-    def test_per_family_layout_is_deterministic_and_batched(self):
-        from repro.workload.destinations import UniformDestinations
-
-        first = generate_trace([4, 4], 64, seed=3, stream_layout="per-family")
-        second = generate_trace([4, 4], 64, seed=3, stream_layout="per-family")
-        assert [e.time for e in first] == [e.time for e in second]
-        assert len(first) == 64
-        assert all(e.source != e.destination for e in first)
-        # Distinct stream layouts are distinct (deterministic) traces.
-        shared = generate_trace([4, 4], 64, seed=3)
-        assert [e.time for e in first] != [e.time for e in shared]
-
-    def test_per_family_layout_matches_manual_per_family_scalar(self):
-        """Per-family batching consumes each family stream exactly like
-        scalar per-call draws on the same named streams."""
-        from repro.des.rng import RandomStreams
-        from repro.workload.arrivals import PoissonArrivals
-        from repro.workload.destinations import UniformDestinations
-
-        sizes = [3, 3]
-        trace = generate_trace(sizes, 36, seed=7, stream_layout="per-family")
-        arrival = PoissonArrivals(rate=0.25)
-        dest = UniformDestinations(sizes)
-        streams = RandomStreams(7)
-        expected = []
-        per_node = 36 // 6 + 1
-        for cluster, size in enumerate(sizes):
-            for proc in range(size):
-                arrival_rng = streams.stream(f"trace-{cluster}-{proc}-arrivals")
-                dest_rng = streams.stream(f"trace-{cluster}-{proc}-destinations")
-                t = 0.0
-                for _ in range(per_node):
-                    t += arrival.interarrival(arrival_rng)
-                    expected.append(
-                        (t, (cluster, proc), dest.choose((cluster, proc), dest_rng))
-                    )
-        expected.sort(key=lambda e: e[0])
-        for entry, (t, source, destination) in zip(trace, expected[:36]):
-            assert entry.time == t
-            assert entry.source == source
-            assert entry.destination == destination
-
-    def test_invalid_stream_layout_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_trace([2, 2], 8, stream_layout="interleaved")
-
-    def test_uniform_size_model_sampler_bit_identical(self):
-        from repro.des.rng import RandomStreams
-        from repro.workload.messages import UniformMessageSize
-
-        model = UniformMessageSize(64.0, 4096.0)
-        scalar_rng = RandomStreams(2).stream("sizes")
-        batched_rng = RandomStreams(2).stream("sizes")
-        sampler = model.sampler(batched_rng)
-        assert [model.sample(scalar_rng) for _ in range(200)] == [
-            sampler() for _ in range(200)
-        ]
-
-    def test_consumes_rng_flags(self):
-        from repro.workload.arrivals import DeterministicArrivals, PoissonArrivals
-        from repro.workload.destinations import UniformDestinations
-        from repro.workload.messages import FixedMessageSize, UniformMessageSize
-
-        assert PoissonArrivals(rate=1.0).consumes_rng
-        assert not DeterministicArrivals(rate=1.0).consumes_rng
-        assert UniformDestinations([2, 2]).consumes_rng
-        assert not FixedMessageSize(512.0).consumes_rng
-        assert UniformMessageSize(1.0, 2.0).consumes_rng
 
 
 class TestSimulatorArrivalFactory:

@@ -10,6 +10,9 @@ Checks (the CI ``docs`` job fails on any finding):
 3. Every relative markdown link in ``docs/*.md`` and ``README.md``
    resolves: the target file exists, and when the link carries a
    ``#fragment`` the target contains a heading with that GitHub anchor.
+4. Every backticked ``repro.<dotted>`` path in those files resolves: the
+   longest prefix that imports is imported and the rest is looked up with
+   ``getattr``, so names a package exports lazily resolve too.
 
 Run it from the repository root::
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import re
 import sys
@@ -39,6 +43,7 @@ IGNORED_FLAGS = {"--help", "--version"}
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+MODULE_PATH_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def read(path: str) -> str:
@@ -152,6 +157,32 @@ def check_links(problems: List[str]) -> None:
                     )
 
 
+def unresolved_part(dotted: str) -> str:
+    """Why ``dotted`` does not resolve, or ``""`` when it does."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for depth in range(cut, len(parts)):
+            try:
+                owner = getattr(owner, parts[depth])
+            except AttributeError:
+                return f"{'.'.join(parts[:depth])} has no attribute {parts[depth]!r}"
+        return ""
+    return f"no module {parts[0]!r}"
+
+
+def check_module_paths(problems: List[str]) -> None:
+    for source in markdown_files():
+        rel_source = os.path.relpath(source, REPO)
+        for dotted in sorted(set(MODULE_PATH_RE.findall(read(source)))):
+            reason = unresolved_part(dotted)
+            if reason:
+                problems.append(f"{rel_source}: `{dotted}` does not resolve ({reason})")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Check docs/ against the code surface.")
     parser.parse_args()
@@ -159,6 +190,7 @@ def main() -> int:
     check_cli_docs(problems)
     check_spec_docs(problems)
     check_links(problems)
+    check_module_paths(problems)
     if problems:
         for problem in problems:
             print(f"DOCS DRIFT: {problem}", file=sys.stderr)
