@@ -1,8 +1,9 @@
 """Performance benchmarks of the library's own machinery.
 
 Not paper artefacts — these measure the cost of the analytical evaluation
-and of the discrete-event simulator so that regressions in the substrate are
-visible (per the HPC guide: measure before optimising).
+and of the closed-loop validation simulator, at a small size and at paper
+scale, so that regressions in the substrate are visible (per the HPC guide:
+measure before optimising).
 
 Two entry points:
 
@@ -10,7 +11,7 @@ Two entry points:
   give calibrated statistics for local optimisation work;
 * as a script — ``PYTHONPATH=src python benchmarks/bench_engine.py
   [--quick] [--output BENCH_engine.json]`` — a dependency-free timing pass
-  emits one JSON summary with ``events_per_sec`` per kernel, which is what
+  emits one JSON summary with ``events_per_sec`` per row, which is what
   the CI ``bench`` job records and feeds to
   ``benchmarks/check_regression.py``.
 """
@@ -27,7 +28,7 @@ pytest = pytest_or_stub()
 
 from repro.cluster.presets import paper_evaluation_system
 from repro.core.model import AnalyticalModel, ModelConfig
-from repro.des.core import Environment
+from repro.experiments.scenarios import CASE_1, PAPER_PARAMETERS, build_scenario_system
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 
@@ -46,17 +47,17 @@ def test_analytical_model_evaluation_speed(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_des_timeout_chain_event_rate(benchmark):
-    """Pure event-loop rate: one process yielding 50k timeouts back to back.
+def test_closed_loop_paper_scale(benchmark):
+    """The closed loop at paper scale: Case 1, C=8, 256 nodes, 10 000 messages."""
+    system = build_scenario_system(CASE_1, 8, PAPER_PARAMETERS)
+    config = SimulationConfig(num_messages=10_000, seed=1)
 
-    This is the tightest loop the kernel has — one process, no conditions —
-    so it isolates the cost of ``Environment.timeout`` + ``step``.
-    """
-    CHAIN = 50_000
+    def run_sim():
+        return MultiClusterSimulator(system, config).run().measured_messages
 
-    processed = benchmark(lambda: _timeout_chain(CHAIN))
-    assert processed == CHAIN + 2  # + Initialize + process-termination events
-    benchmark.extra_info["events_per_sec"] = processed / benchmark.stats.stats.min
+    measured = benchmark(run_sim)
+    assert measured > 0
+    benchmark.extra_info["messages_per_sec"] = config.num_messages / benchmark.stats.stats.min
 
 
 @pytest.mark.benchmark(group="engine")
@@ -72,18 +73,6 @@ def test_simulator_throughput_small_system(benchmark):
     assert measured > 0
 
 
-def _timeout_chain(chain: int) -> int:
-    """The pure event-loop kernel; returns the number of processed events."""
-    env = Environment()
-
-    def chain_proc(env):
-        for _ in range(chain):
-            yield env.timeout(1.0)
-
-    env.process(chain_proc(env))
-    return env.run_until_empty()
-
-
 def _best_of(fn, repeats: int) -> float:
     """Minimum wall-clock seconds of ``repeats`` runs of ``fn()``."""
     best = float("inf")
@@ -95,14 +84,17 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
-    """Time every kernel without pytest-benchmark; one JSON-able summary.
+    """Time every row without pytest-benchmark; one JSON-able summary.
 
     ``quick`` shrinks the problem sizes to keep the whole pass in a few
     seconds on a 1-CPU CI box; events/sec is size-independent enough for
     the >2x regression gate of ``check_regression.py``.
     """
-    chain = 10_000 if quick else 50_000
+    paper_messages = 2_000 if quick else 10_000
     messages = 300 if quick else 1_000
+
+    paper_system = build_scenario_system(CASE_1, 8, PAPER_PARAMETERS)
+    paper_config = SimulationConfig(num_messages=paper_messages, seed=1)
 
     system = paper_evaluation_system(4, GIGABIT_ETHERNET, FAST_ETHERNET, total_processors=32)
     sim_config = SimulationConfig(num_messages=messages, seed=1)
@@ -110,12 +102,12 @@ def run_standalone(quick: bool = False, repeats: int = 3) -> dict:
     model_config = ModelConfig(architecture="non-blocking", message_bytes=1024)
 
     results = []
-    chain_events = _timeout_chain(chain)  # warm-up + event count
-    seconds = _best_of(lambda: _timeout_chain(chain), repeats)
+    MultiClusterSimulator(paper_system, paper_config).run()  # warm-up: first-call costs
+    seconds = _best_of(lambda: MultiClusterSimulator(paper_system, paper_config).run(), repeats)
     results.append({
-        "name": "des_timeout_chain",
+        "name": "closed_loop_paper_scale",
         "seconds": round(seconds, 6),
-        "events_per_sec": round(chain_events / seconds, 1),
+        "events_per_sec": round(paper_messages / seconds, 1),  # messages/sec, same gate
     })
     seconds = _best_of(
         lambda: MultiClusterSimulator(system, sim_config).run().measured_messages, repeats

@@ -1,9 +1,9 @@
 """End-to-end throughput benchmarks of the simulation layer.
 
-Where ``bench_engine.py`` times the bare DES kernel, this module times what
-the paper's validation actually runs: the closed-loop
-:class:`MultiClusterSimulator` (both stats modes) and the analytical figure
-grid.
+Where ``bench_engine.py`` times one analytical evaluation and the closed
+loop at a small size and at paper scale, this module times the shapes the
+paper's validation runs: the closed-loop :class:`MultiClusterSimulator` in
+both stats modes, and the analytical figure grid.
 
 Two entry points, like the other benches:
 

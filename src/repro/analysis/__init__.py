@@ -14,7 +14,6 @@ REP104   undeclared-dependency  ``repro`` imports outside the stdlib and numpy
 REP201   unpicklable-task       lambdas/closures handed to sweep backends (the PR 3 bug)
 REP301   missing-slots          unslotted classes in the hot DES modules
 REP302   slots-subclass-dict    subclasses silently reintroducing ``__dict__``
-REP401   des-yield-protocol     processes yielding non-events / registered uncalled
 REP501   frozen-spec-mutation   attribute writes on frozen specs/configs/tasks
 REP601   bare-except            handlers that catch KeyboardInterrupt/SystemExit
 REP602   swallowed-error        broad handlers that silently discard errors

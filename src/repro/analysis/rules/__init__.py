@@ -5,7 +5,6 @@ Rule families (the leading digit of the id):
 1. determinism — :mod:`.determinism` (REP101, REP102, REP103, REP104)
 2. pickle safety — :mod:`.pickle_safety` (REP201)
 3. slots integrity — :mod:`.slots` (REP301, REP302)
-4. DES protocol — :mod:`.des_protocol` (REP401)
 5. frozen specs — :mod:`.frozen_spec` (REP501)
 6. error hygiene — :mod:`.error_hygiene` (REP601, REP602)
 7. robustness — :mod:`.robustness` (REP701)
@@ -16,7 +15,6 @@ from . import (
     determinism,
     pickle_safety,
     slots,
-    des_protocol,
     frozen_spec,
     error_hygiene,
     robustness,
@@ -31,7 +29,6 @@ __all__ = [
     "determinism",
     "pickle_safety",
     "slots",
-    "des_protocol",
     "frozen_spec",
     "error_hygiene",
     "robustness",

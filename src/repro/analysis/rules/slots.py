@@ -31,7 +31,6 @@ __all__ = ["MissingSlotsRule", "SlottedSubclassDictRule", "HOT_MODULES", "KNOWN_
 HOT_MODULES = frozenset(
     {
         "repro.des.events",
-        "repro.des.process",
         "repro.des.monitor",
         "repro.des.rng",
         "repro.simulation.components",
@@ -47,8 +46,6 @@ KNOWN_SLOTTED = frozenset(
         "Event",
         "Timeout",
         "AbsoluteTimeout",
-        "Initialize",
-        "Process",
         "Monitor",
         "TimeWeightedMonitor",
         "VariateStream",

@@ -1,10 +1,9 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel follows the SimPy programming model: simulation *processes* are
-Python generators that ``yield`` :class:`Event` objects and are resumed when
-those events are *processed* by the environment.  This module defines the
-event classes; the scheduler lives in :mod:`repro.des.core` and the process
-wrapper in :mod:`repro.des.process`.
+An event is a scheduled occurrence: once triggered it sits in the
+environment's heap until its time is reached, and then the environment
+runs its callbacks.  This module defines the event classes; the scheduler
+lives in :mod:`repro.des.core`.
 
 Semantics
 ---------
@@ -13,14 +12,12 @@ An event goes through three states:
 ``untriggered``
     Created but not yet scheduled.
 ``triggered``
-    Scheduled in the environment's event queue with a value (or an
-    exception), waiting for its scheduled time to be reached.
+    Scheduled in the environment's event queue with a value, waiting for
+    its scheduled time to be reached.
 ``processed``
-    Popped from the queue; all callbacks have run and waiting processes have
-    been resumed.
+    Popped from the queue; all callbacks have run.
 
-Events may *succeed* (carry a value) or *fail* (carry an exception that is
-re-raised inside every waiting process).
+Every event succeeds: there is no failure path.
 """
 
 from __future__ import annotations
@@ -35,27 +32,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PENDING",
-    "URGENT",
-    "NORMAL",
     "Event",
     "Timeout",
     "AbsoluteTimeout",
-    "Initialize",
 ]
 
 
 #: Sentinel marking an event whose value has not been set yet.
 PENDING: object = object()
 
-#: Scheduling priority for events that must run before same-time events.
-URGENT: int = 0
-
-#: Default scheduling priority.
-NORMAL: int = 1
-
 
 class Event:
-    """A single outcome that simulation processes can wait for.
+    """A single occurrence whose callbacks run when it is processed.
 
     Parameters
     ----------
@@ -69,15 +57,13 @@ class Event:
     their only argument after the event has been popped from the queue.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("env", "callbacks", "_value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         #: Callables run when the event is processed; ``None`` afterwards.
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
-        self._ok: bool = True
-        self._defused: bool = False
 
     # -- state ------------------------------------------------------------
 
@@ -92,43 +78,24 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded (only meaningful once triggered)."""
-        return self._ok
-
-    @property
     def value(self) -> Any:
-        """The value (or exception) the event was triggered with."""
+        """The value the event was triggered with."""
         if self._value is PENDING:
             raise AttributeError(f"Value of {self!r} is not yet available")
         return self._value
 
     # -- triggering -------------------------------------------------------
 
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
-        """Trigger the event successfully with ``value``.
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event with ``value``, to be processed at the current time.
 
-        Returns the event itself so calls can be chained or yielded.
+        Returns the event itself so calls can be chained.
         """
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event as *failed* with ``exception``.
-
-        The exception is re-raised in every process waiting on the event.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self, priority=priority)
+        env = self.env
+        heappush(env._queue, (env._now, next(env._eid), self))
         return self
 
     # -- misc -------------------------------------------------------------
@@ -136,33 +103,30 @@ class Event:
     def __repr__(self) -> str:
         detail = ""
         if self.triggered:
-            detail = f" value={self._value!r} ok={self._ok}"
+            detail = f" value={self._value!r}"
         return f"<{type(self).__name__}{detail} at 0x{id(self):x}>"
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated ``delay``.
 
-    Timeouts are triggered at creation time; they cannot fail or be
-    cancelled.
+    Timeouts are triggered at creation time; they cannot be cancelled.
     """
 
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         # Timeouts dominate event traffic (one per arrival and per service
-        # completion), so the generic Event/schedule path is inlined here:
-        # one validation, one heap push, no delegation.
+        # completion), so the generic Event path is inlined here: one
+        # validation, one heap push, no delegation.
         delay = float(delay)
         if delay < 0:
             raise ValueError(f"Negative delay {delay!r} is not allowed")
         self.env = env
         self.callbacks = []
-        self._ok = True
         self._value = value
-        self._defused = False
         self._delay = delay
-        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
+        heappush(env._queue, (env._now + delay, next(env._eid), self))
 
     @property
     def delay(self) -> float:
@@ -191,11 +155,9 @@ class AbsoluteTimeout(Event):
             raise ValueError(f"Cannot schedule at {at!r}, before current time {env._now!r}")
         self.env = env
         self.callbacks = []
-        self._ok = True
         self._value = value
-        self._defused = False
         self._at = at
-        heappush(env._queue, (at, NORMAL, next(env._eid), self))
+        heappush(env._queue, (at, next(env._eid), self))
 
     @property
     def at(self) -> float:
@@ -204,16 +166,3 @@ class AbsoluteTimeout(Event):
 
     def __repr__(self) -> str:
         return f"<AbsoluteTimeout at={self._at!r} at 0x{id(self):x}>"
-
-
-class Initialize(Event):
-    """Internal event used to start a newly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Event") -> None:
-        super().__init__(env)
-        self.callbacks = [process._resume]  # type: ignore[attr-defined]
-        self._ok = True
-        self._value = None
-        env.schedule(self, priority=URGENT)

@@ -46,7 +46,7 @@ gives for the same entropy; the test suite pins this.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -180,18 +180,6 @@ class VariateGenerator:
         """Return ``value`` unchanged (degenerate distribution)."""
         return float(value)
 
-    def normal(self, mean: float, std: float) -> float:
-        """Draw a normal variate (used only by extension workloads)."""
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std!r}")
-        return float(self._rng.normal(mean, std))
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Draw a lognormal variate parameterised by its underlying normal."""
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma!r}")
-        return float(self._rng.lognormal(mean, sigma))
-
     def weibull(self, shape: float, mean: float) -> float:
         """Draw a Weibull variate with the given shape and *mean*.
 
@@ -215,24 +203,11 @@ class VariateGenerator:
             raise ValueError(f"high (={high!r}) must be >= low (={low!r})")
         return int(self._rng.integers(low, high + 1))
 
-    def choice(self, items: Sequence, probs: Optional[Sequence[float]] = None):
-        """Pick one element of ``items`` (optionally weighted by ``probs``)."""
-        if len(items) == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        idx = self._rng.choice(len(items), p=None if probs is None else np.asarray(probs, float))
-        return items[int(idx)]
-
     def bernoulli(self, p: float) -> bool:
         """Return ``True`` with probability ``p``."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p!r}")
         return bool(self._rng.random() < p)
-
-    def geometric(self, p: float) -> int:
-        """Draw a geometric variate (number of trials until first success)."""
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {p!r}")
-        return int(self._rng.geometric(p))
 
     # -- batched streams ------------------------------------------------------
     #

@@ -301,17 +301,17 @@ class MultiClusterSimulator:
         Same-instant ordering contract:
 
         * events at one instant run in the order they were created (the
-          kernel's ``(time, priority, event id)`` heap key; every event here
-          has NORMAL priority);
+          kernel's ``(time, event id)`` heap key);
         * a departure's centre bookkeeping runs before the message is
           admitted to its next hop;
         * a completion is recorded, and may trigger the stop event, before
           the source draws its next think time — so the run stops ahead of
           any event created after the completion at that instant.
 
-        Before the loop, each source consumes the one event id a kernel
-        process's start event takes, so event ids, and with them every tie,
-        match the golden fixtures bit for bit.
+        Before the loop, each source consumes one event id, as its
+        generator process's start event did when the golden fixtures were
+        captured, so event ids, and with them every tie, match the fixtures
+        bit for bit.
 
         With faults on, a source whose node is down waits for its repair
         before sending, and under the ``"drop"`` policy a message addressed
@@ -342,7 +342,7 @@ class MultiClusterSimulator:
         for cluster_idx, cluster in enumerate(self.system.clusters):
             rate = cluster.processor_type.scaled_rate(config.generation_rate)
             for proc_idx in range(cluster.num_processors):
-                next_eid()  # the source's process start event
+                next_eid()  # one id per source, as the docstring explains
                 source = (cluster_idx, proc_idx)
                 arrival_rng = self._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
                 dest_rng = self._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
@@ -360,7 +360,7 @@ class MultiClusterSimulator:
 
         ident = 0
         while True:
-            at, _, _, event = heappop(queue)
+            at, _, event = heappop(queue)
             env._now = at
             if event is done:
                 done.callbacks = None  # processed, as the kernel marks it

@@ -59,7 +59,7 @@ def test_lint_unknown_select_exits_two(bad_tree, capsys):
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("REP101", "REP201", "REP301", "REP401", "REP501", "REP601"):
+    for rule_id in ("REP101", "REP201", "REP301", "REP501", "REP601"):
         assert rule_id in out
 
 

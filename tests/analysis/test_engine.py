@@ -27,7 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_registry_has_all_documented_rules():
     expected = {
         "REP101", "REP102", "REP103", "REP104", "REP201",
-        "REP301", "REP302", "REP401", "REP501", "REP601",
+        "REP301", "REP302", "REP501", "REP601",
         "REP602", "REP701",
     }
     assert set(RULE_REGISTRY) == expected

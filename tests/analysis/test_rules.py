@@ -297,57 +297,6 @@ class TestSlotsNameTables:
         assert sorted(KNOWN_SLOTTED - classes) == []
 
 
-# ---------------------------------------------------------------- REP401
-
-
-class TestDesYieldProtocol:
-    def test_bad_constant_yield(self):
-        source = (
-            "def agent(env):\n"
-            "    yield 42\n"
-            "def build(env):\n"
-            "    env.process(agent(env))\n"
-        )
-        assert rule_ids(source, SIM_PATH) == ["REP401"]
-
-    def test_bad_bare_yield(self):
-        source = (
-            "def agent(env):\n"
-            "    yield\n"
-            "def build(env):\n"
-            "    env.process(agent(env))\n"
-        )
-        assert rule_ids(source, SIM_PATH) == ["REP401"]
-
-    def test_bad_uncalled_registration(self):
-        source = "def build(env, agent):\n    env.process(agent)\n"
-        assert rule_ids(source, SIM_PATH) == ["REP401"]
-
-    def test_good_event_yields(self):
-        source = (
-            "def agent(env, centre, message):\n"
-            "    yield env.timeout(1.0)\n"
-            "    yield centre.begin(message)\n"
-            "def build(env, centre, message):\n"
-            "    env.process(agent(env, centre, message))\n"
-        )
-        assert rule_ids(source, SIM_PATH) == []
-
-    def test_good_unregistered_generator_ignored(self):
-        # Not every generator is a DES process; only registered ones count.
-        source = "def counter():\n    yield 1\n    yield 2\n"
-        assert rule_ids(source, SIM_PATH) == []
-
-    def test_suppression_honored(self):
-        source = (
-            "def agent(env):\n"
-            "    yield 42  # repro: noqa REP401\n"
-            "def build(env):\n"
-            "    env.process(agent(env))\n"
-        )
-        assert rule_ids(source, SIM_PATH) == []
-
-
 # ---------------------------------------------------------------- REP501
 
 

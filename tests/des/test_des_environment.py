@@ -1,11 +1,20 @@
-"""Unit tests for the DES environment / scheduler."""
+"""Unit tests for the DES environment / scheduler.
+
+The kernel runs no processes: tests that need events processed attach
+callbacks to them and step the environment until the heap is empty.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.des.core import EmptySchedule, Environment
-from repro.errors import SimulationError
+
+
+def drain(env):
+    """Process every scheduled event."""
+    while env.queue_size:
+        env.step()
 
 
 class TestClock:
@@ -17,14 +26,16 @@ class TestClock:
 
     def test_time_advances_monotonically(self, env):
         seen = []
+        delays = iter((0.5, 2.0))
 
-        def proc(env):
-            for delay in (1.0, 0.5, 2.0):
-                yield env.timeout(delay)
-                seen.append(env.now)
+        def record(_event):
+            seen.append(env.now)
+            delay = next(delays, None)
+            if delay is not None:
+                env.timeout(delay).callbacks.append(record)
 
-        env.process(proc(env))
-        env.run()
+        env.timeout(1.0).callbacks.append(record)
+        drain(env)
         assert seen == [1.0, 1.5, 3.5]
         assert seen == sorted(seen)
 
@@ -37,122 +48,19 @@ class TestClock:
         assert env.peek() == float("inf")
 
 
-class TestRun:
-    def test_run_until_time(self, env):
-        fired = []
-
-        def proc(env):
-            while True:
-                yield env.timeout(1.0)
-                fired.append(env.now)
-
-        env.process(proc(env))
-        env.run(until=3.5)
-        assert fired == [1.0, 2.0, 3.0]
-        assert env.now == 3.5
-
-    def test_run_until_past_time_rejected(self, env):
-        env.run(until=5.0)
-        with pytest.raises(ValueError):
-            env.run(until=5.0)
-
-    def test_run_until_event_returns_value(self, env):
-        def proc(env):
-            yield env.timeout(2.0)
-            return "finished"
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == "finished"
-
-    def test_run_until_already_processed_event_returns_value(self, env):
-        done = env.event()
-        done.succeed("val")
-        env.run()
-        assert done.processed
-        assert env.run(until=done) == "val"
-
-    def test_run_until_already_processed_failed_event_reraises(self, env):
-        """Regression: a stored failure must re-raise, not vanish as None."""
-        failed = env.event()
-
-        def catcher(env, event):
-            try:
-                yield event
-            except RuntimeError:
-                pass  # defuse so the simulation itself survives
-
-        env.process(catcher(env, failed))
-        failed.fail(RuntimeError("stored failure"))
-        env.run()
-        assert failed.processed and not failed.ok
-        with pytest.raises(RuntimeError, match="stored failure"):
-            env.run(until=failed)
-
-    def test_run_drains_queue_without_until(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert env.queue_size == 0
-        assert env.now == 2.0
-
-    def test_run_until_never_triggered_event_raises(self, env):
-        never = env.event()
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        with pytest.raises(SimulationError):
-            env.run(until=never)
-
+class TestStep:
     def test_step_on_empty_schedule_raises(self, env):
         with pytest.raises(EmptySchedule):
             env.step()
-
-    def test_run_until_empty_counts_events(self, env):
-        env.timeout(1.0)
-        env.timeout(2.0)
-        assert env.run_until_empty() == 2
-
-    def test_run_until_empty_budget_exceeded(self, env):
-        def forever(env):
-            while True:
-                yield env.timeout(1.0)
-
-        env.process(forever(env))
-        with pytest.raises(SimulationError):
-            env.run_until_empty(max_events=10)
-
-    def test_unhandled_process_failure_propagates(self, env):
-        def broken(env):
-            yield env.timeout(1.0)
-            raise ValueError("broken process")
-
-        env.process(broken(env))
-        with pytest.raises(ValueError, match="broken process"):
-            env.run()
 
 
 class TestOrdering:
     def test_same_time_fifo_order(self, env):
         order = []
-
-        def proc(env, name):
-            yield env.timeout(1.0)
-            order.append(name)
-
         for name in ("a", "b", "c"):
-            env.process(proc(env, name))
-        env.run()
+            env.timeout(1.0, name).callbacks.append(lambda ev: order.append(ev.value))
+        drain(env)
         assert order == ["a", "b", "c"]
-
-    def test_negative_delay_rejected_in_schedule(self, env):
-        event = env.event()
-        with pytest.raises(ValueError):
-            env.schedule(event, delay=-0.1)
 
     def test_queue_size_tracks_scheduled_events(self, env):
         env.timeout(1.0)

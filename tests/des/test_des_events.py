@@ -1,10 +1,20 @@
-"""Unit tests for the DES event primitives."""
+"""Unit tests for the DES event primitives.
+
+The kernel runs no processes: tests that need events processed attach
+callbacks to them and step the environment until the heap is empty.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
+
+
+def drain(env):
+    """Process every scheduled event."""
+    while env.queue_size:
+        env.step()
 
 
 class TestEventLifecycle:
@@ -18,11 +28,10 @@ class TestEventLifecycle:
         with pytest.raises(AttributeError):
             _ = event.value
 
-    def test_succeed_sets_value_and_ok(self, env):
+    def test_succeed_sets_value(self, env):
         event = env.event()
         event.succeed(42)
         assert event.triggered
-        assert event.ok
         assert event.value == 42
 
     def test_succeed_twice_raises(self, env):
@@ -31,31 +40,21 @@ class TestEventLifecycle:
         with pytest.raises(SimulationError):
             event.succeed(2)
 
-    def test_fail_requires_exception(self, env):
-        event = env.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
-
-    def test_fail_sets_not_ok(self, env):
-        event = env.event()
-        event.fail(RuntimeError("boom"))
-        assert event.triggered
-        assert not event.ok
-        assert isinstance(event.value, RuntimeError)
-
-    def test_processed_after_run(self, env):
+    def test_processed_after_step(self, env):
         event = env.event()
         event.succeed("done")
-        env.run()
+        assert not event.processed
+        env.step()
         assert event.processed
+        assert env.queue_size == 0
 
     def test_callbacks_invoked_with_event(self, env):
         event = env.event()
         seen = []
-        event.callbacks.append(lambda ev: seen.append(ev.value))
+        event.callbacks.append(lambda ev: seen.append((ev, ev.value)))
         event.succeed(7)
-        env.run()
-        assert seen == [7]
+        drain(env)
+        assert seen == [(event, 7)]
 
     def test_repr_contains_value_after_trigger(self, env):
         event = env.event()
@@ -70,30 +69,23 @@ class TestTimeout:
 
     def test_timeout_fires_at_delay(self, env):
         times = []
-
-        def proc(env):
-            yield env.timeout(2.5)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
+        env.timeout(2.5).callbacks.append(lambda ev: times.append(env.now))
+        drain(env)
         assert times == [2.5]
 
     def test_timeout_carries_value(self, env):
         results = []
-
-        def proc(env):
-            value = yield env.timeout(1.0, value="payload")
-            results.append(value)
-
-        env.process(proc(env))
-        env.run()
+        env.timeout(1.0, value="payload").callbacks.append(
+            lambda ev: results.append(ev.value)
+        )
+        drain(env)
         assert results == ["payload"]
 
     def test_zero_delay_allowed(self, env):
         timeout = env.timeout(0.0)
-        env.run()
+        drain(env)
         assert timeout.processed
+        assert env.now == 0.0
 
     def test_delay_property(self, env):
         assert env.timeout(3.25).delay == 3.25
@@ -103,47 +95,37 @@ class TestAbsoluteTimeout:
     def test_fires_at_exact_absolute_time(self, env):
         log = []
 
-        def proc(env):
-            yield env.timeout(1.5)
-            yield env.timeout_at(4.25)
-            log.append(env.now)
+        def schedule_absolute(_event):
+            env.timeout_at(4.25).callbacks.append(lambda ev: log.append(env.now))
 
-        env.process(proc(env))
-        env.run()
+        env.timeout(1.5).callbacks.append(schedule_absolute)
+        drain(env)
         assert log == [4.25]
 
     def test_scheduling_in_the_past_rejected(self, env):
         env.timeout(1.0)
-        env.run()
+        drain(env)
         with pytest.raises(ValueError):
             env.timeout_at(0.5)
 
     def test_exposes_target_time_and_value(self, env):
         event = env.timeout_at(3.0, value="done")
         assert event.at == 3.0
-        env.run()
+        drain(env)
         assert event.value == "done"
+        assert env.now == 3.0
 
     def test_same_time_as_now_allowed(self, env):
         event = env.timeout_at(0.0)
-        env.run()
+        drain(env)
         assert event.processed
 
     def test_orders_with_timeouts_at_same_time(self, env):
         order = []
-
-        def a(env):
-            yield env.timeout(2.0)
-            order.append("relative")
-
-        def b(env):
-            yield env.timeout_at(2.0)
-            order.append("absolute")
-
-        env.process(a(env))
-        env.process(b(env))
-        env.run()
-        # Same time, same NORMAL priority: creation order breaks the tie.
+        env.timeout(2.0).callbacks.append(lambda ev: order.append("relative"))
+        env.timeout_at(2.0).callbacks.append(lambda ev: order.append("absolute"))
+        drain(env)
+        # Same time: creation order breaks the tie.
         assert order == ["relative", "absolute"]
 
 
@@ -160,18 +142,8 @@ class TestEventSlots:
         assert not hasattr(env.timeout(1.0), "__dict__")
 
     def test_event_family_has_no_dict(self, env):
-        from repro.des.events import Initialize
-
         assert not hasattr(env.event(), "__dict__")
         assert not hasattr(env.timeout_at(1.0), "__dict__")
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        process = env.process(proc(env))
-        assert not hasattr(process, "__dict__")
-        # Initialize is created internally by Process; build one directly.
-        assert not hasattr(Initialize(env, process), "__dict__")
 
     def test_message_has_no_dict(self):
         from repro.simulation.message import Message

@@ -185,6 +185,8 @@ class TestVariateGenerator:
     def test_erlang_invalid(self, gen):
         with pytest.raises(ValueError):
             gen.erlang(0, 1.0)
+        with pytest.raises(ValueError, match="mean must be positive"):
+            gen.erlang(2, 0.0)
 
     def test_hyperexponential_mean(self, gen):
         samples = [gen.hyperexponential([1.0, 4.0], [0.5, 0.5]) for _ in range(20_000)]
@@ -223,16 +225,8 @@ class TestVariateGenerator:
     def test_integer_bounds_inclusive(self, gen):
         samples = {gen.integer(0, 3) for _ in range(500)}
         assert samples == {0, 1, 2, 3}
-
-    def test_choice_and_weights(self, gen):
-        items = ["a", "b", "c"]
-        assert gen.choice(items) in items
-        biased = [gen.choice(items, probs=[0.0, 1.0, 0.0]) for _ in range(20)]
-        assert set(biased) == {"b"}
-
-    def test_choice_empty_rejected(self, gen):
-        with pytest.raises(ValueError):
-            gen.choice([])
+        with pytest.raises(ValueError, match="must be >= low"):
+            gen.integer(3, 2)
 
     def test_bernoulli_probability(self, gen):
         trues = sum(gen.bernoulli(0.3) for _ in range(20_000))
@@ -242,18 +236,6 @@ class TestVariateGenerator:
 
     def test_deterministic(self, gen):
         assert gen.deterministic(3.5) == 3.5
-
-    def test_geometric_positive(self, gen):
-        assert gen.geometric(0.5) >= 1
-        with pytest.raises(ValueError):
-            gen.geometric(0.0)
-
-    def test_normal_and_lognormal_validation(self, gen):
-        with pytest.raises(ValueError):
-            gen.normal(0.0, -1.0)
-        with pytest.raises(ValueError):
-            gen.lognormal(0.0, -1.0)
-        assert gen.lognormal(0.0, 0.5) > 0
 
 
 class TestVariateStreams:
@@ -335,6 +317,8 @@ class TestVariateStreams:
             gen.uniform_stream(2.0, 1.0)
         with pytest.raises(ValueError):
             gen.erlang_stream(0, 1.0)
+        with pytest.raises(ValueError, match="mean must be positive"):
+            gen.erlang_stream(2, -1.0)
         with pytest.raises(ValueError):
             gen.exponential_stream(1.0, block_size=0)
 

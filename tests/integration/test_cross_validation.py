@@ -23,7 +23,9 @@ from repro.topology.fattree import fat_tree_stages
 class TestKernelAgainstQueueingTheory:
     """Run the simulator's FIFO service centre as an M/M/1 queue.
 
-    Its mean sojourn time must match the closed form ``1/(μ−λ)``.
+    Its mean sojourn time must match the closed form ``1/(μ−λ)``.  Each
+    arrival is a timeout whose callback admits one message and schedules the
+    next arrival; each departure's callback records the sojourn time.
     """
 
     def _simulate_queue(self, arrival_rate, service_rate, num_customers, seed=7):
@@ -35,18 +37,20 @@ class TestKernelAgainstQueueingTheory:
         )
         sojourn_times = []
 
-        def customer(env, ident):
+        def depart(event):
+            sojourn_times.append(env.now - event.value.created_at)
+
+        def arrive(event):
+            ident = event.value
             message = Message(ident, (0, 0), (0, 0), 0.0, created_at=env.now)
-            yield server.begin(message)
-            sojourn_times.append(env.now - message.created_at)
+            server.begin(message, message).callbacks.append(depart)
+            if ident + 1 < num_customers:
+                gap = arrivals.exponential_rate(arrival_rate)
+                env.timeout(gap, ident + 1).callbacks.append(arrive)
 
-        def source(env):
-            for ident in range(num_customers):
-                yield env.timeout(arrivals.exponential_rate(arrival_rate))
-                env.process(customer(env, ident))
-
-        env.process(source(env))
-        env.run()
+        env.timeout(arrivals.exponential_rate(arrival_rate), 0).callbacks.append(arrive)
+        while env.queue_size:
+            env.step()
         # Discard the first 10% as warm-up.
         steady = sojourn_times[len(sojourn_times) // 10:]
         return sum(steady) / len(steady)

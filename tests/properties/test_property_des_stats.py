@@ -23,14 +23,10 @@ class TestEnvironmentProperties:
     def test_events_processed_in_time_order(self, delays):
         env = Environment()
         fired = []
-
-        def waiter(env, delay):
-            yield env.timeout(delay)
-            fired.append(env.now)
-
         for delay in delays:
-            env.process(waiter(env, delay))
-        env.run()
+            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
+        while env.queue_size:
+            env.step()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
         assert math.isclose(env.now, max(delays), rel_tol=1e-12) or env.now == max(delays)

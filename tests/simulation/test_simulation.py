@@ -46,15 +46,16 @@ class TestServiceCenterSim:
         center = ServiceCenterSim(env, "icn1[0]", Deterministic(2.0), rng)
         done = []
 
-        def sender(env, center, ident):
-            message = Message(ident, (0, 0), (0, 1), 100, env.now)
-            yield center.begin(message)
+        def depart(event):
+            message = event.value
             message.completed_at = env.now
-            done.append((ident, env.now, message.path))
+            done.append((message.ident, env.now, message.path))
 
         for i in range(3):
-            env.process(sender(env, center, i))
-        env.run()
+            message = Message(i, (0, 0), (0, 1), 100, env.now)
+            center.begin(message, message).callbacks.append(depart)
+        while env.queue_size:
+            env.step()
         assert [d[0] for d in done] == [0, 1, 2]
         assert [d[1] for d in done] == [2.0, 4.0, 6.0]
         assert all(d[2] == ["icn1[0]"] for d in done)

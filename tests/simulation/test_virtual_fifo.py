@@ -1,0 +1,151 @@
+"""Property tests of the service centres' virtual-FIFO contract.
+
+A centre computes each departure when the message arrives, from the
+previous departure alone.  These properties drive one centre with arrival
+timeouts at random instants (ties included) and step the environment
+until the heap is empty, then check every departure against the recursion
+evaluated on service draws from a twin stream:
+
+* an always-up centre follows Lindley's recursion
+  ``d_i = max(d_{i-1}, a_i) + s_i``;
+* the stall policy stretches it around outages,
+  ``d_i = finish(max(d_{i-1}, a_i), s_i)``;
+* the drop policy admits exactly the arrivals while the centre is up, and
+  the admitted messages follow Lindley.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.des.core import Environment
+from repro.des.rng import RandomStreams
+from repro.queueing.distributions import Deterministic, Exponential
+from repro.simulation.components import ServiceCenterSim
+from repro.simulation.faults import FaultSchedule, FaultyServiceCenterSim
+from repro.simulation.message import Message
+
+SERVICE = {"exponential": Exponential(0.7), "deterministic": Deterministic(0.7)}
+
+arrival_times = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)), min_size=1, max_size=30
+).map(lambda gaps: list(accumulate(gaps)))
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+services = st.sampled_from(sorted(SERVICE))
+
+
+def service_draws(seed, service):
+    """A twin of the centre's service-time sampler."""
+    return SERVICE[service].sampler(RandomStreams(seed).stream("svc"))
+
+
+def fault_schedule(seed):
+    """Outages of mean 0.5 after up times of mean 2.0, from the seed's fault stream."""
+    rng = RandomStreams(seed).stream("fault")
+    return FaultSchedule(lambda: rng.exponential(2.0), lambda: rng.exponential(0.5))
+
+
+def drive(center, arrivals):
+    """Offer one message per arrival time; return admissions and departures.
+
+    ``departures`` lists ``(ident, time)`` in the order the departures were
+    processed.
+    """
+    env = center.env
+    admitted = []
+    departures = []
+
+    def depart(event):
+        departures.append((event.value, env.now))
+
+    def arrive(event):
+        ident = event.value
+        hop = center.begin(Message(ident, (0, 0), (0, 1), 1024.0, env.now), ident)
+        admitted.append(hop is not None)
+        if hop is not None:
+            hop.callbacks.append(depart)
+
+    for ident, at in enumerate(arrivals):
+        env.timeout_at(at, ident).callbacks.append(arrive)
+    while env.queue_size:
+        env.step()
+    return admitted, departures
+
+
+def lindley(arrivals, draw, finish=lambda start, work: start + work):
+    """Departure times of a FIFO single server, and the service times drawn."""
+    departures, work = [], []
+    previous = 0.0
+    for at in arrivals:
+        service_time = draw()
+        previous = finish(max(previous, at), service_time)
+        departures.append(previous)
+        work.append(service_time)
+    return departures, work
+
+
+@given(arrivals=arrival_times, seed=seeds, service=services)
+@settings(max_examples=80, deadline=None)
+def test_service_center_follows_lindley(arrivals, seed, service):
+    center = ServiceCenterSim(
+        Environment(), "icn1[0]", SERVICE[service], RandomStreams(seed).stream("svc")
+    )
+    _, departures = drive(center, arrivals)
+
+    expected, work = lindley(arrivals, service_draws(seed, service))
+    assert departures == list(enumerate(expected))
+    busy = 0.0
+    for service_time in work:
+        busy += service_time
+    horizon = expected[-1]
+    assert center.served == len(arrivals)
+    assert center.busy_time == busy
+    assert center.utilization(horizon) == min(busy / horizon, 1.0)
+    # Little's law: the time-average occupancy is the summed sojourn per unit time.
+    sojourn = sum(d - a for d, a in zip(expected, arrivals))
+    assert center.mean_occupancy(horizon) == pytest.approx(sojourn / horizon, rel=1e-9)
+
+
+@given(arrivals=arrival_times, seed=seeds, service=services)
+@settings(max_examples=80, deadline=None)
+def test_stall_policy_follows_stretched_recursion(arrivals, seed, service):
+    center = FaultyServiceCenterSim(
+        Environment(),
+        "icn1[0]",
+        SERVICE[service],
+        RandomStreams(seed).stream("svc"),
+        schedule=fault_schedule(seed),
+        policy="stall",
+    )
+    admitted, departures = drive(center, arrivals)
+
+    expected, _ = lindley(arrivals, service_draws(seed, service), fault_schedule(seed).finish)
+    assert all(admitted)
+    assert center.dropped == 0
+    assert departures == list(enumerate(expected))
+
+
+@given(arrivals=arrival_times, seed=seeds, service=services)
+@settings(max_examples=80, deadline=None)
+def test_drop_policy_admits_exactly_the_arrivals_while_up(arrivals, seed, service):
+    center = FaultyServiceCenterSim(
+        Environment(),
+        "icn1[0]",
+        SERVICE[service],
+        RandomStreams(seed).stream("svc"),
+        schedule=fault_schedule(seed),
+        policy="drop",
+    )
+    admitted, departures = drive(center, arrivals)
+
+    twin = fault_schedule(seed)
+    up = [not twin.is_down(at) for at in arrivals]
+    assert admitted == up
+    assert center.dropped == up.count(False)
+    kept = [ident for ident, is_up in enumerate(up) if is_up]
+    expected, _ = lindley([arrivals[i] for i in kept], service_draws(seed, service))
+    assert departures == list(zip(kept, expected))

@@ -108,10 +108,23 @@ def test_unknown_attribute_reported(tool, tree):
     ]
 
 
+def test_contributing_guide_is_checked(tool, tree):
+    (tree / "CONTRIBUTING.md").write_text(
+        "Read [the guide](docs/missing.md); `repro.des.process` holds processes.\n",
+        encoding="utf-8",
+    )
+    problems = problems_of(tool.check_links) + problems_of(tool.check_module_paths)
+    assert problems == [
+        "CONTRIBUTING.md: broken link 'docs/missing.md'",
+        "CONTRIBUTING.md: `repro.des.process` does not resolve "
+        "(repro.des has no attribute 'process')",
+    ]
+
+
 def test_lazy_export_resolves(tool, monkeypatch):
     """A name a package exports lazily (PEP 562) resolves through its ``__getattr__``."""
     import repro.des
 
     monkeypatch.delitem(vars(repro.des), "Environment", raising=False)
-    assert tool.unresolved_part("repro.des.Environment.run") == ""
+    assert tool.unresolved_part("repro.des.Environment.step") == ""
     assert "Environment" in vars(repro.des)  # bound by the lazy hook

@@ -7,9 +7,10 @@ Checks (the CI ``docs`` job fails on any finding):
    ``## repro <verb>`` section in ``docs/cli.md``, and every long option
    of every verb is mentioned somewhere in that file.
 2. Every field of ``ExperimentSpec`` appears in ``docs/spec-reference.md``.
-3. Every relative markdown link in ``docs/*.md`` and ``README.md``
-   resolves: the target file exists, and when the link carries a
-   ``#fragment`` the target contains a heading with that GitHub anchor.
+3. Every relative markdown link in ``docs/*.md``, ``README.md`` and
+   ``CONTRIBUTING.md`` resolves: the target file exists, and when the
+   link carries a ``#fragment`` the target contains a heading with that
+   GitHub anchor.
 4. Every backticked ``repro.<dotted>`` path in those files resolves: the
    longest prefix that imports is imported and the rest is looked up with
    ``getattr``, so names a package exports lazily resolve too.
@@ -107,7 +108,12 @@ def check_spec_docs(problems: List[str]) -> None:
 
 
 def markdown_files() -> List[str]:
-    files = [os.path.join(REPO, "README.md")]
+    """The pages checked: ``README.md``, ``CONTRIBUTING.md`` and ``docs/*.md``.
+
+    ``ROADMAP.md`` and ``CHANGES.md`` stay out: their history names deleted
+    modules on purpose.
+    """
+    files = [os.path.join(REPO, name) for name in ("README.md", "CONTRIBUTING.md")]
     if os.path.isdir(DOCS_DIR):
         files += sorted(
             os.path.join(DOCS_DIR, name)
