@@ -236,6 +236,16 @@ class TestMissingSlots:
         )
         assert rule_ids(source, HOT_PATH) == []
 
+    @pytest.mark.parametrize("arguments", ["", "(frozen=True)", "(slots=False)"])
+    def test_bad_dataclass_without_slots(self, arguments):
+        source = (
+            "from dataclasses import dataclass\n"
+            f"@dataclass{arguments}\n"
+            "class Record:\n"
+            "    x: int\n"
+        )
+        assert rule_ids(source, HOT_PATH) == ["REP301"]
+
     def test_good_exception_exempt(self):
         source = "class KernelError(Exception):\n    pass\n"
         assert rule_ids(source, HOT_PATH) == []

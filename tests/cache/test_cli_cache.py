@@ -158,3 +158,45 @@ class TestCacheVerb:
         cache_dir = self.seed_cache(tmp_path)
         with pytest.raises(SystemExit):
             main(["cache", "show", "f" * 64, "--cache", cache_dir])
+
+    def test_evict_unknown_key_fails(self, tmp_path):
+        cache_dir = self.seed_cache(tmp_path)
+        with pytest.raises(SystemExit, match="no cache entry"):
+            main(["cache", "evict", "f" * 64, "--cache", cache_dir])
+        stats, _ = run_main(["cache", "stats", "--cache", cache_dir, "--json"])
+        assert json.loads(stats)["entries"] == 1
+
+    @pytest.mark.parametrize("action", ["show", "evict"])
+    def test_show_and_evict_need_a_key(self, action, tmp_path):
+        with pytest.raises(SystemExit, match=f"repro cache {action} needs a KEY"):
+            main(["cache", action, "--cache", str(tmp_path / "cache")])
+
+    def test_list_on_an_empty_cache(self, tmp_path):
+        out, _ = run_main(["cache", "list", "--cache", str(tmp_path / "cache")])
+        assert out == "cache is empty\n"
+
+    def test_text_list_marks_fresh_entries(self, tmp_path):
+        cache_dir = self.seed_cache(tmp_path)
+        listed, _ = run_main(["cache", "list", "--cache", cache_dir, "--json"])
+        key = json.loads(listed)[0]["key"]
+        out, _ = run_main(["cache", "list", "--cache", cache_dir])
+        header, row = out.splitlines()[0], out.splitlines()[-1]
+        assert header.split()[:2] == ["key", "scenario"]
+        assert row.split()[:3] == [key, "case-1", "analysis"]
+        assert row.split()[-1] == "no"
+
+    def test_text_stats_names_the_root(self, tmp_path):
+        cache_dir = self.seed_cache(tmp_path)
+        out, _ = run_main(["cache", "stats", "--cache", cache_dir])
+        root, *fields = out.splitlines()
+        assert root.startswith("cache: ")
+        assert root.endswith("cache")
+        values = dict(map(str.strip, line.split(":", 1)) for line in fields)
+        assert values["entries"] == "1"
+
+    def test_evict_stale_keeps_fresh_entries(self, tmp_path):
+        cache_dir = self.seed_cache(tmp_path)
+        out, _ = run_main(["cache", "evict-stale", "--cache", cache_dir])
+        assert out == "evicted 0 stale entries\n"
+        stats, _ = run_main(["cache", "stats", "--cache", cache_dir, "--json"])
+        assert json.loads(stats)["entries"] == 1

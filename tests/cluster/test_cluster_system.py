@@ -171,6 +171,21 @@ class TestMultiClusterSystem:
         assert rescaled.processors_per_cluster == 16
         assert rescaled.clusters[0].icn_technology is GIGABIT_ETHERNET
 
+    def test_from_cluster_sizes_rejects_mismatched_processor_types(self):
+        with pytest.raises(ConfigurationError, match="processor_types must match"):
+            MultiClusterSystem.from_cluster_sizes(
+                sizes=[4, 4],
+                icn_technologies=[GIGABIT_ETHERNET, GIGABIT_ETHERNET],
+                ecn_technologies=[FAST_ETHERNET, FAST_ETHERNET],
+                icn2_technology=FAST_ETHERNET,
+                processor_types=[ProcessorType("a")],
+            )
+
+    def test_rescaled_rejects_non_positive_cluster_count(self):
+        system = MultiClusterSystem.super_cluster(4, 64, GIGABIT_ETHERNET, FAST_ETHERNET)
+        with pytest.raises(ConfigurationError, match="num_clusters must be >= 1"):
+            system.rescaled(0)
+
     def test_rescaled_requires_divisibility(self):
         system = MultiClusterSystem.super_cluster(4, 64, GIGABIT_ETHERNET, FAST_ETHERNET)
         with pytest.raises(ConfigurationError):

@@ -65,6 +65,11 @@ class TestMonitor:
         assert set(summary) == {"count", "mean", "std", "min", "max", "p50", "p95", "p99"}
         assert summary["count"] == 100
 
+    def test_repr_shows_name_count_and_mean(self):
+        mon = Monitor("latency")
+        mon.extend([0.0, 1.0], [1.0, 2.0])
+        assert repr(mon) == "<Monitor 'latency' n=2 mean=1.5>"
+
 
 class TestTimeWeightedMonitor:
     def test_time_average_piecewise_constant(self):
@@ -105,6 +110,11 @@ class TestTimeWeightedMonitor:
     def test_zero_horizon_returns_current(self):
         mon = TimeWeightedMonitor(initial=3.0, start_time=2.0)
         assert mon.time_average(now=2.0) == 3.0
+
+    def test_repr_shows_name_and_level(self):
+        mon = TimeWeightedMonitor("queue")
+        mon.increment(1.0, 2.0)
+        assert repr(mon) == "<TimeWeightedMonitor 'queue' level=2.0>"
 
 
 class TestMonitorExtendFastPaths:
@@ -160,6 +170,17 @@ class TestMonitorExtendFastPaths:
         mon = Monitor()
         mon.extend(np.arange(3), np.array([1, 2, 3]))
         assert list(mon.values) == [1.0, 2.0, 3.0]
+
+    def test_extend_accepts_double_arrays_without_aliasing(self):
+        from array import array
+
+        times = array("d", [0.0, 1.0])
+        values = array("d", [5.0, 7.0])
+        mon = Monitor()
+        mon.extend(times, values)
+        values[0] = 99.0
+        assert list(mon.values) == [5.0, 7.0]
+        assert list(mon.times) == [0.0, 1.0]
 
     def test_values_snapshot_is_independent(self):
         mon = Monitor()

@@ -64,6 +64,12 @@ class TestRandomStreams:
         bundle = streams.streams(["a", "b"])
         assert set(bundle) == {"a", "b"}
 
+    def test_seed_and_repr_name_the_created_streams(self):
+        streams = RandomStreams(seed=42)
+        streams.streams(["service", "arrivals"])
+        assert streams.seed == 42
+        assert repr(streams) == "<RandomStreams seed=42 streams=['arrivals', 'service']>"
+
     def test_spawn_creates_independent_replication(self):
         base = RandomStreams(seed=5)
         rep = base.spawn(1)

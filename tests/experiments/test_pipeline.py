@@ -59,6 +59,11 @@ class TestExperimentSpec:
         with pytest.raises(ExperimentError, match="unknown spec field"):
             ExperimentSpec.from_json({"scenario": "case-1", "clusters": [2]})
 
+    @pytest.mark.parametrize("data", [["case-1"], "case-1", None])
+    def test_non_object_spec_rejected(self, data):
+        with pytest.raises(ExperimentError, match="a spec must be a JSON object"):
+            ExperimentSpec.from_json(data)
+
     def test_missing_scenario_rejected(self):
         with pytest.raises(ExperimentError, match="scenario"):
             ExperimentSpec.from_json({"mode": "analysis"})

@@ -169,6 +169,13 @@ class TestBlockingModel:
     def test_no_full_bisection(self):
         assert not BlockingNetworkModel(FAST_ETHERNET, PAPER_SWITCH, 256).has_full_bisection
 
+    def test_message_size_validation(self):
+        model = BlockingNetworkModel(FAST_ETHERNET, PAPER_SWITCH, attached_nodes=256)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            model.transmission_time(-1.0)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            model.blocking_time(-1.0)
+
     def test_tiny_network_no_blocking(self):
         model = BlockingNetworkModel(FAST_ETHERNET, PAPER_SWITCH, attached_nodes=2)
         assert model.blocking_time(1024) == 0.0

@@ -92,6 +92,22 @@ class TestProtocol:
             b.close()
 
 
+    def test_oversized_frame_rejected_before_its_payload_is_read(self):
+        from repro.parallel.protocol import MAX_FRAME_BYTES
+
+        a, b = socket.socketpair()
+        try:
+            # Only the header is sent: reading the payload would block, and
+            # the timeout turns a missing size check into a test failure.
+            b.settimeout(5.0)
+            a.sendall((MAX_FRAME_BYTES + 1).to_bytes(8, "big"))
+            with pytest.raises(ProtocolError, match="exceeds"):
+                recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+
 class TestBackendInterface:
     def test_serial_backend_yields_in_task_order(self):
         tasks = [SweepTask(fn=_square, args=(i,)) for i in range(4)]

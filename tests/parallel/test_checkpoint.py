@@ -190,6 +190,37 @@ class TestJournalCorruption:
         # The healed file must be cleanly parseable by the next resume.
         assert SweepJournal(journal_path).restored_count == 4
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("tasks", 5, "run header re-declared with different content"),
+            ("run", 7, "done record for undeclared run 7"),
+            ("index", 4, "task index 4 out of range"),
+            ("kind", "skip", "unknown record kind 'skip'"),
+        ],
+        ids=["redeclared-header", "undeclared-run", "index-out-of-range", "unknown-kind"],
+    )
+    def test_inconsistent_record_discards_the_rest(self, tmp_path, field, value, match):
+        # Each line is valid JSON; what breaks is its agreement with the
+        # header.  Line 3 (done1) is replaced: by a second header for the
+        # same run in the first case, by a mutated done record otherwise.
+        journal_path = tmp_path / "sweep.journal"
+        log = tmp_path / "executions.log"
+        reference = SweepEngine(jobs=1, journal=SweepJournal(journal_path)).run(_tasks(log))
+        with open(journal_path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        record = json.loads(lines[0] if field == "tasks" else lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record) + "\n"
+        with open(journal_path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with pytest.warns(UserWarning, match=f"discarding line 3 .*{match}"):
+            journal = SweepJournal(journal_path)
+        assert journal.restored_count == 1
+        resumed = SweepEngine(jobs=1, journal=journal).run(_tasks(log))
+        assert resumed == reference
+        assert _executions(log) == 4 + 3
+
     def test_empty_and_missing_files_are_fine(self, tmp_path):
         missing = SweepJournal(tmp_path / "never-written.journal")
         assert missing.restored_count == 0

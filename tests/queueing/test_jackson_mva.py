@@ -47,6 +47,18 @@ class TestMVA:
         # Delay-station "queue" counts thinking customers, so totals match N.
         assert total_queue == pytest.approx(population, rel=1e-9)
 
+    def test_single_queue_holds_the_whole_population(self):
+        # With no think station every customer is always at the one queue:
+        # Q = N, R = N·S and X = 1/S for every N.
+        result = mean_value_analysis([MVAStation("cpu", 1.0, 0.5)], population=7)
+        assert result.queue_length("cpu") == pytest.approx(7.0)
+        assert result.residence_time("cpu") == pytest.approx(3.5)
+        assert result.throughput == pytest.approx(2.0)
+
+    def test_negative_service_time_rejected(self):
+        with pytest.raises(ConfigurationError, match="service time must be non-negative"):
+            MVAStation("s", 1.0, -0.5)
+
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
             mean_value_analysis([], population=1)

@@ -373,6 +373,16 @@ class TestErrors:
             status, _ = client.request(method, path, body=b"{}" if method == "POST" else None)
             assert status == 404, (method, path)
 
+    def test_unknown_subresource_of_a_job_is_404(self, serial_service):
+        client = _Client(serial_service)
+        _, submitted = client.submit(small_spec(mode="analysis"))
+        serial_service.manager.wait(submitted["id"])
+        status, body = client.json("GET", f"/v1/jobs/{submitted['id']}/result.json")
+        assert status == 404
+        assert "unknown path" in body["error"]
+        status, _ = client.json("GET", f"/v1/jobs/{submitted['id']}/result")
+        assert status == 200
+
     def test_failed_job_is_500_with_error(self, tmp_path):
         class ExplodingBackend(SerialBackend):
             def execute(self, tasks):

@@ -112,6 +112,27 @@ class TestLatencySink:
         with pytest.raises(SimulationError):
             LatencySink(env, target_messages=5, warmup_messages=5)
 
+    def test_histogram_range_requires_online_mode(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="only applies to the online sink"):
+            LatencySink(env, target_messages=5, histogram_range=(0.0, 1.0))
+
+    def test_done_fires_once_at_the_completing_instant(self):
+        # The simulator's loop stops when it reaches ``done``, so the event
+        # fires at the completion's time and is never re-triggered.
+        env = Environment(initial_time=3.0)
+        sink = LatencySink(env, target_messages=2)
+        for i in range(4):
+            message = Message(i, (0, 0), (0, 1), 10, created_at=0.0)
+            message.completed_at = 3.0
+            sink.record(message)
+        assert sink.completed == 4
+        assert sink.done.value == 2
+        assert env.queue_size == 1
+        env.step()
+        assert sink.done.processed
+        assert env.now == 3.0
+
 
 class TestSimulationConfig:
     def test_validation(self):

@@ -64,6 +64,19 @@ class TestRunningStatistics:
         assert merged.count == 2
         assert merged.mean == pytest.approx(1.5)
 
+    def test_population_variance_divides_by_n(self):
+        stats = RunningStatistics()
+        assert math.isnan(stats.population_variance)
+        stats.push_many([1.0, 2.0, 3.0, 4.0])
+        assert stats.population_variance == pytest.approx(1.25)
+        assert stats.variance == pytest.approx(5.0 / 3.0)
+
+    def test_merge_of_two_empty_accumulators_is_empty(self):
+        merged = RunningStatistics().merge(RunningStatistics())
+        assert merged.count == 0
+        assert math.isnan(merged.mean)
+        assert math.isnan(merged.minimum)
+
     def test_merge_type_check(self):
         with pytest.raises(TypeError):
             RunningStatistics().merge([1, 2, 3])  # type: ignore[arg-type]

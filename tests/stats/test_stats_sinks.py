@@ -323,6 +323,10 @@ class TestOnlineMonitorEdgeCases:
         assert math.isnan(sink.percentile(50))
         assert math.isnan(sink.quantile_resolution)
 
+    def test_merge_with_another_sink_type_rejected(self):
+        with pytest.raises(TypeError, match="another OnlineMonitor"):
+            OnlineMonitor().merge(Monitor())
+
     def test_constant_stream_freezes_degenerate_range(self):
         sink = OnlineMonitor(calibration_samples=16)
         for i in range(64):

@@ -52,6 +52,11 @@ class TestLineChart:
         chart = line_chart([1, 2, 3], {"flat": [2.0, 2.0, 2.0]}, width=20, height=6)
         assert "flat" in chart
 
+    def test_single_x_value(self):
+        chart = line_chart([512], {"s": [1.0]}, width=20, height=6)
+        assert "512" in chart
+        assert "legend" in chart
+
     def test_nan_values_skipped(self):
         chart = line_chart([1, 2, 3], {"s": [1.0, math.nan, 3.0]}, width=20, height=6)
         assert "legend" in chart
@@ -97,6 +102,9 @@ class TestTables:
 
     def test_markdown_empty(self):
         assert format_markdown_table([]) == "(no data)"
+
+    def test_fixed_width_empty(self):
+        assert format_fixed_width_table([]) == "(no data)"
 
     def test_fixed_width_table_alignment(self):
         table = format_fixed_width_table(self.ROWS)

@@ -49,6 +49,11 @@ class TestArrivals:
         process = DeterministicArrivals(rate=2.0)
         assert {process.interarrival(rng) for _ in range(5)} == {0.5}
 
+    @pytest.mark.parametrize("rate", [0.0, -2.0])
+    def test_deterministic_validation(self, rate):
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            DeterministicArrivals(rate=rate)
+
     def test_mmpp_long_run_rate(self, rng):
         process = MMPPArrivals(
             low_rate=1.0, high_rate=9.0, mean_low_duration=10.0, mean_high_duration=10.0
