@@ -43,7 +43,7 @@ def _closed_loop(system, messages: int, seed: int = 1, stats_mode: str = "array"
         system, SimulationConfig(num_messages=messages, seed=seed, stats_mode=stats_mode)
     )
     result = sim.run()
-    return result.measured_messages, next(sim.env._eid)
+    return result.measured_messages, sim.events_scheduled
 
 
 def _peak_rss_mb(stats_mode: str, messages: int) -> float:

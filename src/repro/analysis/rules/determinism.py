@@ -138,7 +138,7 @@ class WallClockRule(_RuntimeScopedRule):
     name = "wall-clock-read"
     rationale = (
         "Wall-clock reads make simulation output depend on when it ran; "
-        "use the simulation clock (env.now) or time.monotonic for timers."
+        "use the simulated clock or time.monotonic for timers."
     )
     node_types = (ast.Call,)
 
@@ -148,7 +148,7 @@ class WallClockRule(_RuntimeScopedRule):
             yield Finding(
                 self.id,
                 f"wall-clock read {dotted}() in simulation-runtime code; use "
-                "env.now (simulated time) or time.monotonic (elapsed time)",
+                "the simulated clock or time.monotonic (elapsed time)",
                 node.lineno,
                 node.col_offset,
             )

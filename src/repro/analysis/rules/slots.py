@@ -1,9 +1,10 @@
 """Slots-integrity rules: REP301 (missing slots), REP302 (subclass __dict__).
 
-The PR 4 throughput work made the DES kernel's per-event objects slotted:
-a simulation allocates one :class:`~repro.des.events.Event` (or subclass)
-per message hop, so instance ``__dict__`` allocation is a measurable share
-of runtime and memory.  Two ways that invariant regresses silently:
+The PR 4 throughput work made the simulator's per-message objects slotted:
+a simulation allocates one :class:`~repro.simulation.message.Message` per
+request and updates monitors and service centres on every hop, so instance
+``__dict__`` allocation is a measurable share of runtime and memory.  Two
+ways that invariant regresses silently:
 
 * a new class lands in one of the hot modules without ``__slots__``
   (REP301) — the object works, it is just several times bigger and slower
@@ -30,7 +31,6 @@ __all__ = ["MissingSlotsRule", "SlottedSubclassDictRule", "HOT_MODULES", "KNOWN_
 #: Modules whose classes are allocated on the per-message hot path.
 HOT_MODULES = frozenset(
     {
-        "repro.des.events",
         "repro.des.monitor",
         "repro.des.rng",
         "repro.simulation.components",
@@ -38,14 +38,11 @@ HOT_MODULES = frozenset(
     }
 )
 
-#: Slotted classes of the DES kernel and validation simulator whose
-#: subclasses must re-declare ``__slots__`` (REP302).  Kept as names
+#: Slotted classes of the simulation substrate and validation simulator
+#: whose subclasses must re-declare ``__slots__`` (REP302).  Kept as names
 #: because the linter sees one file at a time.
 KNOWN_SLOTTED = frozenset(
     {
-        "Event",
-        "Timeout",
-        "AbsoluteTimeout",
         "Monitor",
         "TimeWeightedMonitor",
         "VariateStream",

@@ -1,35 +1,25 @@
-"""Discrete-event simulation kernel.
+"""Random streams and measurement helpers for the simulation.
 
-This package is the simulation substrate of the reproduction: a
-deterministic discrete-event kernel with timeouts, independent random
-streams and measurement helpers.  It has no processes: code reacts to an
-event through the callbacks attached to it.  The multi-cluster validation
-simulator in :mod:`repro.simulation` borrows the environment's heap
-(``_queue``, ``_eid``) and clock (``_now``) and the timeout event types,
-until it owns a heap of its own.
+The multi-cluster validation simulator in :mod:`repro.simulation` draws
+from this package's independent, seeded random streams and records into
+its monitors; its closed loop owns its own event heap, ordered by
+``(time, id)``.
 
 Quick example
 -------------
->>> from repro.des import Environment
->>> env = Environment()
->>> done = []
->>> for i in range(3):
-...     env.timeout(3.0 - i, i).callbacks.append(
-...         lambda event: done.append((event.value, env.now)))
->>> while env.queue_size:
-...     env.step()
->>> done
-[(2, 1.0), (1, 2.0), (0, 3.0)]
+>>> from repro.des import RandomStreams, TimeWeightedMonitor
+>>> rng = RandomStreams(seed=7).stream("arrivals")
+>>> rng.exponential(1.0) == RandomStreams(seed=7).stream("arrivals").exponential(1.0)
+True
+>>> level = TimeWeightedMonitor()
+>>> level.update(2.0, 1.0)
+>>> level.time_average(4.0)
+0.5
 """
 
 from .._lazy import lazy_exports
 
 __all__ = [
-    "Environment",
-    "EmptySchedule",
-    "Event",
-    "Timeout",
-    "AbsoluteTimeout",
     "Monitor",
     "TimeWeightedMonitor",
     "RandomStreams",
@@ -37,8 +27,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".core": ("EmptySchedule", "Environment"),
-    ".events": ("AbsoluteTimeout", "Event", "Timeout"),
     ".monitor": ("Monitor", "TimeWeightedMonitor"),
     ".rng": ("RandomStreams", "VariateGenerator"),
 })

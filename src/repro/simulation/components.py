@@ -13,10 +13,8 @@ is exponentially distributed with the mean given by the §5 network models
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional
+from typing import List, Optional
 
-from ..des.core import Environment
-from ..des.events import AbsoluteTimeout, Event
 from ..des.monitor import Monitor, TimeWeightedMonitor
 from ..des.rng import VariateGenerator
 from ..errors import SimulationError
@@ -33,11 +31,9 @@ class ServiceCenterSim:
 
     Parameters
     ----------
-    env:
-        The simulation environment.
     name:
-        Service-centre name used in message paths and reports (e.g.
-        ``"icn1[3]"``, ``"ecn1[0]"``, ``"icn2"``).
+        Service-centre name used in reports (e.g. ``"icn1[3]"``,
+        ``"ecn1[0]"``, ``"icn2"``).
     service_distribution:
         Distribution of the per-message service time; the paper uses an
         exponential whose mean is the §5 transmission time.
@@ -49,21 +45,20 @@ class ServiceCenterSim:
     The centre is a *virtual* FIFO queue: because a single-server FIFO
     station serves messages in arrival order, each message's departure time
     is fully determined at arrival — ``depart = max(now, previous depart) +
-    service_time`` — so one :class:`~repro.des.events.AbsoluteTimeout` per
-    visit replaces the request/grant/timeout/release event chain of an
-    explicit resource (5 events and several callback hops per visit).
+    service_time`` — so :meth:`begin` returns it and the caller schedules
+    one departure per visit, then calls :meth:`depart` when it is reached.
     Service times are drawn in arrival order, which for a FIFO queue is
-    exactly the grant order of the explicit-resource formulation, so every
+    exactly the grant order of an explicit-resource formulation, so every
     seed reproduces the original per-message latencies bit-for-bit (the
     golden-trace tests assert this).
     """
 
     __slots__ = (
-        "env",
         "name",
         "service_distribution",
         "rng",
         "occupancy",
+        "_level",
         "_sample",
         "_next_free",
         "_in_service",
@@ -73,17 +68,17 @@ class ServiceCenterSim:
 
     def __init__(
         self,
-        env: Environment,
         name: str,
         service_distribution: Distribution,
         rng: VariateGenerator,
     ) -> None:
-        self.env = env
         self.name = name
         self.service_distribution = service_distribution
         self.rng = rng
         #: Time-weighted number of messages present (queued + in service).
-        self.occupancy = TimeWeightedMonitor(name=f"{name}.occupancy", start_time=env.now)
+        self.occupancy = TimeWeightedMonitor(name=f"{name}.occupancy")
+        #: The level ``occupancy`` was last set to.
+        self._level = 0.0
         #: Batched per-centre service-time sampler (bit-identical to
         #: per-call ``service_distribution.sample(rng)``).
         self._sample = service_distribution.sampler(rng)
@@ -97,22 +92,18 @@ class ServiceCenterSim:
 
     # -- behaviour ------------------------------------------------------------------
 
-    def begin(self, message: Message, value: Any = None) -> Optional[AbsoluteTimeout]:
-        """Admit ``message`` and return the event of its departure.
+    def begin(self, message: Message, now: float) -> Optional[float]:
+        """Admit ``message`` at time ``now`` and return its departure time.
 
-        This is the hot path: it draws the service time, computes the
-        departure time from the virtual queue and schedules a single
-        absolute-time event carrying ``value``.  Per-visit bookkeeping
-        (occupancy decrement, served/busy counters) runs in the event's
-        first callback when it fires, before anything waiting on it.  The
+        This is the hot path: it draws the service time and computes the
+        departure from the virtual queue.  Per-visit bookkeeping (occupancy
+        decrement, served/busy counters) waits for :meth:`depart`.  The
         always-up centre admits every message; a fault-prone centre under
         the drop policy returns ``None`` for a lost message.
         """
-        env = self.env
-        now = env._now
-        occupancy = self.occupancy
-        occupancy.update_unchecked(now, occupancy._last_value + 1.0)
-        message.path.append(self.name)
+        level = self._level + 1.0
+        self._level = level
+        self.occupancy.update_unchecked(now, level)
         start = self._next_free
         if start < now:
             start = now
@@ -120,17 +111,16 @@ class ServiceCenterSim:
         depart = start + service_time
         self._next_free = depart
         self._in_service.append((start, service_time))
-        event = AbsoluteTimeout(env, depart, value)
-        event.callbacks.append(self._departed)
-        return event
+        return depart
 
-    def _departed(self, _event: Event) -> None:
-        """Commit one departure (runs as the departure event's callback)."""
+    def depart(self, now: float) -> None:
+        """Commit the oldest admitted message's departure at time ``now``."""
         start, service_time = self._in_service.popleft()
         self._busy_time += service_time
         self._served += 1
-        occupancy = self.occupancy
-        occupancy.update_unchecked(self.env._now, occupancy._last_value - 1.0)
+        level = self._level - 1.0
+        self._level = level
+        self.occupancy.update_unchecked(now, level)
 
     # -- statistics -----------------------------------------------------------------
 
@@ -144,33 +134,32 @@ class ServiceCenterSim:
         """Cumulative service time of all *departed* messages (seconds)."""
         return self._busy_time
 
-    def utilization(self, now: Optional[float] = None) -> float:
+    def utilization(self, now: float) -> float:
         """Fraction of time the server has been busy up to ``now``.
 
         Counts the full service time of every message whose service has
         *started* by ``now`` (matching the explicit-resource formulation,
         which committed the service time at grant), capped at 1.
         """
-        horizon = self.env.now if now is None else now
-        if horizon <= 0:
+        if now <= 0:
             return 0.0
         busy = self._busy_time
         for start, service_time in self._in_service:
-            if start > horizon:
+            if start > now:
                 break
             busy += service_time
-        return min(busy / horizon, 1.0)
+        return min(busy / now, 1.0)
 
-    def mean_occupancy(self, now: Optional[float] = None) -> float:
+    def mean_occupancy(self, now: float) -> float:
         """Time-average number of messages at the centre (queue + service)."""
-        return self.occupancy.time_average(self.env.now if now is None else now)
+        return self.occupancy.time_average(now)
 
     def __repr__(self) -> str:
         return f"<ServiceCenterSim {self.name!r} served={self._served}>"
 
 
 class LatencySink:
-    """Collects completed messages and decides when the run is finished.
+    """Collects completed messages and counts them against the run's target.
 
     The latency monitors are pluggable :class:`repro.stats.sinks.StatsSink`
     implementations selected by ``stats_mode``:
@@ -187,7 +176,6 @@ class LatencySink:
     """
 
     __slots__ = (
-        "env",
         "target_messages",
         "warmup_messages",
         "stats_mode",
@@ -197,12 +185,10 @@ class LatencySink:
         "remote_latencies",
         "completed",
         "messages",
-        "done",
     )
 
     def __init__(
         self,
-        env: Environment,
         target_messages: int,
         warmup_messages: int = 0,
         stats_mode: str = "array",
@@ -221,7 +207,6 @@ class LatencySink:
                 "histogram_range only applies to the online sink, "
                 f"got stats_mode={stats_mode!r}"
             )
-        self.env = env
         self.target_messages = target_messages
         self.warmup_messages = warmup_messages
         self.stats_mode = stats_mode
@@ -244,11 +229,9 @@ class LatencySink:
             self.remote_latencies = OnlineMonitor("latency.remote", track_quantiles=False)
         self.completed: int = 0
         self.messages: List[Message] = []
-        #: Event triggered once ``target_messages`` messages have completed.
-        self.done: Event = env.event()
 
     def record(self, message: Message) -> None:
-        """Register a completed message (called by the processor agents)."""
+        """Register a completed message (called by the simulator's loop)."""
         completed_at = message.completed_at
         if completed_at is None:
             raise SimulationError(f"message {message.ident} recorded before completion")
@@ -262,8 +245,6 @@ class LatencySink:
                 self.local_latencies.record(completed_at, latency)
             if self.keep_messages:
                 self.messages.append(message)
-        if self.completed >= self.target_messages and not self.done.triggered:
-            self.done.succeed(self.completed)
 
     @property
     def measured(self) -> int:

@@ -30,9 +30,8 @@ become monitored outputs of :class:`~repro.simulation.results.SimulationResult`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..des.events import AbsoluteTimeout
 from ..des.rng import RandomStreams, VariateGenerator
 from ..errors import ConfigurationError
 from .components import ServiceCenterSim
@@ -166,18 +165,16 @@ class FaultyServiceCenterSim(ServiceCenterSim):
         self.policy = policy
         self.dropped = 0
 
-    def begin(self, message: Message, value: Any = None) -> Optional[AbsoluteTimeout]:
+    def begin(self, message: Message, now: float) -> Optional[float]:
         """Admit ``message``, or return ``None`` if the drop policy loses it."""
         if self.policy != "stall":
-            if self.schedule.is_down(self.env._now):
+            if self.schedule.is_down(now):
                 self.dropped += 1
                 return None
-            return super().begin(message, value)
-        env = self.env
-        now = env._now
-        occupancy = self.occupancy
-        occupancy.update_unchecked(now, occupancy._last_value + 1.0)
-        message.path.append(self.name)
+            return super().begin(message, now)
+        level = self._level + 1.0
+        self._level = level
+        self.occupancy.update_unchecked(now, level)
         start = self._next_free
         if start < now:
             start = now
@@ -187,9 +184,7 @@ class FaultyServiceCenterSim(ServiceCenterSim):
         # Charge the occupied span (service + overlapped downtime) so
         # utilization reflects the degraded server.
         self._in_service.append((start, depart - start))
-        event = AbsoluteTimeout(env, depart, value)
-        event.callbacks.append(self._departed)
-        return event
+        return depart
 
 
 class FaultInjector:

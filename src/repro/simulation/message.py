@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 __all__ = ["Message"]
@@ -13,7 +13,7 @@ class Message:
     """A single simulated request/reply interaction.
 
     Times are simulation seconds; ``None`` until the corresponding event has
-    happened.  ``path`` records the names of the service centres visited in
+    happened.  ``path`` names the service centres the message crosses, in
     order, which the integration tests use to assert correct routing.
 
     The dataclass is slotted: one ``Message`` is allocated per simulated
@@ -27,7 +27,14 @@ class Message:
     size_bytes: float
     created_at: float
     completed_at: Optional[float] = None
-    path: List[str] = field(default_factory=list)
+
+    @property
+    def path(self) -> List[str]:
+        """The service centres a local or remote message crosses, in order."""
+        source, destination = self.source[0], self.destination[0]
+        if source == destination:
+            return [f"icn1[{source}]"]
+        return [f"ecn1[{source}]", "icn2", f"ecn1[{destination}]"]
 
     @property
     def is_remote(self) -> bool:

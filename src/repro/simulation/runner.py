@@ -159,10 +159,8 @@ def run_message_trace_task(
     simulator = MultiClusterSimulator(system, config, destination_policy, arrival_factory)
     if config.stats_mode != "array":
         # run() reads ``self.sink`` when it starts, so replacing the sink
-        # here — constructing it consumes no event ids — keeps the run
-        # byte-identical.
+        # here keeps the run byte-identical.
         simulator.sink = _TraceRecordingSink(
-            simulator.env,
             config.num_messages,
             int(config.num_messages * config.warmup_fraction),
             stats_mode=config.stats_mode,

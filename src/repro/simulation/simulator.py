@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop
+from heapq import heappop, heappush
+from itertools import count
 from numbers import Integral
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.system import MultiClusterSystem
-from ..des.core import Environment
-from ..des.events import Timeout
 from ..des.rng import RandomStreams
 from ..errors import ConfigurationError, SimulationError
 from ..network.models import build_network_model
@@ -53,13 +52,14 @@ __all__ = [
     "MultiClusterSimulator",
 ]
 
-# Kinds of the closed loop's events; each event's value is
-# ``(kind, processor index, message or None)``.
+# Kinds of the closed loop's heap entries; each entry is
+# ``(time, id, kind, processor index, message or None, centre or None)``.
 _THINK = 0  # a think time ended: the source sends its next request
 _SEND = 1  # a churned source was repaired: it sends without re-checking
 _HOP1 = 2  # source-ECN1 departure of a remote message
 _HOP2 = 3  # ICN2 departure of a remote message
 _DONE = 4  # last departure (ICN1 or destination ECN1): the message completes
+_STOP = 5  # the target number of messages has completed
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,11 @@ class MultiClusterSimulator:
         # the sources and the fault schedules below only look them up.
         self._streams.streams(self._stream_names())
 
-        self.env = Environment()
         self._build_service_centers()
         warmup = int(self.config.num_messages * self.config.warmup_fraction)
+        #: Heap entries the last :meth:`run` pushed, the stop entry included.
+        self.events_scheduled = 0
         self.sink = LatencySink(
-            self.env,
             self.config.num_messages,
             warmup,
             stats_mode=self.config.stats_mode,
@@ -244,14 +244,13 @@ class MultiClusterSimulator:
         rng = self._streams.stream(stream_name)
         if self.faults is not None and self.faults.spec.on_links:
             return FaultyServiceCenterSim(
-                self.env,
                 name,
                 distribution,
                 rng,
                 schedule=self.faults.link_schedule(name),
                 policy=self.faults.spec.policy,
             )
-        return ServiceCenterSim(self.env, name, distribution, rng)
+        return ServiceCenterSim(name, distribution, rng)
 
     def _build_service_centers(self) -> None:
         cfg = self.config
@@ -293,38 +292,35 @@ class MultiClusterSimulator:
         Every processor is a closed-loop source: it thinks (draws an
         inter-arrival time), sends one request — through its cluster's
         ICN1, or source ECN1 -> ICN2 -> destination ECN1 — and blocks until
-        the request completes (assumption 4).  One flat loop pops the
-        environment's event queue and plays every source's part.  Each
-        event is created with its ``(kind, processor, message)`` hop state
-        as its value, so no per-source coroutine is needed.
+        the request completes (assumption 4).  One flat loop pops a heap of
+        ``(time, id, kind, processor, message, centre)`` entries and plays
+        every source's part, so no per-source coroutine is needed.  Ids
+        come from one counter, so ``(time, id)`` alone orders the heap.
 
         Same-instant ordering contract:
 
-        * events at one instant run in the order they were created (the
-          kernel's ``(time, event id)`` heap key);
+        * entries at one instant run in the order they were pushed;
         * a departure's centre bookkeeping runs before the message is
           admitted to its next hop;
-        * a completion is recorded, and may trigger the stop event, before
-          the source draws its next think time — so the run stops ahead of
-          any event created after the completion at that instant.
-
-        Before the loop, each source consumes one event id, as its
-        generator process's start event did when the golden fixtures were
-        captured, so event ids, and with them every tie, match the fixtures
-        bit for bit.
+        * a completion is recorded, and the one that reaches the target
+          pushes the stop entry, before the source draws its next think
+          time — so the run stops ahead of any entry pushed after that
+          completion at that instant, while entries already pushed for that
+          instant still run.
 
         With faults on, a source whose node is down waits for its repair
         before sending, and under the ``"drop"`` policy a message addressed
         to a down node, or arriving at a down centre, is lost and counted;
         its source then starts its next think time.
         """
-        env = self.env
         config = self.config
-        queue = env._queue
+        queue: List[tuple] = []
+        ids = count()
+        next_id = ids.__next__
         # Read at run time: run_message_trace_task swaps the sink in after
         # construction.
         sink = self.sink
-        done = sink.done
+        target = sink.target_messages
         record = sink.record
         icn1 = self.icn1
         ecn1 = self.ecn1
@@ -338,11 +334,9 @@ class MultiClusterSimulator:
         think: List[Callable[[], float]] = []
         choosers: List[Callable[[], Tuple[int, int]]] = []
         churn: List[Optional[FaultSchedule]] = []
-        next_eid = env._eid.__next__
         for cluster_idx, cluster in enumerate(self.system.clusters):
             rate = cluster.processor_type.scaled_rate(config.generation_rate)
             for proc_idx in range(cluster.num_processors):
-                next_eid()  # one id per source, as the docstring explains
                 source = (cluster_idx, proc_idx)
                 arrival_rng = self._streams.stream(f"arrivals-{cluster_idx}-{proc_idx}")
                 dest_rng = self._streams.stream(f"destination-{cluster_idx}-{proc_idx}")
@@ -355,35 +349,42 @@ class MultiClusterSimulator:
                 choosers.append(self.destination_policy.chooser(source, dest_rng))
                 churn.append(faults.node_schedule(*source) if on_nodes else None)
                 sources.append(source)
-        for proc, draw in enumerate(think):
-            Timeout(env, draw(), (_THINK, proc, None))
+
+        def think_entry(proc: int, now: float) -> tuple:
+            """The entry of source ``proc``'s next think time, drawn at ``now``."""
+            delay = float(think[proc]())
+            if delay < 0:
+                raise ValueError(f"Negative delay {delay!r} is not allowed")
+            return (now + delay, next_id(), _THINK, proc, None, None)
+
+        for proc in range(len(think)):
+            heappush(queue, think_entry(proc, 0.0))
 
         ident = 0
         while True:
-            at, _, event = heappop(queue)
-            env._now = at
-            if event is done:
-                done.callbacks = None  # processed, as the kernel marks it
-                break
-            kind, proc, message = event._value
+            at, _, kind, proc, message, center = heappop(queue)
             if kind == _DONE:
-                event.callbacks[0](event)  # the centre's departure bookkeeping
+                center.depart(at)
                 message.completed_at = at
                 record(message)
-                Timeout(env, think[proc](), (_THINK, proc, None))
+                if sink.completed == target:
+                    heappush(queue, (at, next_id(), _STOP, proc, None, None))
+                heappush(queue, think_entry(proc, at))
                 continue
             if kind == _HOP1:
-                event.callbacks[0](event)
-                hop = icn2.begin(message, (_HOP2, proc, message))
+                center.depart(at)
+                center, kind = icn2, _HOP2
             elif kind == _HOP2:
-                event.callbacks[0](event)
-                hop = ecn1[message.destination[0]].begin(message, (_DONE, proc, message))
+                center.depart(at)
+                center, kind = ecn1[message.destination[0]], _DONE
+            elif kind == _STOP:
+                break
             else:
                 if on_nodes and kind == _THINK:
                     up = churn[proc].next_up(at)
                     if up > at:
                         # Churn: a down node generates nothing until repaired.
-                        Timeout(env, up - at, (_SEND, proc, None))
+                        heappush(queue, (at + (up - at), next_id(), _SEND, proc, None, None))
                         continue
                 source = sources[proc]
                 destination = choosers[proc]()
@@ -393,7 +394,7 @@ class MultiClusterSimulator:
                     and faults.node_schedule(*destination).is_down(at)
                 ):
                     faults.node_dropped += 1
-                    Timeout(env, think[proc](), (_THINK, proc, None))
+                    heappush(queue, think_entry(proc, at))
                     continue
                 message = Message(
                     ident=ident,
@@ -404,19 +405,24 @@ class MultiClusterSimulator:
                 )
                 ident += 1
                 if destination[0] == source[0]:
-                    hop = icn1[source[0]].begin(message, (_DONE, proc, message))
+                    center, kind = icn1[source[0]], _DONE
                 else:
-                    hop = ecn1[source[0]].begin(message, (_HOP1, proc, message))
-            if hop is None:  # the drop policy lost the message at a down centre
-                Timeout(env, think[proc](), (_THINK, proc, None))
+                    center, kind = ecn1[source[0]], _HOP1
+            depart = center.begin(message, at)
+            if depart is None:  # the drop policy lost the message at a down centre
+                heappush(queue, think_entry(proc, at))
+            elif depart < at:
+                raise ValueError(f"Cannot schedule at {depart!r}, before current time {at!r}")
+            else:
+                heappush(queue, (depart, next_id(), kind, proc, message, center))
 
-        return self._collect_result()
+        self.events_scheduled = next(ids)
+        return self._collect_result(at)
 
-    def _collect_result(self) -> SimulationResult:
-        """Fold the finished run's sink and service centres into a result."""
+    def _collect_result(self, now: float) -> SimulationResult:
+        """Fold the sink and service centres of a run that stopped at ``now``."""
         sink = self.sink
         config = self.config
-        now = self.env.now
         if sink.measured == 0:
             raise SimulationError("simulation finished without measuring any messages")
 

@@ -10,6 +10,9 @@ import pytest
 from repro.analysis import (
     RULE_REGISTRY,
     LintEngine,
+    ModuleContext,
+    Rule,
+    register_rule,
     format_report,
     lint_paths,
     lint_source,
@@ -33,6 +36,25 @@ def test_registry_has_all_documented_rules():
     assert set(RULE_REGISTRY) == expected
 
 
+def test_registration_refuses_a_rule_without_id_or_name():
+    class Nameless(Rule):
+        id = "REP999"
+
+    with pytest.raises(ValueError, match="needs non-empty id and name"):
+        register_rule(Nameless)
+    assert "REP999" not in RULE_REGISTRY
+
+
+def test_registration_refuses_a_duplicate_id():
+    class Impostor(Rule):
+        id = "REP101"
+        name = "impostor"
+
+    with pytest.raises(ValueError, match="duplicate rule id REP101"):
+        register_rule(Impostor)
+    assert RULE_REGISTRY["REP101"] is not Impostor
+
+
 def test_catalogue_rows_are_complete():
     for row in rule_catalogue():
         assert row["id"].startswith("REP")
@@ -46,7 +68,7 @@ def test_catalogue_rows_are_complete():
 @pytest.mark.parametrize(
     "path,expected",
     [
-        ("src/repro/des/core.py", "repro.des.core"),
+        ("src/repro/des/rng.py", "repro.des.rng"),
         ("src/repro/des/__init__.py", "repro.des"),
         ("/abs/checkout/src/repro/simulation/snippet.py", "repro.simulation.snippet"),
         ("benchmarks/bench_simulator.py", "benchmarks.bench_simulator"),
@@ -91,6 +113,20 @@ def test_syntax_error_yields_rep000():
     findings = lint_source("def broken(:\n", "src/repro/des/broken.py")
     assert [f.rule for f in findings] == ["REP000"]
     assert "does not parse" in findings[0].message
+
+
+def test_undecodable_file_yields_rep000(tmp_path):
+    target = tmp_path / "latin1.py"
+    target.write_bytes(b"name = '\xe9'\n")
+    report = lint_paths([target])
+    assert report.files_scanned == 1
+    assert [f.rule for f in report.findings] == ["REP000"]
+    assert "file is unreadable" in report.findings[0].message
+
+
+def test_context_line_is_empty_out_of_range():
+    ctx = ModuleContext(path=Path("src/repro/des/x.py"), source="a = 1\nb = 2\n", tree=None)
+    assert [ctx.line(n) for n in (0, 1, 2, 3)] == ["", "a = 1", "b = 2", ""]
 
 
 # ---------------------------------------------------------------- tree runs

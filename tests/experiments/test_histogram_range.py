@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.des.core import Environment
 from repro.errors import ConfigurationError, ExperimentError, SimulationError
 from repro.experiments.pipeline import ExperimentSpec, build_plan
 from repro.simulation.components import LatencySink
@@ -105,7 +104,6 @@ class TestSimulationConfigHistogramRange:
 class TestLatencySinkHistogramRange:
     def test_fixed_range_reaches_the_online_monitor(self):
         sink = LatencySink(
-            Environment(),
             target_messages=100,
             stats_mode="online",
             histogram_range=(0.0, 2.0),
@@ -117,7 +115,6 @@ class TestLatencySinkHistogramRange:
     def test_rejected_with_array_mode(self):
         with pytest.raises(SimulationError, match="online"):
             LatencySink(
-                Environment(),
                 target_messages=100,
                 histogram_range=(0.0, 2.0),
             )

@@ -189,6 +189,11 @@ class TestRegistry:
         # replace=True is the escape hatch (restore the same object).
         assert register_scenario(existing, replace=True) is existing
 
+    def test_describe_names_the_custom_workload(self):
+        assert get_scenario("bursty-hyper").describe().endswith("[custom arrivals]")
+        assert get_scenario("hotspot").describe().endswith("[custom destinations]")
+        assert "[" not in get_scenario("case-1").describe()
+
     def test_het_nics_needs_two_clusters(self):
         with pytest.raises(ExperimentError, match="num_clusters >= 2"):
             get_scenario("het-nics").system(1)

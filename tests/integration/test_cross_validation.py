@@ -7,11 +7,12 @@ full analytical model against a by-hand evaluation of the paper's equations.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.cluster.presets import paper_evaluation_system
 from repro.core.model import AnalyticalModel, ModelConfig
-from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.queueing.distributions import Exponential
@@ -24,33 +25,30 @@ class TestKernelAgainstQueueingTheory:
     """Run the simulator's FIFO service centre as an M/M/1 queue.
 
     Its mean sojourn time must match the closed form ``1/(μ−λ)``.  Each
-    arrival is a timeout whose callback admits one message and schedules the
-    next arrival; each departure's callback records the sojourn time.
+    arrival admits one message; the virtual FIFO returns the message's
+    departure at once, so the sojourn time is known at admission, and the
+    departures are committed in time order.
     """
 
     def _simulate_queue(self, arrival_rate, service_rate, num_customers, seed=7):
-        env = Environment()
         streams = RandomStreams(seed)
         arrivals = streams.stream("arrivals")
         server = ServiceCenterSim(
-            env, "mm1", Exponential.from_rate(service_rate), streams.stream("services")
+            "mm1", Exponential.from_rate(service_rate), streams.stream("services")
         )
         sojourn_times = []
-
-        def depart(event):
-            sojourn_times.append(env.now - event.value.created_at)
-
-        def arrive(event):
-            ident = event.value
-            message = Message(ident, (0, 0), (0, 0), 0.0, created_at=env.now)
-            server.begin(message, message).callbacks.append(depart)
-            if ident + 1 < num_customers:
-                gap = arrivals.exponential_rate(arrival_rate)
-                env.timeout(gap, ident + 1).callbacks.append(arrive)
-
-        env.timeout(arrivals.exponential_rate(arrival_rate), 0).callbacks.append(arrive)
-        while env.queue_size:
-            env.step()
+        pending = deque()
+        now = 0.0
+        for ident in range(num_customers):
+            now += arrivals.exponential_rate(arrival_rate)
+            while pending and pending[0] <= now:
+                server.depart(pending.popleft())
+            depart = server.begin(Message(ident, (0, 0), (0, 0), 0.0, created_at=now), now)
+            pending.append(depart)
+            sojourn_times.append(depart - now)
+        while pending:
+            server.depart(pending.popleft())
+        assert server.served == num_customers
         # Discard the first 10% as warm-up.
         steady = sojourn_times[len(sojourn_times) // 10:]
         return sum(steady) / len(steady)
@@ -59,11 +57,13 @@ class TestKernelAgainstQueueingTheory:
         lam, mu = 4.0, 10.0
         simulated = self._simulate_queue(lam, mu, num_customers=40_000)
         assert simulated == pytest.approx(1.0 / (mu - lam), rel=0.05)
+        assert simulated.hex() == "0x1.56a90bcbe10d1p-3"
 
     def test_mm1_heavier_load(self):
         lam, mu = 8.0, 10.0
         simulated = self._simulate_queue(lam, mu, num_customers=60_000, seed=11)
         assert simulated == pytest.approx(1.0 / (mu - lam), rel=0.10)
+        assert simulated.hex() == "0x1.f8f2c46780889p-2"
 
 class TestModelAgainstHandComputation:
     """Evaluate the paper's equations by hand for one configuration."""

@@ -1,4 +1,4 @@
-"""Property-based tests for the DES kernel and the statistics toolkit."""
+"""Property-based tests for the random streams and the statistics toolkit."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import mean_confidence_interval
@@ -16,20 +15,6 @@ from repro.stats.online import RunningStatistics
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
-
-class TestEnvironmentProperties:
-    @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
-    @settings(max_examples=100)
-    def test_events_processed_in_time_order(self, delays):
-        env = Environment()
-        fired = []
-        for delay in delays:
-            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
-        while env.queue_size:
-            env.step()
-        assert fired == sorted(fired)
-        assert len(fired) == len(delays)
-        assert math.isclose(env.now, max(delays), rel_tol=1e-12) or env.now == max(delays)
 
 class TestRNGProperties:
     @given(seed=st.integers(min_value=0, max_value=2**31), name=st.text(min_size=1, max_size=20))

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.queueing.distributions import Deterministic
@@ -160,9 +159,8 @@ class TestFaultSchedule:
 # ----------------------------------------------------- FaultyServiceCenterSim
 
 
-def make_center(env, streams, policy, schedule, service=1.0):
+def make_center(streams, policy, schedule, service=1.0):
     return FaultyServiceCenterSim(
-        env,
         "icn1",
         Deterministic(service),
         streams.stream("svc"),
@@ -173,46 +171,41 @@ def make_center(env, streams, policy, schedule, service=1.0):
 
 class TestFaultyServiceCenter:
     def test_rejects_unknown_policy(self, streams):
-        env = Environment()
         with pytest.raises(ConfigurationError, match="policy"):
-            make_center(env, streams, "reroute", constant_schedule())
+            make_center(streams, "reroute", constant_schedule())
 
     def test_stall_stretches_service_over_outage(self, streams):
-        env = Environment()
-        center = make_center(env, streams, "stall", constant_schedule(), service=11.0)
-        event = center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0))
+        center = make_center(streams, "stall", constant_schedule(), service=11.0)
+        depart = center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0), 0.0)
         # 11s of work hits the [10,12) outage: departs at 13, not 11.
-        assert event.at == 13.0
-        assert center._next_free == 13.0
+        assert depart == 13.0
+        assert center.utilization(13.0) == 1.0
         assert center.dropped == 0
 
     def test_stall_queues_in_arrival_order(self, streams):
-        env = Environment()
-        center = make_center(env, streams, "stall", constant_schedule(), service=6.0)
-        first = center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0))
-        second = center.begin(Message(1, (0, 0), (1, 0), 1024, 0.0))
-        assert first.at == 6.0
+        center = make_center(streams, "stall", constant_schedule(), service=6.0)
+        first = center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0), 0.0)
+        second = center.begin(Message(1, (0, 0), (1, 0), 1024, 0.0), 0.0)
+        assert first == 6.0
         # Second message serves [6,12)+outage -> finish(6, 6) == 14.
-        assert second.at == 14.0
+        assert second == 14.0
 
     def test_drop_loses_messages_during_outage(self, streams):
-        env = Environment(initial_time=11.0)
-        center = make_center(env, streams, "drop", constant_schedule())
-        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 11.0)) is None
+        center = make_center(streams, "drop", constant_schedule())
+        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 11.0), 11.0) is None
         assert center.dropped == 1
 
     def test_drop_admits_while_up(self, streams):
-        env = Environment(initial_time=5.0)
-        center = make_center(env, streams, "drop", constant_schedule())
-        event = center.begin(Message(0, (0, 0), (1, 0), 1024, 5.0), "hop")
-        assert event is not None and event.at == 6.0
-        assert event.value == "hop"
+        center = make_center(streams, "drop", constant_schedule())
+        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 5.0), 5.0) == 6.0
         assert center.dropped == 0
 
-    def test_stall_carries_the_value(self, streams):
-        env = Environment()
-        center = make_center(env, streams, "stall", constant_schedule(), service=11.0)
-        assert center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0), "hop").value == "hop"
+    def test_stall_charges_occupancy_until_departure(self, streams):
+        center = make_center(streams, "stall", constant_schedule(), service=11.0)
+        depart = center.begin(Message(0, (0, 0), (1, 0), 1024, 0.0), 0.0)
+        center.depart(depart)
+        assert center.served == 1
+        assert center.mean_occupancy(26.0) == 0.5
 
 
 # ------------------------------------------------------------- FaultInjector

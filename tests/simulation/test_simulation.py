@@ -2,21 +2,67 @@
 
 from __future__ import annotations
 
+import importlib
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.presets import llnl_like_system, paper_evaluation_system
+from repro.cluster.system import MultiClusterSystem
 from repro.core.model import ModelConfig
-from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError, SimulationError
-from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
+from repro.network.switch import SwitchFabric
+from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET, NetworkTechnology
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.simulation.components import LatencySink, ServiceCenterSim
+from repro.simulation.fault_spec import FaultSpec
+from repro.simulation.faults import FaultSchedule
 from repro.simulation.message import Message
 from repro.parallel import spawn_seeds
 from repro.simulation.runner import run_replications, validate_against_analysis
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
+from repro.workload.arrivals import DeterministicArrivals
 from repro.workload.destinations import LocalizedDestinations
+
+
+def lockstep_simulator(num_messages, arrival_factory=DeterministicArrivals, failures=None):
+    """A simulator of two clusters of two nodes whose every instant is exact.
+
+    Locality 1 gives each source one destination, its neighbour, so every
+    message is one ICN1 visit.  Think time T = 1/0.25 = 4 s (unless
+    ``arrival_factory`` draws others) and service S = 512 B / 512 B/s = 1 s
+    are exact in binary floating point, and the two clusters run in
+    lockstep, so instants tie.
+    """
+    link = NetworkTechnology("unit", latency_s=0.0, bandwidth_bytes_per_s=512.0)
+    system = MultiClusterSystem.from_cluster_sizes(
+        [2, 2], [link, link], [link, link], link,
+        switch=SwitchFabric(ports=4, latency_s=0.0),
+    )
+    config = SimulationConfig(
+        message_bytes=512.0, generation_rate=0.25, num_messages=num_messages,
+        warmup_fraction=0.0, exponential_service=False, failures=failures,
+    )
+    return MultiClusterSimulator(
+        system, config, LocalizedDestinations([2, 2], locality=1.0),
+        arrival_factory=arrival_factory,
+    )
+
+
+def scripted_arrivals(*draws):
+    """An arrival factory whose every source draws ``draws``, then the last one forever."""
+
+    class Scripted:
+        def __init__(self, rate):
+            self.rate = rate
+
+        def sampler(self, rng):
+            values = iter(draws)
+            return lambda: next(values, draws[-1])
+
+    return Scripted
 
 
 class TestMessage:
@@ -38,60 +84,88 @@ class TestMessage:
         assert "#7" in repr(message)
         assert "pending" in repr(message)
 
+    def test_message_has_no_dict(self):
+        assert not hasattr(Message(0, (0, 0), (0, 1), 1024.0, 0.0), "__dict__")
+
+    def test_local_path_is_the_source_clusters_icn1(self):
+        assert Message(0, (2, 0), (2, 5), 1024, 0.0).path == ["icn1[2]"]
+
+    def test_remote_path_crosses_both_ecn1s_and_the_icn2(self):
+        message = Message(0, (2, 0), (0, 5), 1024, 0.0)
+        assert message.path == ["ecn1[2]", "icn2", "ecn1[0]"]
+
 
 class TestServiceCenterSim:
     def test_serves_messages_fifo_and_tracks_stats(self):
-        env = Environment()
         rng = RandomStreams(1).stream("svc")
-        center = ServiceCenterSim(env, "icn1[0]", Deterministic(2.0), rng)
-        done = []
-
-        def depart(event):
-            message = event.value
-            message.completed_at = env.now
-            done.append((message.ident, env.now, message.path))
-
-        for i in range(3):
-            message = Message(i, (0, 0), (0, 1), 100, env.now)
-            center.begin(message, message).callbacks.append(depart)
-        while env.queue_size:
-            env.step()
-        assert [d[0] for d in done] == [0, 1, 2]
-        assert [d[1] for d in done] == [2.0, 4.0, 6.0]
-        assert all(d[2] == ["icn1[0]"] for d in done)
+        center = ServiceCenterSim("icn1[0]", Deterministic(2.0), rng)
+        departs = [center.begin(Message(i, (0, 0), (0, 1), 100, 0.0), 0.0) for i in range(3)]
+        assert departs == [2.0, 4.0, 6.0]
+        for at in departs:
+            center.depart(at)
         assert center.served == 3
         assert center.busy_time == pytest.approx(6.0)
-        assert center.utilization() == pytest.approx(1.0)
-        assert center.mean_occupancy() == pytest.approx(2.0)
+        assert center.utilization(6.0) == pytest.approx(1.0)
+        assert center.mean_occupancy(6.0) == pytest.approx(2.0)
 
-    def test_begin_carries_its_value(self):
-        env = Environment()
-        center = ServiceCenterSim(env, "x", Deterministic(2.0), RandomStreams(1).stream("x"))
-        event = center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), ("hop", 3))
-        assert event.value == ("hop", 3)
-        assert event.at == 2.0
+    def test_begin_returns_the_departure_time(self):
+        center = ServiceCenterSim("x", Deterministic(2.0), RandomStreams(1).stream("x"))
+        assert center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0) == 2.0
+        # An idle server starts at the arrival, a busy one at its next free time.
+        assert center.begin(Message(1, (0, 0), (0, 1), 100, 1.0), 1.0) == 4.0
+        assert center.begin(Message(2, (0, 0), (0, 1), 100, 9.0), 9.0) == 11.0
+
+    def test_repr_names_the_centre_and_its_departures(self):
+        center = ServiceCenterSim("icn2", Deterministic(1.0), RandomStreams(1).stream("x"))
+        center.depart(center.begin(Message(0, (0, 0), (1, 0), 100, 0.0), 0.0))
+        assert repr(center) == "<ServiceCenterSim 'icn2' served=1>"
 
     def test_utilization_before_time_advances(self):
-        env = Environment()
-        center = ServiceCenterSim(env, "x", Exponential(1.0), RandomStreams(1).stream("x"))
-        assert center.utilization() == 0.0
+        center = ServiceCenterSim("x", Exponential(1.0), RandomStreams(1).stream("x"))
+        assert center.utilization(0.0) == 0.0
+
+    def test_depart_commits_departures_in_fifo_order(self):
+        center = ServiceCenterSim("x", Exponential(1.0), RandomStreams(3).stream("x"))
+        twin = Exponential(1.0).sampler(RandomStreams(3).stream("x"))
+        draws = [twin() for _ in range(3)]
+        departs = [center.begin(Message(i, (0, 0), (0, 1), 100, 0.0), 0.0) for i in range(3)]
+        busy = []
+        for at in departs:
+            center.depart(at)
+            busy.append(center.busy_time)
+        assert busy == [draws[0], draws[0] + draws[1], draws[0] + draws[1] + draws[2]]
+        assert center.served == 3
+
+    def test_utilization_counts_every_started_service_in_full(self):
+        center = ServiceCenterSim("x", Deterministic(2.0), RandomStreams(1).stream("x"))
+        center.depart(center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0))
+        assert center.begin(Message(1, (0, 0), (0, 1), 100, 5.0), 5.0) == 7.0
+        assert center.utilization(4.0) == 0.5  # the second service has not started
+        assert center.utilization(6.0) == 4.0 / 6.0  # it has, and counts in full
+
+    def test_begin_and_depart_move_the_occupancy_level(self):
+        center = ServiceCenterSim("x", Deterministic(2.0), RandomStreams(1).stream("x"))
+        first = center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0)
+        center.begin(Message(1, (0, 0), (0, 1), 100, 1.0), 1.0)
+        assert (center.occupancy.current, center.occupancy.maximum) == (2.0, 2.0)
+        center.depart(first)
+        assert center.occupancy.current == 1.0
+        # One message over [0, 1), two over [1, 2), one over [2, 3).
+        assert center.mean_occupancy(3.0) == 4.0 / 3.0
 
 
 class TestLatencySink:
-    def test_done_event_after_target(self):
-        env = Environment()
-        sink = LatencySink(env, target_messages=2)
+    def test_completed_reaches_the_target(self):
+        sink = LatencySink(target_messages=2)
         for i in range(2):
             message = Message(i, (0, 0), (0, 1), 10, created_at=0.0)
             message.completed_at = float(i + 1)
             sink.record(message)
-        assert sink.done.triggered
-        assert sink.completed == 2
+        assert sink.completed == sink.target_messages == 2
         assert sink.measured == 2
 
     def test_warmup_messages_excluded(self):
-        env = Environment()
-        sink = LatencySink(env, target_messages=10, warmup_messages=4)
+        sink = LatencySink(target_messages=10, warmup_messages=4)
         for i in range(10):
             message = Message(i, (0, 0), (1, 0), 10, created_at=0.0)
             message.completed_at = 1.0
@@ -100,38 +174,175 @@ class TestLatencySink:
         assert sink.measured == 6
 
     def test_recording_incomplete_message_rejected(self):
-        env = Environment()
-        sink = LatencySink(env, target_messages=5)
+        sink = LatencySink(target_messages=5)
         with pytest.raises(SimulationError):
             sink.record(Message(0, (0, 0), (0, 1), 10, 0.0))
 
     def test_validation(self):
-        env = Environment()
         with pytest.raises(SimulationError):
-            LatencySink(env, target_messages=0)
+            LatencySink(target_messages=0)
         with pytest.raises(SimulationError):
-            LatencySink(env, target_messages=5, warmup_messages=5)
+            LatencySink(target_messages=5, warmup_messages=5)
+
+    def test_repr_shows_completions_against_the_target(self):
+        sink = LatencySink(target_messages=5, warmup_messages=1)
+        for i in range(2):
+            message = Message(i, (0, 0), (0, 1), 10, created_at=0.0)
+            message.completed_at = 1.0
+            sink.record(message)
+        assert repr(sink) == "<LatencySink completed=2/5>"
 
     def test_histogram_range_requires_online_mode(self):
-        env = Environment()
         with pytest.raises(SimulationError, match="only applies to the online sink"):
-            LatencySink(env, target_messages=5, histogram_range=(0.0, 1.0))
+            LatencySink(target_messages=5, histogram_range=(0.0, 1.0))
 
-    def test_done_fires_once_at_the_completing_instant(self):
-        # The simulator's loop stops when it reaches ``done``, so the event
-        # fires at the completion's time and is never re-triggered.
-        env = Environment(initial_time=3.0)
-        sink = LatencySink(env, target_messages=2)
-        for i in range(4):
-            message = Message(i, (0, 0), (0, 1), 10, created_at=0.0)
-            message.completed_at = 3.0
-            sink.record(message)
-        assert sink.completed == 4
-        assert sink.done.value == 2
-        assert env.queue_size == 1
-        env.step()
-        assert sink.done.processed
-        assert env.now == 3.0
+    def test_run_stops_at_the_completing_instant(self, small_case1_system):
+        # The loop stops at the instant the target-th completion is recorded;
+        # only completions already scheduled for that instant follow it.
+        config = SimulationConfig(num_messages=300, warmup_fraction=0.0, seed=4)
+        simulator = MultiClusterSimulator(small_case1_system, config)
+        result = simulator.run()
+        completions = [m.completed_at for m in simulator.sink.messages]
+        assert simulator.sink.completed == len(completions) >= 300
+        assert completions[299] == result.simulated_time_s
+        assert set(completions[299:]) == {result.simulated_time_s}
+
+
+class TestClosedLoopHeap:
+    """The loop's own heap: its stop entry, its count and its two refusals."""
+
+    def test_completion_tied_with_the_target_is_recorded(self):
+        # At t=5 message 0 reaches the target of 1 and pushes the stop entry;
+        # message 2's departure at t=5 was pushed at t=4, so it runs first.
+        sim = lockstep_simulator(num_messages=1)
+        result = sim.run()
+        assert [(m.ident, m.completed_at) for m in sim.sink.messages] == [(0, 5.0), (2, 5.0)]
+        assert result.completed_messages == sim.sink.completed == 2
+        assert result.simulated_time_s == 5.0
+
+    def test_entries_pushed_after_the_stop_do_not_run(self):
+        # Zero think times: all four sources send at t=0, and each ICN1
+        # completes one message at t=1.  The first completion's stop entry
+        # precedes its source's next think entry at t=1, so that source
+        # sends nothing more, while the tied completion in cluster 1 still
+        # runs.  Entries: 4 thinks, 4 departures, the stop, 2 thinks.
+        sim = lockstep_simulator(num_messages=1, arrival_factory=scripted_arrivals(0.0))
+        result = sim.run()
+        assert result.simulated_time_s == 1.0
+        assert sim.sink.completed == 2
+        assert [c.occupancy.current for c in sim.icn1] == [1.0, 1.0]
+        assert sim.events_scheduled == 11
+
+    def test_events_scheduled_counts_every_entry_pushed(self):
+        # 4 first thinks, then per message one departure and one think, and
+        # the stop entry: 4 + 12 + 12 + 1.
+        sim = lockstep_simulator(num_messages=11)
+        assert sim.events_scheduled == 0
+        assert sim.run().completed_messages == 12
+        assert sim.events_scheduled == 29
+
+    def test_bench_reads_the_loops_count(self, monkeypatch, small_case1_system):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2] / "benchmarks"))
+        bench = importlib.import_module("bench_simulator")
+        sim = MultiClusterSimulator(small_case1_system, SimulationConfig(num_messages=50, seed=1))
+        measured = sim.run().measured_messages
+        assert bench._closed_loop(small_case1_system, 50) == (measured, sim.events_scheduled)
+
+    @pytest.mark.parametrize("draws", [(-1.0,), (4.0, -0.5)], ids=["first", "after-completion"])
+    def test_negative_think_time_is_refused(self, draws):
+        sim = lockstep_simulator(num_messages=8, arrival_factory=scripted_arrivals(*draws))
+        with pytest.raises(ValueError, match="Negative delay"):
+            sim.run()
+
+    def test_departure_before_now_is_refused(self, small_case1_system):
+        class Backwards(ServiceCenterSim):
+            __slots__ = ()
+
+            def begin(self, message, now):
+                super().begin(message, now)
+                return now - 1.0
+
+        sim = MultiClusterSimulator(small_case1_system, SimulationConfig(num_messages=10))
+        backwards = [Backwards(c.name, Deterministic(1.0), c.rng) for c in sim.icn1]
+        sim.icn1 = sim.ecn1 = backwards
+        with pytest.raises(ValueError, match="before current time"):
+            sim.run()
+
+
+def outage(start, length):
+    """A schedule down over ``[start, start + length)`` and up at every other time."""
+    failures = iter([start, math.inf])
+    return FaultSchedule(lambda: next(failures), lambda: length)
+
+
+def never_down():
+    return outage(math.inf, 0.0)
+
+
+class TestClosedLoopFaults:
+    """Hand-derived fault paths of the loop on the lockstep system.
+
+    Each test replaces the drawn schedules with fixed outages before the
+    run; without faults the sources of cluster 0 send at t=4, 9, 10, 14 and
+    15 (see ``test_same_instant_ordering_contract``).
+    """
+
+    def test_churned_source_sends_at_its_repair(self):
+        # (0,1) and (1,1) are down over [10, 12): their think times end at
+        # t=10, so they send at 12 instead, after 4 and 5 complete at 10.
+        sim = lockstep_simulator(8, failures=FaultSpec(mtbf_s=1.0, mttr_s=1.0, targets="nodes"))
+        for cluster in (0, 1):
+            sim.faults.node_schedules[cluster, 0] = never_down()
+            sim.faults.node_schedules[cluster, 1] = outage(10.0, 2.0)
+        sim.run()
+        got = [(m.ident, m.source, m.created_at, m.completed_at) for m in sim.sink.messages]
+        assert got[4:] == [
+            (4, (0, 0), 9.0, 10.0), (5, (1, 0), 9.0, 10.0),
+            (6, (0, 1), 12.0, 13.0), (7, (1, 1), 12.0, 13.0),
+        ]
+
+    def test_message_to_a_down_node_is_dropped_and_its_source_thinks_again(self):
+        # (0,1) and (1,1) are down over [8.5, 9.5): the sends of (0,0) and
+        # (1,0) at t=9 are lost, and they send again at 13.
+        spec = FaultSpec(mtbf_s=1.0, mttr_s=1.0, targets="nodes", policy="drop")
+        sim = lockstep_simulator(6, failures=spec)
+        for cluster in (0, 1):
+            sim.faults.node_schedules[cluster, 0] = never_down()
+            sim.faults.node_schedules[cluster, 1] = outage(8.5, 1.0)
+        result = sim.run()
+        got = [(m.ident, m.source, m.created_at, m.completed_at) for m in sim.sink.messages]
+        assert got[4:] == [(4, (0, 1), 10.0, 11.0), (5, (1, 1), 10.0, 11.0)]
+        assert result.dropped_messages == sim.faults.node_dropped == 2
+
+    def test_message_at_a_down_centre_is_dropped_and_its_source_thinks_again(self):
+        # icn1[0] is down over [9.5, 10.5): (0,1)'s message 6, sent at t=10,
+        # is lost there, and (0,1) thinks again and sends message 8 at 14;
+        # (1,1)'s message 7 is served.
+        spec = FaultSpec(mtbf_s=1.0, mttr_s=1.0, targets="links", policy="drop")
+        sim = lockstep_simulator(8, failures=spec)
+        for center in [*sim.icn1, *sim.ecn1, sim.icn2]:
+            center.schedule = never_down()
+        sim.icn1[0].schedule = outage(9.5, 1.0)
+        result = sim.run()
+        got = [(m.ident, m.source, m.created_at, m.completed_at) for m in sim.sink.messages]
+        assert got[4:] == [
+            (4, (0, 0), 9.0, 10.0), (5, (1, 0), 9.0, 10.0), (7, (1, 1), 10.0, 11.0),
+            (8, (0, 1), 14.0, 15.0), (10, (1, 0), 14.0, 15.0),
+        ]
+        assert result.dropped_messages == sim.icn1[0].dropped == 1
+
+    def test_stalled_centre_resumes_service_after_its_repair(self):
+        # icn1[0] is down over [9.5, 10.5): message 4 starts at t=9, pauses
+        # half served and completes at 11 instead of 10, tied with message 7.
+        sim = lockstep_simulator(6, failures=FaultSpec(mtbf_s=1.0, mttr_s=1.0))
+        for center in [*sim.icn1, *sim.ecn1, sim.icn2]:
+            center.schedule = never_down()
+        sim.icn1[0].schedule = outage(9.5, 1.0)
+        sim.run()
+        got = [(m.ident, m.source, m.created_at, m.completed_at) for m in sim.sink.messages]
+        assert got[4:] == [
+            (5, (1, 0), 9.0, 10.0), (4, (0, 0), 9.0, 11.0), (7, (1, 1), 10.0, 11.0),
+        ]
 
 
 class TestSimulationConfig:
@@ -265,28 +476,11 @@ class TestMultiClusterSimulator:
         * t=11: 6 and 7 complete; t=14: 8 and 9 are sent; t=15: 10 and 11
           are sent, then 8 and 9 complete; t=16: 10 and 11 complete.
 
-        With ``num_messages=11`` the completion of message 10 triggers the
-        stop event, but the departure of message 11 was created at t=15,
-        before the stop event, so it still runs: 12 completions, stop at 16.
+        With ``num_messages=11`` the completion of message 10 pushes the
+        stop entry, but the departure of message 11 was pushed at t=15,
+        before the stop entry, so it still runs: 12 completions, stop at 16.
         """
-        from repro.cluster.system import MultiClusterSystem
-        from repro.network.switch import SwitchFabric
-        from repro.network.technologies import NetworkTechnology
-        from repro.workload.arrivals import DeterministicArrivals
-
-        link = NetworkTechnology("unit", latency_s=0.0, bandwidth_bytes_per_s=512.0)
-        system = MultiClusterSystem.from_cluster_sizes(
-            [2, 2], [link, link], [link, link], link,
-            switch=SwitchFabric(ports=4, latency_s=0.0),
-        )
-        config = SimulationConfig(
-            message_bytes=512.0, generation_rate=0.25, num_messages=11,
-            warmup_fraction=0.0, exponential_service=False,
-        )
-        sim = MultiClusterSimulator(
-            system, config, LocalizedDestinations([2, 2], locality=1.0),
-            arrival_factory=DeterministicArrivals,
-        )
+        sim = lockstep_simulator(num_messages=11)
         assert [c.service_distribution.value for c in sim.icn1] == [1.0, 1.0]
         result = sim.run()
 
@@ -312,12 +506,12 @@ class TestMultiClusterSimulator:
         reference = MultiClusterSimulator(small_case1_system, small_config).run()
         original = simulator.sink
         simulator.sink = LatencySink(
-            simulator.env, small_config.num_messages,
+            small_config.num_messages,
             int(small_config.num_messages * small_config.warmup_fraction),
         )
         assert simulator.run() == reference
         assert original.completed == 0
-        assert simulator.sink.done.processed
+        assert simulator.sink.completed == reference.completed_messages
 
     def test_blocking_architecture_slower(self, small_case1_system):
         nb_config = SimulationConfig(architecture="non-blocking", message_bytes=1024,

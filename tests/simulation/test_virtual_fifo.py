@@ -1,10 +1,10 @@
 """Property tests of the service centres' virtual-FIFO contract.
 
 A centre computes each departure when the message arrives, from the
-previous departure alone.  These properties drive one centre with arrival
-timeouts at random instants (ties included) and step the environment
-until the heap is empty, then check every departure against the recursion
-evaluated on service draws from a twin stream:
+previous departure alone.  These properties offer one centre messages at
+random instants (ties included), commit its departures in time order from
+a heap, then check every departure against the recursion evaluated on
+service draws from a twin stream:
 
 * an always-up centre follows Lindley's recursion
   ``d_i = max(d_{i-1}, a_i) + s_i``;
@@ -16,13 +16,13 @@ evaluated on service draws from a twin stream:
 
 from __future__ import annotations
 
-from itertools import accumulate
+from heapq import heappop, heappush
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.simulation.components import ServiceCenterSim
@@ -52,27 +52,26 @@ def fault_schedule(seed):
 def drive(center, arrivals):
     """Offer one message per arrival time; return admissions and departures.
 
-    ``departures`` lists ``(ident, time)`` in the order the departures were
-    processed.
+    Arrivals and departures share one heap keyed ``(time, id)``, as in the
+    simulator's loop, so an arrival runs before a departure at the same
+    instant.  ``departures`` lists ``(ident, time)`` in the order the
+    departures were committed.
     """
-    env = center.env
+    ids = count()
+    # Sorted by (time, id), so already a heap.
+    heap = [(at, next(ids), ident, True) for ident, at in enumerate(arrivals)]
     admitted = []
     departures = []
-
-    def depart(event):
-        departures.append((event.value, env.now))
-
-    def arrive(event):
-        ident = event.value
-        hop = center.begin(Message(ident, (0, 0), (0, 1), 1024.0, env.now), ident)
-        admitted.append(hop is not None)
-        if hop is not None:
-            hop.callbacks.append(depart)
-
-    for ident, at in enumerate(arrivals):
-        env.timeout_at(at, ident).callbacks.append(arrive)
-    while env.queue_size:
-        env.step()
+    while heap:
+        now, _, ident, arriving = heappop(heap)
+        if not arriving:
+            center.depart(now)
+            departures.append((ident, now))
+            continue
+        depart = center.begin(Message(ident, (0, 0), (0, 1), 1024.0, now), now)
+        admitted.append(depart is not None)
+        if depart is not None:
+            heappush(heap, (depart, next(ids), ident, False))
     return admitted, departures
 
 
@@ -91,9 +90,7 @@ def lindley(arrivals, draw, finish=lambda start, work: start + work):
 @given(arrivals=arrival_times, seed=seeds, service=services)
 @settings(max_examples=80, deadline=None)
 def test_service_center_follows_lindley(arrivals, seed, service):
-    center = ServiceCenterSim(
-        Environment(), "icn1[0]", SERVICE[service], RandomStreams(seed).stream("svc")
-    )
+    center = ServiceCenterSim("icn1[0]", SERVICE[service], RandomStreams(seed).stream("svc"))
     _, departures = drive(center, arrivals)
 
     expected, work = lindley(arrivals, service_draws(seed, service))
@@ -114,7 +111,6 @@ def test_service_center_follows_lindley(arrivals, seed, service):
 @settings(max_examples=80, deadline=None)
 def test_stall_policy_follows_stretched_recursion(arrivals, seed, service):
     center = FaultyServiceCenterSim(
-        Environment(),
         "icn1[0]",
         SERVICE[service],
         RandomStreams(seed).stream("svc"),
@@ -133,7 +129,6 @@ def test_stall_policy_follows_stretched_recursion(arrivals, seed, service):
 @settings(max_examples=80, deadline=None)
 def test_drop_policy_admits_exactly_the_arrivals_while_up(arrivals, seed, service):
     center = FaultyServiceCenterSim(
-        Environment(),
         "icn1[0]",
         SERVICE[service],
         RandomStreams(seed).stream("svc"),

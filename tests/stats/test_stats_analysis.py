@@ -184,6 +184,9 @@ class TestConfidenceIntervals:
         assert 0 < ci.relative_half_width < 1
         assert "95%" in str(ci)
 
+    def test_relative_half_width_of_a_zero_mean_is_nan(self):
+        assert math.isnan(mean_confidence_interval([-1.0, 1.0, -2.0, 2.0]).relative_half_width)
+
     def test_batch_means_requires_enough_data(self):
         with pytest.raises(ValueError):
             batch_means([1.0, 2.0], num_batches=10)
@@ -252,6 +255,17 @@ class TestHistogram:
         hist = Histogram(0.0, 1.0, bins=4)
         hist.add_many([0.1, 0.3, 0.6, 0.9])
         assert hist.normalized().sum() == pytest.approx(1.0)
+
+    def test_empty_batch_records_nothing_and_normalizes_to_zeros(self):
+        hist = Histogram(0.0, 1.0, bins=4)
+        hist.add_many([])
+        assert hist.total == 0
+        assert hist.normalized().tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_quantile_of_overflow_mass_is_high(self):
+        hist = Histogram(0.0, 10.0, bins=10)
+        hist.add_many([12.0, 15.0])
+        assert hist.quantile(0.5) == 10.0
 
     def test_quantile(self):
         hist = Histogram(0.0, 100.0, bins=100)

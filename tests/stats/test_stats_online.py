@@ -38,6 +38,11 @@ class TestRunningStatistics:
         assert math.isnan(stats.variance)
         assert stats.population_variance == 0.0
 
+    def test_standard_error_needs_two_observations(self):
+        stats = RunningStatistics()
+        stats.push(3.0)
+        assert math.isnan(stats.standard_error)
+
     def test_standard_error(self):
         stats = RunningStatistics()
         stats.push_many([1.0, 2.0, 3.0, 4.0])

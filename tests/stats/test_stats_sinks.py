@@ -323,6 +323,12 @@ class TestOnlineMonitorEdgeCases:
         assert math.isnan(sink.percentile(50))
         assert math.isnan(sink.quantile_resolution)
 
+    def test_len_is_the_observation_count(self):
+        sink = OnlineMonitor()
+        for value in (1.0, 2.0, 3.0):
+            sink.record(value, value)
+        assert len(sink) == sink.count == 3
+
     def test_merge_with_another_sink_type_rejected(self):
         with pytest.raises(TypeError, match="another OnlineMonitor"):
             OnlineMonitor().merge(Monitor())

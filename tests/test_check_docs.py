@@ -125,6 +125,6 @@ def test_lazy_export_resolves(tool, monkeypatch):
     """A name a package exports lazily (PEP 562) resolves through its ``__getattr__``."""
     import repro.des
 
-    monkeypatch.delitem(vars(repro.des), "Environment", raising=False)
-    assert tool.unresolved_part("repro.des.Environment.step") == ""
-    assert "Environment" in vars(repro.des)  # bound by the lazy hook
+    monkeypatch.delitem(vars(repro.des), "RandomStreams", raising=False)
+    assert tool.unresolved_part("repro.des.RandomStreams.stream") == ""
+    assert "RandomStreams" in vars(repro.des)  # bound by the lazy hook

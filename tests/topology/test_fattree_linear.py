@@ -139,6 +139,10 @@ class TestLinearArray:
         with pytest.raises(TopologyError):
             average_traversed_switches(0)
 
+    def test_one_port_switch_rejected(self):
+        with pytest.raises(TopologyError, match="switch_ports must be >= 2"):
+            linear_array_switch_count(4, 1)
+
     def test_bisection_width_is_one(self):
         topo = LinearArrayTopology(256, 24)
         assert topo.bisection_width == 1
