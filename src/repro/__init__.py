@@ -17,8 +17,8 @@ True
 
 Subpackages
 -----------
-``repro.des``
-    Discrete-event simulation kernel (SimPy-compatible subset).
+``repro.rng``
+    Independent, seeded random streams for the simulator.
 ``repro.queueing``
     Queueing-theory substrate (service-time distributions, exact MVA).
 ``repro.topology``

@@ -43,8 +43,8 @@ def module_name_for(path: Path) -> str:
     """Best-effort dotted module name of ``path``.
 
     Anchors at the last ``repro``/``benchmarks``/``tests`` component so both
-    real files (``src/repro/des/rng.py`` -> ``repro.des.rng``) and the
-    virtual paths used by fixture tests (``src/repro/des/snippet.py``) map
+    real files (``src/repro/stats/sinks.py`` -> ``repro.stats.sinks``) and the
+    virtual paths used by fixture tests (``src/repro/simulation/snippet.py``) map
     into the scopes the domain rules are gated on.  Falls back to the bare
     stem when no anchor is present.
     """

@@ -17,7 +17,7 @@ what the install does not declare:
   on the host: the scipy Student-t quantile, imported when present with a
   fallback otherwise, moved every confidence-interval half-width.
 
-REP101 and REP102 are gated to the runtime packages (``repro.des``,
+REP101 and REP102 are gated to the runtime packages (``repro.rng``,
 ``repro.simulation``, ``repro.workload``, ``repro.parallel``); monotonic
 timers (``time.monotonic``/``perf_counter``) stay legal because they only
 feed progress reporting, never results.  REP103 applies everywhere; REP104
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Packages whose code runs inside (or feeds) a simulation.
-RUNTIME_PACKAGES = ("repro.des", "repro.simulation", "repro.workload", "repro.parallel")
+RUNTIME_PACKAGES = ("repro.rng", "repro.simulation", "repro.workload", "repro.parallel")
 
 #: Third-party packages a ``repro`` module may import: ``[project].dependencies``
 #: of pyproject.toml, whose distribution names are also the import names (a
@@ -94,7 +94,7 @@ class NondeterministicRngRule(_RuntimeScopedRule):
     name = "nondeterministic-rng"
     rationale = (
         "Global random.* / np.random.* state breaks seeded reproducibility; "
-        "use repro.des.rng streams spawned from a SeedSequence."
+        "use repro.rng streams spawned from a SeedSequence."
     )
     node_types = (ast.Call,)
 
@@ -107,7 +107,7 @@ class NondeterministicRngRule(_RuntimeScopedRule):
             yield Finding(
                 self.id,
                 f"call to global-state {dotted}(); draw from a per-component "
-                "repro.des.rng stream instead",
+                "repro.rng stream instead",
                 node.lineno,
                 node.col_offset,
             )

@@ -2,8 +2,9 @@
 
 The PR 4 throughput work made the simulator's per-message objects slotted:
 a simulation allocates one :class:`~repro.simulation.message.Message` per
-request and updates monitors and service centres on every hop, so instance
-``__dict__`` allocation is a measurable share of runtime and memory.  Two
+request, updates service centres on every hop and records every completion
+into a sink, so instance ``__dict__`` allocation is a measurable share of
+runtime and memory.  Two
 ways that invariant regresses silently:
 
 * a new class lands in one of the hot modules without ``__slots__``
@@ -31,20 +32,19 @@ __all__ = ["MissingSlotsRule", "SlottedSubclassDictRule", "HOT_MODULES", "KNOWN_
 #: Modules whose classes are allocated on the per-message hot path.
 HOT_MODULES = frozenset(
     {
-        "repro.des.monitor",
-        "repro.des.rng",
+        "repro.rng",
+        "repro.stats.sinks",
         "repro.simulation.components",
         "repro.simulation.message",
     }
 )
 
-#: Slotted classes of the simulation substrate and validation simulator
-#: whose subclasses must re-declare ``__slots__`` (REP302).  Kept as names
+#: Slotted classes of the random streams, the array sink and the validation
+#: simulator whose subclasses must re-declare ``__slots__`` (REP302).  Kept as names
 #: because the linter sees one file at a time.
 KNOWN_SLOTTED = frozenset(
     {
         "Monitor",
-        "TimeWeightedMonitor",
         "VariateStream",
         "VariateGenerator",
         "RandomStreams",
@@ -103,8 +103,9 @@ class MissingSlotsRule(Rule):
     id = "REP301"
     name = "missing-slots"
     rationale = (
-        "Classes in the hot DES/simulation modules are allocated per message "
-        "hop; an instance __dict__ there costs memory and throughput."
+        "Classes in the hot random-stream, sink and simulation modules are "
+        "allocated per message hop; an instance __dict__ there costs memory "
+        "and throughput."
     )
     node_types = (ast.ClassDef,)
 
@@ -134,7 +135,7 @@ class SlottedSubclassDictRule(Rule):
     node_types = (ast.ClassDef,)
 
     def applies_to(self, ctx) -> bool:
-        return ctx.in_package("repro.des", "repro.simulation")
+        return ctx.in_package("repro.rng", "repro.stats", "repro.simulation")
 
     def visit(self, node: ast.ClassDef, ctx) -> Iterator[Finding]:
         if _is_exempt(node) or _declares_slots(node):

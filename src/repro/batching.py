@@ -1,7 +1,7 @@
 """The block size of batched random-variate streams.
 
-:class:`~repro.des.rng.VariateStream` pre-draws variates in blocks of this
-size.  The constant lives apart from :mod:`repro.des.rng`, which needs
+:class:`~repro.rng.VariateStream` pre-draws variates in blocks of this
+size.  The constant lives apart from :mod:`repro.rng`, which needs
 NumPy, so the workload and distribution classes can name it as a default
 argument and still load without NumPy.
 """
@@ -9,5 +9,5 @@ argument and still load without NumPy.
 __all__ = ["DEFAULT_BLOCK_SIZE"]
 
 #: Default number of variates pre-drawn per refill of a
-#: :class:`~repro.des.rng.VariateStream`.
+#: :class:`~repro.rng.VariateStream`.
 DEFAULT_BLOCK_SIZE = 1024

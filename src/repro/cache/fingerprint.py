@@ -11,6 +11,13 @@ fingerprint, which changes every cache key, which turns the whole cache
 into a cold cache.  Stale entries are never served; they are only evicted
 lazily (see :meth:`~repro.cache.store.ResultCache.evict_stale`).
 
+NumPy's release is part of that code too: every variate comes from its
+``Generator`` methods, and NumPy's random-number policy (NEP 19) fixes the
+bit generators' raw streams across releases but not the distribution
+algorithms.  The digest therefore also covers the bytes of the installed
+``numpy/version.py``, read without importing NumPy, so a cache hit never
+loads it.
+
 The digest walks the package directory, not ``sys.modules``, so it is
 stable across processes and import orders — the property the cache's
 "key stability across processes" tests pin.
@@ -19,6 +26,7 @@ stable across processes and import orders — the property the cache's
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 from typing import Optional
 
@@ -34,14 +42,27 @@ def _package_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _numpy_version_source() -> bytes:
+    """The installed ``numpy/version.py``, found without importing NumPy.
+
+    A fixed marker stands in when NumPy is not installed: the light verbs
+    run without it.
+    """
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None:
+        return b"numpy absent"
+    with open(os.path.join(os.path.dirname(spec.origin), "version.py"), "rb") as handle:
+        return handle.read()
+
+
 def code_fingerprint(refresh: bool = False) -> str:
     """Hex SHA-256 digest of the ``repro`` package's source and version.
 
     The digest covers every ``*.py`` file under the package root, keyed by
     its package-relative path (so renames count as changes), plus
-    ``repro.__version__``.  The result is memoised per process; pass
-    ``refresh=True`` to re-walk the tree (only tests that rewrite installed
-    sources need this).
+    ``repro.__version__`` and NumPy's ``version.py``.  The result is
+    memoised per process; pass ``refresh=True`` to re-walk the tree (only
+    tests that rewrite installed sources need this).
     """
     global _cached_fingerprint
     if _cached_fingerprint is not None and not refresh:
@@ -49,6 +70,8 @@ def code_fingerprint(refresh: bool = False) -> str:
     root = _package_root()
     digest = hashlib.sha256()
     digest.update(f"repro=={__version__}\n".encode("utf-8"))
+    digest.update(_numpy_version_source())
+    digest.update(b"\x00")
     sources = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")

@@ -3,7 +3,7 @@
 These are lightweight value objects used both by the analytical formulas
 (which only need the mean and the squared coefficient of variation, SCV) and
 by the simulator (which samples them through a
-:class:`repro.des.rng.VariateGenerator`).
+:class:`repro.rng.VariateGenerator`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..batching import DEFAULT_BLOCK_SIZE
-from ..des.rng import VariateGenerator
+from ..rng import VariateGenerator
 
 __all__ = [
     "Distribution",
@@ -66,7 +66,7 @@ class Distribution:
         """Return a zero-argument callable drawing successive variates.
 
         The default falls back to one :meth:`sample` call per invocation;
-        distributions with a matching :class:`~repro.des.rng.VariateStream`
+        distributions with a matching :class:`~repro.rng.VariateStream`
         family override this with a batched stream that reproduces the
         scalar draw sequence bit-for-bit.  A batched sampler reads ahead on
         ``rng``, so the stream must be this sampler's exclusive consumer.

@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ..batching import DEFAULT_BLOCK_SIZE
+from .batching import DEFAULT_BLOCK_SIZE
 
 __all__ = ["RandomStreams", "VariateGenerator", "VariateStream"]
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional
 
-from ..des.monitor import Monitor, TimeWeightedMonitor
-from ..des.rng import VariateGenerator
 from ..errors import SimulationError
 from ..queueing.distributions import Distribution
+from ..rng import VariateGenerator
 from ..stats.modes import validate_stats_mode
-from ..stats.sinks import OnlineMonitor
+from ..stats.sinks import Monitor, OnlineMonitor
 from .message import Message
 
 __all__ = ["ServiceCenterSim", "LatencySink"]
@@ -51,18 +50,24 @@ class ServiceCenterSim:
     exactly the grant order of an explicit-resource formulation, so every
     seed reproduces the original per-message latencies bit-for-bit (the
     golden-trace tests assert this).
+
+    Mean occupancy follows from Little's law, which holds exactly on every
+    sample path: over ``[0, T]`` the time-average number of messages
+    present equals their summed time in the centre divided by ``T``.  A
+    departure adds its sojourn to a running sum, and the messages still
+    present contribute ``T - arrival`` from the FIFO record of admitted
+    messages.
     """
 
     __slots__ = (
         "name",
         "service_distribution",
         "rng",
-        "occupancy",
-        "_level",
         "_sample",
         "_next_free",
         "_in_service",
         "_busy_time",
+        "_sojourn",
         "_served",
     )
 
@@ -75,19 +80,18 @@ class ServiceCenterSim:
         self.name = name
         self.service_distribution = service_distribution
         self.rng = rng
-        #: Time-weighted number of messages present (queued + in service).
-        self.occupancy = TimeWeightedMonitor(name=f"{name}.occupancy")
-        #: The level ``occupancy`` was last set to.
-        self._level = 0.0
         #: Batched per-centre service-time sampler (bit-identical to
         #: per-call ``service_distribution.sample(rng)``).
         self._sample = service_distribution.sampler(rng)
         #: Departure time of the last admitted message (the virtual queue).
         self._next_free = 0.0
-        #: (start, service_time) of admitted-but-not-departed messages, in
-        #: FIFO order; keeps ``utilization`` exact mid-run.
+        #: (arrival, start, service_time) of admitted-but-not-departed
+        #: messages, in FIFO order; keeps ``utilization`` and
+        #: ``mean_occupancy`` exact mid-run.
         self._in_service: deque = deque()
         self._busy_time = 0.0
+        #: Summed time in the centre of every departed message.
+        self._sojourn = 0.0
         self._served = 0
 
     # -- behaviour ------------------------------------------------------------------
@@ -96,31 +100,26 @@ class ServiceCenterSim:
         """Admit ``message`` at time ``now`` and return its departure time.
 
         This is the hot path: it draws the service time and computes the
-        departure from the virtual queue.  Per-visit bookkeeping (occupancy
-        decrement, served/busy counters) waits for :meth:`depart`.  The
-        always-up centre admits every message; a fault-prone centre under
-        the drop policy returns ``None`` for a lost message.
+        departure from the virtual queue.  Per-visit bookkeeping (sojourn,
+        served/busy counters) waits for :meth:`depart`.  The always-up
+        centre admits every message; a fault-prone centre under the drop
+        policy returns ``None`` for a lost message.
         """
-        level = self._level + 1.0
-        self._level = level
-        self.occupancy.update_unchecked(now, level)
         start = self._next_free
         if start < now:
             start = now
         service_time = self._sample()
         depart = start + service_time
         self._next_free = depart
-        self._in_service.append((start, service_time))
+        self._in_service.append((now, start, service_time))
         return depart
 
     def depart(self, now: float) -> None:
         """Commit the oldest admitted message's departure at time ``now``."""
-        start, service_time = self._in_service.popleft()
+        arrival, _, service_time = self._in_service.popleft()
         self._busy_time += service_time
+        self._sojourn += now - arrival
         self._served += 1
-        level = self._level - 1.0
-        self._level = level
-        self.occupancy.update_unchecked(now, level)
 
     # -- statistics -----------------------------------------------------------------
 
@@ -144,15 +143,28 @@ class ServiceCenterSim:
         if now <= 0:
             return 0.0
         busy = self._busy_time
-        for start, service_time in self._in_service:
+        for _, start, service_time in self._in_service:
             if start > now:
                 break
             busy += service_time
         return min(busy / now, 1.0)
 
     def mean_occupancy(self, now: float) -> float:
-        """Time-average number of messages at the centre (queue + service)."""
-        return self.occupancy.time_average(now)
+        """Time-average number of messages at the centre (queue + service).
+
+        Little's law over ``[0, now]``: the summed sojourn of the departed
+        messages plus the time each message still present has spent so
+        far, divided by ``now``.  Like :meth:`utilization`, 0.0 before
+        time advances.
+        """
+        if now <= 0:
+            return 0.0
+        # A loop, not sum(): Python 3.12's sum() compensates float rounding,
+        # which would make the result depend on the interpreter version.
+        present = 0.0
+        for arrival, _, _ in self._in_service:
+            present += now - arrival
+        return (self._sojourn + present) / now
 
     def __repr__(self) -> str:
         return f"<ServiceCenterSim {self.name!r} served={self._served}>"
@@ -164,7 +176,7 @@ class LatencySink:
     The latency monitors are pluggable :class:`repro.stats.sinks.StatsSink`
     implementations selected by ``stats_mode``:
 
-    * ``"array"`` (default) — array-backed :class:`~repro.des.monitor.Monitor`
+    * ``"array"`` (default) — array-backed :class:`~repro.stats.sinks.Monitor`
       objects plus retention of every completed :class:`Message` (needed for
       per-message traces and exact percentiles); O(n) memory, bit-identical
       to all earlier releases.

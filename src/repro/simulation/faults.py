@@ -7,7 +7,7 @@ every fault target alternates between up intervals (time-to-failure drawn
 from an exponential or Weibull distribution) and down intervals (repair
 time drawn from its own distribution).  Each target's schedule is derived
 lazily from a dedicated named stream of the run's
-:class:`~repro.des.rng.RandomStreams`, so
+:class:`~repro.rng.RandomStreams`, so
 
 * the schedule is a pure function of the master seed (bit-identical across
   serial/pool/socket backends and across reruns), and
@@ -32,8 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..des.rng import RandomStreams, VariateGenerator
 from ..errors import ConfigurationError
+from ..rng import RandomStreams, VariateGenerator
 from .components import ServiceCenterSim
 from .fault_spec import FAULT_POLICIES, FaultSpec
 from .message import Message
@@ -172,9 +172,6 @@ class FaultyServiceCenterSim(ServiceCenterSim):
                 self.dropped += 1
                 return None
             return super().begin(message, now)
-        level = self._level + 1.0
-        self._level = level
-        self.occupancy.update_unchecked(now, level)
         start = self._next_free
         if start < now:
             start = now
@@ -183,7 +180,7 @@ class FaultyServiceCenterSim(ServiceCenterSim):
         self._next_free = depart
         # Charge the occupied span (service + overlapped downtime) so
         # utilization reflects the degraded server.
-        self._in_service.append((start, depart - start))
+        self._in_service.append((now, start, depart - start))
         return depart
 
 

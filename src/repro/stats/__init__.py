@@ -5,6 +5,7 @@ from .._lazy import lazy_exports
 __all__ = [
     "STATS_MODES",
     "StatsSink",
+    "Monitor",
     "OnlineMonitor",
     "validate_stats_mode",
     "RunningStatistics",
@@ -31,5 +32,5 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".intervals": ("batch_means", "ConfidenceInterval", "mean_confidence_interval", "t_quantile"),
     ".modes": ("STATS_MODES", "validate_stats_mode"),
     ".online": ("RunningStatistics",),
-    ".sinks": ("OnlineMonitor", "StatsSink"),
+    ".sinks": ("Monitor", "OnlineMonitor", "StatsSink"),
 })

@@ -1,16 +1,15 @@
 """Pluggable statistics sinks: the streaming observation layer.
 
-Every consumer of per-observation statistics in the simulation path — the
-DES monitors, :class:`~repro.simulation.components.LatencySink`, the
-simulator's result assembly and the experiment pipeline's collectors —
-talks to a :class:`StatsSink`, not to a concrete storage strategy.  Two
+Every consumer of per-observation statistics in the simulation path —
+:class:`~repro.simulation.components.LatencySink`, the simulator's result
+assembly and the experiment pipeline's collectors — talks to a
+:class:`StatsSink`, not to a concrete storage strategy.  Two
 interchangeable implementations exist:
 
-* :class:`~repro.des.monitor.Monitor` — the historical array-backed sink.
-  It retains every ``(time, value)`` pair, so warm-up re-cuts, exact
-  percentiles and per-message traces stay available, at O(n) memory.
-  This is the default (``stats_mode="array"``) and is bit-identical to
-  every earlier release (pinned by the golden-trace fixtures).
+* :class:`Monitor` — the array-backed sink.  It retains every value, so
+  percentiles are exact, at O(n) memory.  This is the default
+  (``stats_mode="array"``) and is bit-identical to every earlier release
+  (pinned by the golden-trace fixtures).
 * :class:`OnlineMonitor` — the bounded-memory streaming sink built on
   :class:`~repro.stats.online.RunningStatistics` (Welford mean/variance/
   extrema), a :class:`~repro.stats.histogram.Histogram` for quantiles at a
@@ -18,6 +17,9 @@ interchangeable implementations exist:
   batch-means confidence interval.  Memory is O(bins + batches) no matter
   how many observations stream through, so simulation length is bounded
   by CPU, not RAM (``stats_mode="online"``).
+
+Both sinks take the observation time in :meth:`StatsSink.record` and
+neither retains it.
 
 Exactness contract of the online sink relative to the array sink, for the
 same observation stream:
@@ -42,11 +44,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .histogram import Histogram
-from .intervals import ConfidenceInterval, mean_confidence_interval
+from .intervals import ConfidenceInterval, batch_means, mean_confidence_interval
 from .online import RunningStatistics
 
 __all__ = [
     "StatsSink",
+    "Monitor",
     "OnlineMonitor",
 ]
 
@@ -63,10 +66,10 @@ except ImportError:  # pragma: no cover - pre-3.8 fallback, never hit in CI
 class StatsSink(Protocol):
     """Structural interface every observation sink implements.
 
-    :class:`~repro.des.monitor.Monitor` (array-backed) and
-    :class:`OnlineMonitor` (streaming) both satisfy it; simulation
-    components and result assembly depend only on these members, so the
-    two are interchangeable behind the ``stats_mode`` knob.
+    :class:`Monitor` (array-backed) and :class:`OnlineMonitor` (streaming)
+    both satisfy it; simulation components and result assembly depend only
+    on these members, so the two are interchangeable behind the
+    ``stats_mode`` knob.
     """
 
     name: str
@@ -95,13 +98,108 @@ class StatsSink(Protocol):
     ) -> ConfidenceInterval: ...
 
 
+class Monitor:
+    """Array-backed sink: keeps every observed value.
+
+    Storage is one C-double :class:`array.array` buffer: recording appends
+    a native double (no per-observation Python ``float`` boxing), and the
+    statistics run on transient zero-copy NumPy views of the buffer instead
+    of rebuilding an ndarray from a list of boxed floats per call.
+    """
+
+    __slots__ = ("name", "_values")
+
+    def __init__(self, name: str = "monitor") -> None:
+        self.name = name
+        self._values = array("d")
+
+    def record(self, time: float, value: float) -> None:
+        """Record ``value`` (the ``time`` is not retained)."""
+        self._values.append(value)
+
+    def _view(self) -> np.ndarray:
+        """Transient zero-copy view of the values buffer (internal).
+
+        The view exports the buffer of ``self._values``, which blocks
+        appends for as long as it is alive — callers must not store it.
+        """
+        return np.frombuffer(self._values, dtype=np.float64)
+
+    @property
+    def count(self) -> int:
+        """Number of recorded observations."""
+        return len(self._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Observation values as an array (an independent snapshot)."""
+        return np.frombuffer(self._values, dtype=np.float64).copy()
+
+    def mean(self) -> float:
+        """Sample mean of the observations (NaN when empty)."""
+        return float(self._view().mean()) if self._values else math.nan
+
+    def variance(self) -> float:
+        """Unbiased sample variance (NaN when fewer than two observations)."""
+        return float(self._view().var(ddof=1)) if len(self._values) > 1 else math.nan
+
+    def std(self) -> float:
+        """Sample standard deviation."""
+        var = self.variance()
+        return math.sqrt(var) if not math.isnan(var) else math.nan
+
+    def minimum(self) -> float:
+        """Smallest observation (NaN when empty)."""
+        return float(self._view().min()) if self._values else math.nan
+
+    def maximum(self) -> float:
+        """Largest observation (NaN when empty)."""
+        return float(self._view().max()) if self._values else math.nan
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (0-100) of the observations."""
+        if not self._values:
+            return math.nan
+        return float(np.percentile(self._view(), q))
+
+    def summary(self) -> Dict[str, float]:
+        """Return a dictionary with the usual summary statistics."""
+        return {
+            "count": float(self.count),
+            "mean": self.mean(),
+            "std": self.std(),
+            "min": self.minimum(),
+            "max": self.maximum(),
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
+        }
+
+    def batch_means_interval(
+        self, num_batches: int, confidence: float = 0.95
+    ) -> ConfidenceInterval:
+        """Batch-means confidence interval over the retained observations.
+
+        Delegates to :func:`repro.stats.intervals.batch_means` on the full
+        value array, so it is bit-identical to calling that function
+        directly.
+        """
+        return batch_means(self.values, num_batches=num_batches, confidence=confidence)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"<Monitor {self.name!r} n={self.count} mean={self.mean():.6g}>"
+
+
 class OnlineMonitor:
     """Bounded-memory streaming sink: Welford + histogram + batch means.
 
     Parameters
     ----------
     name:
-        Sink name used in reports (mirrors :class:`~repro.des.monitor.Monitor`).
+        Sink name used in reports (mirrors :class:`Monitor`).
     batch_count, expected_count:
         When both are given, the sink maintains ``batch_count`` per-batch
         Welford accumulators sized for ``expected_count`` observations —
@@ -213,15 +311,6 @@ class OnlineMonitor:
             self._pending.append(value)
             if len(self._pending) >= self._calibration_samples:
                 self._freeze_histogram()
-
-    def extend(self, times, values) -> None:
-        """Record many observations (times are ignored, like :meth:`record`)."""
-        values = list(values)
-        times = list(times)
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        for time, value in zip(times, values):
-            self.record(time, value)
 
     def _freeze_histogram(self) -> None:
         """Fix the histogram range from the calibration buffer and replay it."""

@@ -67,9 +67,8 @@ def fat_tree_switch_count(num_nodes: int, switch_ports: int) -> int:
     d = fat_tree_stages(num_nodes, switch_ports)
     if d == 1:
         return math.ceil(num_nodes / switch_ports)
+    # d > 1 only past fat_tree_stages' Pr/2 > 1 check, so this is >= 1.
     down_links = switch_ports // 2
-    if down_links < 1:
-        raise TopologyError(f"switch_ports={switch_ports} leaves no down-links")
     return (d - 1) * math.ceil(num_nodes / down_links) + math.ceil(num_nodes / switch_ports)
 
 

@@ -16,7 +16,7 @@ from ..batching import DEFAULT_BLOCK_SIZE
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:
-    from ..des.rng import VariateGenerator
+    from ..rng import VariateGenerator
 
 __all__ = [
     "NodeAddress",

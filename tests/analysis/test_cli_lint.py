@@ -11,14 +11,14 @@ from repro.cli import main
 
 @pytest.fixture()
 def bad_tree(tmp_path):
-    target = tmp_path / "src" / "repro" / "des"
+    target = tmp_path / "src" / "repro" / "simulation"
     target.mkdir(parents=True)
     (target / "mod.py").write_text("import time\nstamp = time.time()\n")
     return tmp_path
 
 
 def test_lint_clean_tree_exits_zero(tmp_path, capsys):
-    target = tmp_path / "src" / "repro" / "des"
+    target = tmp_path / "src" / "repro" / "simulation"
     target.mkdir(parents=True)
     (target / "mod.py").write_text("import time\nstart = time.monotonic()\n")
     assert main(["lint", str(tmp_path)]) == 0
@@ -64,6 +64,6 @@ def test_lint_list_rules(capsys):
 
 
 def test_lint_single_file_argument(bad_tree, capsys):
-    target = bad_tree / "src" / "repro" / "des" / "mod.py"
+    target = bad_tree / "src" / "repro" / "simulation" / "mod.py"
     assert main(["lint", str(target)]) == 1
     assert "REP102" in capsys.readouterr().out

@@ -68,8 +68,8 @@ def test_catalogue_rows_are_complete():
 @pytest.mark.parametrize(
     "path,expected",
     [
-        ("src/repro/des/rng.py", "repro.des.rng"),
-        ("src/repro/des/__init__.py", "repro.des"),
+        ("src/repro/rng.py", "repro.rng"),
+        ("src/repro/stats/__init__.py", "repro.stats"),
         ("/abs/checkout/src/repro/simulation/snippet.py", "repro.simulation.snippet"),
         ("benchmarks/bench_simulator.py", "benchmarks.bench_simulator"),
         ("standalone.py", "standalone"),
@@ -102,7 +102,7 @@ def test_unknown_prefix_raises():
 def test_selected_engine_only_reports_selected_rules():
     source = "import time, random\nx = time.time()\ny = random.random()\n"
     engine = LintEngine(select_rules(select=["REP102"]))
-    findings = engine.lint_source(source, Path("src/repro/des/snippet.py"))
+    findings = engine.lint_source(source, Path("src/repro/simulation/snippet.py"))
     assert [f.rule for f in findings] == ["REP102"]
 
 
@@ -110,7 +110,7 @@ def test_selected_engine_only_reports_selected_rules():
 
 
 def test_syntax_error_yields_rep000():
-    findings = lint_source("def broken(:\n", "src/repro/des/broken.py")
+    findings = lint_source("def broken(:\n", "src/repro/simulation/broken.py")
     assert [f.rule for f in findings] == ["REP000"]
     assert "does not parse" in findings[0].message
 
@@ -125,7 +125,7 @@ def test_undecodable_file_yields_rep000(tmp_path):
 
 
 def test_context_line_is_empty_out_of_range():
-    ctx = ModuleContext(path=Path("src/repro/des/x.py"), source="a = 1\nb = 2\n", tree=None)
+    ctx = ModuleContext(path=Path("src/repro/simulation/x.py"), source="a = 1\nb = 2\n", tree=None)
     assert [ctx.line(n) for n in (0, 1, 2, 3)] == ["", "a = 1", "b = 2", ""]
 
 
@@ -133,7 +133,7 @@ def test_context_line_is_empty_out_of_range():
 
 
 def test_run_over_directory(tmp_path):
-    package = tmp_path / "src" / "repro" / "des"
+    package = tmp_path / "src" / "repro" / "simulation"
     package.mkdir(parents=True)
     (package / "good.py").write_text("import time\nstart = time.monotonic()\n")
     (package / "bad.py").write_text("import time\nstamp = time.time()\n")
@@ -148,7 +148,7 @@ def test_run_over_directory(tmp_path):
 
 
 def test_run_counts_suppressions(tmp_path):
-    target = tmp_path / "src" / "repro" / "des"
+    target = tmp_path / "src" / "repro" / "simulation"
     target.mkdir(parents=True)
     (target / "mod.py").write_text("import time\nt = time.time()  # repro: noqa REP102\n")
     report = lint_paths([tmp_path])
@@ -161,7 +161,7 @@ def test_run_counts_suppressions(tmp_path):
 
 
 def _sample_report(tmp_path):
-    target = tmp_path / "src" / "repro" / "des"
+    target = tmp_path / "src" / "repro" / "simulation"
     target.mkdir(parents=True)
     (target / "mod.py").write_text("import time\nstamp = time.time()\n")
     return lint_paths([tmp_path])

@@ -1,6 +1,6 @@
 """Fixture-snippet tests: every rule, one bad and one good snippet each.
 
-Snippets are linted under *virtual* paths (``src/repro/des/snippet.py``)
+Snippets are linted under *virtual* paths (``src/repro/simulation/snippet.py``)
 so the scope-gated rules see the module names they are gated on without
 touching the working tree.  Two snippets are reduced reproductions of real
 past bugs: the PR 1 ``seed + i`` replication-seed bug (REP103) and the
@@ -20,14 +20,21 @@ from repro.analysis import lint_source
 from repro.analysis.rules.determinism import DECLARED_DEPENDENCIES
 
 #: Virtual paths mapping into the scoped packages.
-DES_PATH = "src/repro/des/snippet.py"
-HOT_PATH = "src/repro/des/monitor.py"  # member of the REP301 hot-module set
 SIM_PATH = "src/repro/simulation/snippet.py"
+HOT_PATH = "src/repro/stats/sinks.py"  # member of the REP301 hot-module set
+RNG_PATH = "src/repro/rng.py"  # a runtime package and a hot module
+#: One path in each runtime package REP101/REP102 are gated on.
+RUNTIME_PATHS = [
+    RNG_PATH,
+    SIM_PATH,
+    "src/repro/workload/snippet.py",
+    "src/repro/parallel/snippet.py",
+]
 PIPE_PATH = "src/repro/experiments/snippet.py"
 TOOL_PATH = "tools/snippet.py"  # outside every scoped package
 
 
-def rule_ids(source: str, path: str = DES_PATH):
+def rule_ids(source: str, path: str = SIM_PATH):
     return [finding.rule for finding in lint_source(source, path)]
 
 
@@ -39,9 +46,10 @@ class TestNondeterministicRng:
         source = "import random\nvalue = random.random()\n"
         assert rule_ids(source) == ["REP101"]
 
-    def test_bad_np_global_draw(self):
+    @pytest.mark.parametrize("path", RUNTIME_PATHS)
+    def test_bad_np_global_draw(self, path):
         source = "import numpy as np\nvalue = np.random.rand(3)\n"
-        assert rule_ids(source) == ["REP101"]
+        assert rule_ids(source, path) == ["REP101"]
 
     def test_bad_unseeded_default_rng(self):
         source = "import numpy as np\nrng = np.random.default_rng()\n"
@@ -74,9 +82,10 @@ class TestNondeterministicRng:
 
 
 class TestWallClock:
-    def test_bad_time_time(self):
+    @pytest.mark.parametrize("path", RUNTIME_PATHS)
+    def test_bad_time_time(self, path):
         source = "import time\nstamp = time.time()\n"
-        assert rule_ids(source) == ["REP102"]
+        assert rule_ids(source, path) == ["REP102"]
 
     def test_bad_datetime_now(self):
         source = "import datetime\nstamp = datetime.datetime.now()\n"
@@ -151,7 +160,7 @@ class TestUndeclaredDependency:
             "from collections import deque\n"
             "from repro.errors import ReproError\n"
             "from . import sinks\n"
-            "from ..des import RandomStreams\n"
+            "from ..rng import RandomStreams\n"
         )
         assert rule_ids(source, PIPE_PATH) == []
 
@@ -219,9 +228,18 @@ class TestUnpicklableTask:
 
 
 class TestMissingSlots:
-    def test_bad_unslotted_class_in_hot_module(self):
+    @pytest.mark.parametrize(
+        "path",
+        [
+            RNG_PATH,
+            HOT_PATH,
+            "src/repro/simulation/components.py",
+            "src/repro/simulation/message.py",
+        ],
+    )
+    def test_bad_unslotted_class_in_hot_module(self, path):
         source = "class FastThing:\n    def __init__(self):\n        self.x = 1\n"
-        assert rule_ids(source, HOT_PATH) == ["REP301"]
+        assert rule_ids(source, path) == ["REP301"]
 
     def test_good_slots_declared(self):
         source = "class FastThing:\n    __slots__ = ('x',)\n"
@@ -270,6 +288,10 @@ class TestSlottedSubclassDict:
     def test_good_subclass_with_empty_slots(self):
         source = "class MyCenter(ServiceCenterSim):\n    __slots__ = ()\n"
         assert rule_ids(source, SIM_PATH) == []
+
+    def test_bad_monitor_subclass_under_stats(self):
+        source = "class TaggedMonitor(Monitor):\n    pass\n"
+        assert rule_ids(source, "src/repro/stats/snippet.py") == ["REP302"]
 
     def test_good_subclass_of_unslotted_base(self):
         source = "class MyStore(Store):\n    pass\n"
@@ -463,7 +485,7 @@ class TestConstantRetrySleep:
             "    while True:\n"
             "        time.sleep(0.5)\n"
         )
-        assert rule_ids(source, DES_PATH) == []
+        assert rule_ids(source, SIM_PATH) == []
         assert rule_ids(source, TOOL_PATH) == []
 
     def test_suppression_honored(self):

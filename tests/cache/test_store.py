@@ -93,6 +93,50 @@ class TestKeys:
         assert len(fp) == 64
         int(fp, 16)  # hex digest
 
+
+def fresh_fingerprint(*flags: str, path: str = "") -> list:
+    """``[code_fingerprint(), "True" if NumPy is absent else "False"]`` in a
+    fresh interpreter run with ``flags``, with ``path`` ahead of src.
+
+    Only a fresh interpreter sees a different NumPy: in-process,
+    ``find_spec`` returns the spec of the NumPy already imported.
+    """
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    script = (
+        "import importlib.util\n"
+        "from repro.cache.fingerprint import code_fingerprint\n"
+        "print(code_fingerprint(), importlib.util.find_spec('numpy') is None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (path, src) if p))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return out.stdout.split()
+
+
+class TestFingerprintNamesNumpy:
+    """Every variate comes from NumPy's ``Generator`` algorithms, which NEP 19
+    leaves free to change between releases, so the code fingerprint covers
+    NumPy's ``version.py``."""
+
+    def test_a_different_numpy_version_changes_the_fingerprint(self, tmp_path):
+        planted = tmp_path / "numpy"
+        planted.mkdir()
+        (planted / "__init__.py").write_text("")
+        (planted / "version.py").write_text('version = "0.0.0.planted"\n')
+        assert fresh_fingerprint() == [code_fingerprint(), "False"]
+        fingerprint, absent = fresh_fingerprint(path=str(tmp_path))
+        assert absent == "False"
+        assert fingerprint != code_fingerprint()
+
+    def test_an_absent_numpy_hashes_a_fixed_marker(self):
+        # -S skips site-packages, where NumPy is installed.
+        first = fresh_fingerprint("-S")
+        assert first[1] == "True"
+        assert first == fresh_fingerprint("-S")
+        assert first[0] != code_fingerprint()
+
     def test_uncacheable_plan_with_custom_parameters(self, tmp_path):
         import dataclasses
 

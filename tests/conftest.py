@@ -30,9 +30,9 @@ def pytest_collection_modifyitems(config: pytest.Config, items) -> None:
 
 from repro.cluster.presets import paper_evaluation_system
 from repro.cluster.system import MultiClusterSystem
-from repro.des.rng import RandomStreams
 from repro.network.switch import SwitchFabric
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
+from repro.rng import RandomStreams
 
 
 @pytest.fixture

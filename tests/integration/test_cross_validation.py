@@ -13,9 +13,9 @@ import pytest
 
 from repro.cluster.presets import paper_evaluation_system
 from repro.core.model import AnalyticalModel, ModelConfig
-from repro.des.rng import RandomStreams
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.queueing.distributions import Exponential
+from repro.rng import RandomStreams
 from repro.simulation.components import ServiceCenterSim
 from repro.simulation.message import Message
 from repro.topology.fattree import fat_tree_stages

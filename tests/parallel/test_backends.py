@@ -147,6 +147,13 @@ class TestEngineBackendSelection:
         with pytest.raises(ValueError, match="unknown backend"):
             SweepEngine(backend="carrier-pigeon")
 
+    def test_unknown_backend_assigned_after_construction_rejected_at_run(self):
+        # ``backend`` is a plain attribute, so the run checks the name again.
+        engine = SweepEngine()
+        engine.backend = "carrier-pigeon"
+        with pytest.raises(ValueError, match="unknown backend 'carrier-pigeon'"):
+            engine.run([SweepTask(fn=abs, args=(-1,)), SweepTask(fn=abs, args=(-2,))])
+
     def test_auto_mode_uses_serial_for_single_task(self):
         # Lambdas cannot be pickled, so succeeding proves no pool was used.
         assert SweepEngine(jobs=4).map(lambda x: -x, [5]) == [-5]

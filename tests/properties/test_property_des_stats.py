@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.rng import RandomStreams
+from repro.rng import RandomStreams
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import mean_confidence_interval
 from repro.stats.online import RunningStatistics

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.des.rng import RandomStreams
 from repro.queueing.distributions import (
     Deterministic,
     Erlang,
@@ -13,6 +12,7 @@ from repro.queueing.distributions import (
     HyperExponential,
     UniformDistribution,
 )
+from repro.rng import RandomStreams
 
 
 @pytest.fixture

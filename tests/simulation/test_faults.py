@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.queueing.distributions import Deterministic
+from repro.rng import RandomStreams
 from repro.simulation.fault_spec import FaultSpec
 from repro.simulation.faults import FaultInjector, FaultSchedule, FaultyServiceCenterSim
 from repro.simulation.message import Message
@@ -357,7 +357,7 @@ class TestSimulatorFaults:
         self, small_case1_system, faulty_config, monkeypatch
     ):
         """Construction derives every stream in one batch; the run only reads them."""
-        from repro.des import rng
+        from repro import rng
 
         batches = []
         derive = rng._seed_states

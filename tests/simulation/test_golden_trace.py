@@ -24,11 +24,11 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.presets import paper_evaluation_system
-from repro.des.rng import RandomStreams
 from repro.experiments.scenarios import PaperParameters, get_scenario
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.parallel import SweepEngine, SweepTask
 from repro.parallel.backends import ProcessPoolBackend, SerialBackend, SocketBackend
+from repro.rng import RandomStreams
 from repro.simulation.fault_spec import FaultSpec
 from repro.simulation.runner import run_message_trace_task, run_simulation_task
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig

@@ -11,14 +11,14 @@ import pytest
 from repro.cluster.presets import llnl_like_system, paper_evaluation_system
 from repro.cluster.system import MultiClusterSystem
 from repro.core.model import ModelConfig
-from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.switch import SwitchFabric
 from repro.network.technologies import FAST_ETHERNET, GIGABIT_ETHERNET, NetworkTechnology
 from repro.queueing.distributions import Deterministic, Exponential
+from repro.rng import RandomStreams
 from repro.simulation.components import LatencySink, ServiceCenterSim
 from repro.simulation.fault_spec import FaultSpec
-from repro.simulation.faults import FaultSchedule
+from repro.simulation.faults import FaultSchedule, FaultyServiceCenterSim
 from repro.simulation.message import Message
 from repro.parallel import spawn_seeds
 from repro.simulation.runner import run_replications, validate_against_analysis
@@ -146,12 +146,43 @@ class TestServiceCenterSim:
     def test_begin_and_depart_move_the_occupancy_level(self):
         center = ServiceCenterSim("x", Deterministic(2.0), RandomStreams(1).stream("x"))
         first = center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0)
+        assert center.mean_occupancy(1.0) == 1.0  # one message over [0, 1)
         center.begin(Message(1, (0, 0), (0, 1), 100, 1.0), 1.0)
-        assert (center.occupancy.current, center.occupancy.maximum) == (2.0, 2.0)
+        assert center.mean_occupancy(2.0) == 1.5  # then two over [1, 2)
         center.depart(first)
-        assert center.occupancy.current == 1.0
-        # One message over [0, 1), two over [1, 2), one over [2, 3).
+        # Then one over [2, 3): a departure counts its whole sojourn.
         assert center.mean_occupancy(3.0) == 4.0 / 3.0
+
+    def test_mean_occupancy_before_time_advances(self):
+        center = ServiceCenterSim("x", Deterministic(2.0), RandomStreams(1).stream("x"))
+        center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0)
+        assert center.mean_occupancy(0.0) == center.utilization(0.0) == 0.0
+
+    def test_stall_occupancy_counts_the_outage(self):
+        # Down over [1, 3): a 2 s service begun at 0 pauses there and
+        # departs at 4, present throughout.
+        ttf = iter([1.0, 100.0])
+        center = FaultyServiceCenterSim(
+            "x", Deterministic(2.0), RandomStreams(1).stream("x"),
+            schedule=FaultSchedule(lambda: next(ttf), lambda: 2.0), policy="stall",
+        )
+        depart = center.begin(Message(0, (0, 0), (0, 1), 100, 0.0), 0.0)
+        assert depart == 4.0
+        assert center.mean_occupancy(2.0) == 1.0
+        center.depart(depart)
+        assert center.mean_occupancy(8.0) == 0.5
+
+    def test_dropped_message_adds_no_occupancy(self):
+        # Down over [1, 3), [4, 6), ...: a message at 1.5 is lost, one at
+        # 3.5 stays 2 s.
+        center = FaultyServiceCenterSim(
+            "x", Deterministic(2.0), RandomStreams(1).stream("x"),
+            schedule=FaultSchedule(lambda: 1.0, lambda: 2.0), policy="drop",
+        )
+        assert center.begin(Message(0, (0, 0), (0, 1), 100, 1.5), 1.5) is None
+        center.depart(center.begin(Message(1, (0, 0), (0, 1), 100, 3.5), 3.5))
+        assert center.dropped == 1
+        assert center.mean_occupancy(8.0) == 0.25
 
 
 class TestLatencySink:
@@ -230,7 +261,10 @@ class TestClosedLoopHeap:
         result = sim.run()
         assert result.simulated_time_s == 1.0
         assert sim.sink.completed == 2
-        assert [c.occupancy.current for c in sim.icn1] == [1.0, 1.0]
+        # Each ICN1 admitted two messages at t=0, served one and still
+        # holds the other: two present throughout [0, 1].
+        assert [c.served for c in sim.icn1] == [1, 1]
+        assert [result.mean_occupancies[c.name] for c in sim.icn1] == [2.0, 2.0]
         assert sim.events_scheduled == 11
 
     def test_events_scheduled_counts_every_entry_pushed(self):

@@ -140,8 +140,9 @@ class TestMemoryCap:
     """The headline claim: online mode decouples run length from RSS.
 
     Under one fixed address-space cap (post-import footprint + 48 MiB) the
-    array sink cannot finish 200k messages, while the online sink finishes
-    1M — 10x the array ceiling established by the 100k success case.
+    array sink fits 100k messages and cannot finish 400k, 2x its ceiling
+    (it first fails between 200k and 250k), while the online sink finishes
+    1M — 10x the 100k success case.
     """
 
     SLACK_MB = "48"
@@ -163,7 +164,7 @@ class TestMemoryCap:
         return proc.returncode, payload
 
     def test_array_mode_has_a_ceiling_under_the_cap(self):
-        code, payload = self._smoke("array", 200_000)
+        code, payload = self._smoke("array", 400_000)
         assert code == 9, f"expected OOM exit 9, got {code}: {payload}"
         assert payload["error"] == "MemoryError"
 

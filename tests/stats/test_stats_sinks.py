@@ -16,12 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.des.monitor import Monitor
 from repro.stats.histogram import Histogram
 from repro.stats.intervals import batch_means
 from repro.stats.online import RunningStatistics
 from repro.stats.modes import STATS_MODES, validate_stats_mode
-from repro.stats.sinks import OnlineMonitor, StatsSink
+from repro.stats.sinks import Monitor, OnlineMonitor, StatsSink
 
 BATCHES = 20
 PARITY_REL = 1e-9
@@ -339,21 +338,6 @@ class TestOnlineMonitorEdgeCases:
             sink.record(float(i), 0.0)  # max*4 == min == 0 → degenerate
         assert sink.percentile(50) == 0.0
         assert sink.quantile_resolution > 0
-
-    def test_extend_matches_record_loop(self):
-        values = np.linspace(0.1, 1.0, 50)
-        a = OnlineMonitor("x", track_quantiles=False)
-        b = OnlineMonitor("x", track_quantiles=False)
-        a.extend(np.arange(50.0), values)
-        for i, v in enumerate(values):
-            b.record(float(i), float(v))
-        assert a.count == b.count
-        assert a.mean() == b.mean()
-        assert a.total == b.total
-
-    def test_extend_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            OnlineMonitor().extend([0.0], [1.0, 2.0])
 
     def test_percentile_range_validation(self):
         sink = OnlineMonitor()

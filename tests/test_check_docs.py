@@ -99,32 +99,32 @@ def test_unknown_module_reported(tool, tree, monkeypatch, capsys):
 
 def test_unknown_attribute_reported(tool, tree):
     (tree / "README.md").write_text(
-        "`repro.des.rng` holds `repro.des.rng.RandomStreams`, not `repro.des.rng.Tracer`.\n",
+        "`repro.rng` holds `repro.rng.RandomStreams`, not `repro.rng.Tracer`.\n",
         encoding="utf-8",
     )
     assert problems_of(tool.check_module_paths) == [
-        "README.md: `repro.des.rng.Tracer` does not resolve "
-        "(repro.des.rng has no attribute 'Tracer')"
+        "README.md: `repro.rng.Tracer` does not resolve "
+        "(repro.rng has no attribute 'Tracer')"
     ]
 
 
 def test_contributing_guide_is_checked(tool, tree):
     (tree / "CONTRIBUTING.md").write_text(
-        "Read [the guide](docs/missing.md); `repro.des.process` holds processes.\n",
+        "Read [the guide](docs/missing.md); `repro.stats.kernel` holds the event loop.\n",
         encoding="utf-8",
     )
     problems = problems_of(tool.check_links) + problems_of(tool.check_module_paths)
     assert problems == [
         "CONTRIBUTING.md: broken link 'docs/missing.md'",
-        "CONTRIBUTING.md: `repro.des.process` does not resolve "
-        "(repro.des has no attribute 'process')",
+        "CONTRIBUTING.md: `repro.stats.kernel` does not resolve "
+        "(repro.stats has no attribute 'kernel')",
     ]
 
 
 def test_lazy_export_resolves(tool, monkeypatch):
     """A name a package exports lazily (PEP 562) resolves through its ``__getattr__``."""
-    import repro.des
+    import repro.stats
 
-    monkeypatch.delitem(vars(repro.des), "RandomStreams", raising=False)
-    assert tool.unresolved_part("repro.des.RandomStreams.stream") == ""
-    assert "RandomStreams" in vars(repro.des)  # bound by the lazy hook
+    monkeypatch.delitem(vars(repro.stats), "Monitor", raising=False)
+    assert tool.unresolved_part("repro.stats.Monitor.record") == ""
+    assert "Monitor" in vars(repro.stats)  # bound by the lazy hook

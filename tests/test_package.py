@@ -35,7 +35,7 @@ class TestPublicAPI:
     @pytest.mark.parametrize(
         "module",
         [
-            "repro.des",
+            "repro.rng",
             "repro.stats",
             "repro.queueing",
             "repro.topology",
@@ -61,7 +61,7 @@ class TestPublicAPI:
     @pytest.mark.parametrize(
         "module",
         [
-            "repro.des",
+            "repro.rng",
             "repro.stats",
             "repro.queueing",
             "repro.topology",
@@ -164,12 +164,13 @@ class TestColdPath:
     """A cache hit, ``--help``, ``scenarios`` and ``info`` import only what
     they use: no NumPy, no execution backend, no simulator and no solver."""
 
-    #: Modules none of those commands may load (any ``repro.des`` one too).
+    #: Modules none of those commands may load.
     HEAVY = (
         "numpy",
         "multiprocessing",
         "concurrent.futures",
         "socket",
+        "repro.rng",
         "repro.simulation.simulator",
         "repro.simulation.runner",
         "repro.core.solver",
@@ -217,7 +218,7 @@ class TestColdPath:
         for name in SCENARIO_REGISTRY:
             miss = (out / f"{name}.miss.csv").read_bytes()
             assert (out / f"{name}.hit.csv").read_bytes() == miss, name
-        heavy = [m for m in loaded if m in self.HEAVY or m.startswith("repro.des")]
+        heavy = [m for m in loaded if m in self.HEAVY]
         assert not heavy, f"cache hits and light verbs loaded {heavy}"
 
 
@@ -258,7 +259,7 @@ class TestLightModules:
         )
         assert result.returncode == 0, result.stderr
         loaded = result.stdout.split()
-        heavy = [m for m in loaded if m in TestColdPath.HEAVY or m.startswith("repro.des")]
+        heavy = [m for m in loaded if m in TestColdPath.HEAVY]
         assert not heavy, f"importing {module} loaded {heavy}"
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.rng import RandomStreams, VariateGenerator
+from repro.rng import RandomStreams, VariateGenerator
 
 
 def _reference_entropy(seed: int, name: str) -> list:
@@ -118,7 +118,7 @@ class TestRandomStreams:
         Only a name of over 16 MB reaches that, so the packing is driven
         directly with such numbers.
         """
-        from repro.des.rng import _pack_entropy, _seed_states
+        from repro.rng import _pack_entropy, _seed_states
 
         rows = [
             (2**40 + 5, 3, [1, 2, 3]),
@@ -286,7 +286,7 @@ class TestVariateStreams:
         assert len({tuple(v) for v in draws.values()}) == 1
 
     def test_geometric_block_growth(self):
-        from repro.des.rng import VariateStream
+        from repro.rng import VariateStream
 
         sizes = []
 

@@ -78,6 +78,15 @@ class TestFatTreeEvaluationPlatform:
         assert fat_tree_switch_count(16, 24) == 1
         assert fat_tree_switch_count(48, 48) == 1
 
+    def test_every_multi_stage_tree_has_a_down_link_per_switch(self):
+        # fat_tree_stages refuses Pr = 2 beyond a single switch, so a
+        # multi-stage tree has Pr >= 3 and Pr // 2 >= 1 down-links.
+        assert fat_tree_switch_count(2, 2) == 1
+        with pytest.raises(TopologyError, match="Pr/2 <= 1"):
+            fat_tree_switch_count(3, 2)
+        # Pr = 3, N = 5: d = 3 stages of ceil(5/1) = 5, plus ceil(5/3) = 2.
+        assert fat_tree_switch_count(5, 3) == 2 * 5 + 2
+
     def test_stages_monotone_in_nodes(self):
         stages = [fat_tree_stages(n, 24) for n in (8, 24, 64, 256, 1024, 4096)]
         assert stages == sorted(stages)

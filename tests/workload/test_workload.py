@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
+from repro.rng import RandomStreams
 from repro.workload.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
