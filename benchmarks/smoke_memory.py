@@ -13,8 +13,8 @@ Exit codes:
 * 9 — the run hit the cap (``MemoryError``), which is the *expected*
   outcome for ``--mode array`` at large message counts: the array sink
   retains every observation, so its memory ceiling is O(messages).  Under
-  a 48 MiB slack it fits 100k messages and first fails between 200k and
-  250k.  The online sink is O(1) in messages and must survive the same
+  a 48 MiB slack it fits 100k messages and first fails between 250k and
+  300k.  The online sink is O(1) in messages and must survive the same
   cap at 1M, 10x the 100k the array sink is pinned to fit — CI pins
   exactly that contract::
 

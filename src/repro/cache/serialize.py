@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Schema version of cached payloads; bump on any layout change.
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 
 class CachePayloadError(ValueError):
@@ -153,7 +153,6 @@ def _interval_from_payload(data: Any):
 def _simulation_result_to_payload(result) -> Dict[str, Any]:
     payload = {
         "mean_latency_s": _hex(result.mean_latency_s),
-        "confidence_interval": _interval_to_payload(result.confidence_interval),
         "mean_local_latency_s": _hex(result.mean_local_latency_s),
         "mean_remote_latency_s": _hex(result.mean_remote_latency_s),
         "measured_messages": int(result.measured_messages),
@@ -185,7 +184,6 @@ def _simulation_result_from_payload(data: Any):
     availability = data.get("availability")
     return SimulationResult(
         mean_latency_s=_unhex(data.get("mean_latency_s")),
-        confidence_interval=_interval_from_payload(data.get("confidence_interval")),
         mean_local_latency_s=_unhex(data.get("mean_local_latency_s")),
         mean_remote_latency_s=_unhex(data.get("mean_remote_latency_s")),
         measured_messages=_int(data.get("measured_messages"), "measured_messages"),

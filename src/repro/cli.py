@@ -157,9 +157,9 @@ def add_histogram_range_flag(parser: argparse.ArgumentParser) -> None:
         "--histogram-range", type=histogram_range_spec, default=None,
         metavar="LO:HI", dest="histogram_range",
         help="explicit quantile-histogram range in seconds for "
-             "--stats-mode online (e.g. 0:0.5); a fixed range makes "
-             "online-mode quantile histograms exactly mergeable across "
-             "parallel backend shards (rejected with --stats-mode array)",
+             "--stats-mode online (e.g. 0:0.5), in place of the range "
+             "calibrated on the first 1,024 observations (rejected with "
+             "--stats-mode array)",
     )
 
 

@@ -10,6 +10,7 @@ checked quantitatively; the observed band is recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -81,8 +82,8 @@ class BlockingRatioStudy:
 
     @property
     def mean_ratio(self) -> float:
-        """Average ratio over all points."""
-        return sum(p.ratio for p in self.points) / len(self.points)
+        """Average ratio over all points (``fsum``: the same on every Python)."""
+        return math.fsum(p.ratio for p in self.points) / len(self.points)
 
     @property
     def paper_band(self) -> tuple:

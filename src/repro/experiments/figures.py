@@ -289,8 +289,8 @@ def run_figure(
         streaming accumulators; see :mod:`repro.stats.sinks`).
     histogram_range:
         Optional explicit ``(low, high)`` range (seconds) for the online
-        sink's quantile histogram so shard histograms merge exactly;
-        rejected when ``stats_mode="array"``.
+        sink's quantile histogram, in place of the range calibrated on its
+        first 1,024 observations; rejected when ``stats_mode="array"``.
     cache:
         Optional :class:`~repro.cache.ResultCache` (or cache directory
         path): a figure whose (spec, code-version) key has an entry is

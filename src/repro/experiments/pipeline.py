@@ -163,9 +163,8 @@ class ExperimentSpec:
         through bounded-memory accumulators.
     histogram_range:
         Optional explicit ``(low, high)`` range (seconds) for the online
-        sink's quantile histogram.  Fixing the range makes online-mode
-        quantile histograms exactly mergeable across parallel-backend
-        shards (auto-calibrated ranges are data-dependent).  Rejected with
+        sink's quantile histogram, in place of the range the sink would
+        otherwise calibrate on its first 1,024 observations.  Rejected with
         a :class:`~repro.errors.ConfigurationError` when
         ``stats_mode="array"`` — the array sink has exact percentiles and
         no histogram to configure.
@@ -892,14 +891,16 @@ class TableCollector(Collector):
                 # Fault runs carry availability on every replication; the
                 # columns average (availability, throughput) and sum (drops)
                 # across replications, and stay absent on always-up runs.
+                # fsum: Python 3.12's sum() compensates rounding and 3.11's
+                # does not, so a plain sum differs in the last digits.
                 fault_reps = [
                     rep for rep in agg.per_replication if rep.availability is not None
                 ]
                 if fault_reps:
-                    availability = sum(
+                    availability = math.fsum(
                         rep.mean_availability or 0.0 for rep in fault_reps
                     ) / len(fault_reps)
-                    throughput = sum(
+                    throughput = math.fsum(
                         rep.throughput_msg_s for rep in fault_reps
                     ) / len(fault_reps)
                     dropped = sum(rep.dropped_messages for rep in fault_reps)

@@ -181,10 +181,7 @@ class LatencySink:
       per-message traces and exact percentiles); O(n) memory, bit-identical
       to all earlier releases.
     * ``"online"`` — bounded-memory :class:`~repro.stats.sinks.OnlineMonitor`
-      accumulators.  The measured count is known up front
-      (``target_messages - warmup_messages``), so the overall-latency sink
-      pre-sizes its streaming batch-means layout to match the array path;
-      completed messages are **not** retained.
+      accumulators; completed messages are **not** retained.
     """
 
     __slots__ = (
@@ -204,7 +201,6 @@ class LatencySink:
         target_messages: int,
         warmup_messages: int = 0,
         stats_mode: str = "array",
-        batch_count: int = 20,
         histogram_range=None,
     ) -> None:
         if target_messages < 1:
@@ -229,13 +225,7 @@ class LatencySink:
             self.remote_latencies = Monitor("latency.remote")
         else:
             self.keep_messages = False
-            measured = target_messages - warmup_messages
-            self.latencies = OnlineMonitor(
-                "latency",
-                batch_count=batch_count if measured >= batch_count else None,
-                expected_count=measured if measured >= batch_count else None,
-                histogram_range=histogram_range,
-            )
+            self.latencies = OnlineMonitor("latency", histogram_range=histogram_range)
             # The split sinks only ever report means; skip the histograms.
             self.local_latencies = OnlineMonitor("latency.local", track_quantiles=False)
             self.remote_latencies = OnlineMonitor("latency.remote", track_quantiles=False)

@@ -3,7 +3,9 @@
 :class:`SimulationResult` (one run) and :class:`ReplicatedResult` (several
 replications of one point) are plain data: the result cache rebuilds them
 on every hit, so they live apart from the simulator and the replication
-runner, which need the DES kernel and NumPy.
+runner, which need NumPy.  A single run carries a mean and no interval;
+the one confidence interval is :attr:`ReplicatedResult.latency_interval`,
+over independent replications.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class SimulationResult:
     """
 
     mean_latency_s: float
-    confidence_interval: Optional[ConfidenceInterval]
     mean_local_latency_s: float
     mean_remote_latency_s: float
     measured_messages: int
@@ -81,8 +82,6 @@ class SimulationResult:
             "remote_fraction": self.remote_fraction,
             "simulated_time_s": self.simulated_time_s,
         }
-        if self.confidence_interval is not None:
-            out["ci_half_width_ms"] = self.confidence_interval.half_width * 1e3
         if self.availability is not None:
             out["availability"] = self.mean_availability or 0.0
             out["throughput_msg_s"] = self.throughput_msg_s

@@ -164,7 +164,6 @@ def run_message_trace_task(
             config.num_messages,
             int(config.num_messages * config.warmup_fraction),
             stats_mode=config.stats_mode,
-            batch_count=config.batch_count,
             histogram_range=config.histogram_range,
         )
         simulator.run()

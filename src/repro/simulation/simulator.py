@@ -34,7 +34,6 @@ from ..errors import ConfigurationError
 from ..network.models import build_network_model
 from ..queueing.distributions import Deterministic, Distribution, Exponential
 from ..rng import RandomStreams
-from ..stats.intervals import ConfidenceInterval
 from ..stats.modes import STATS_MODES, validate_histogram_range
 from ..workload.arrivals import ArrivalProcess
 from ..workload.destinations import DestinationPolicy, UniformDestinations
@@ -87,8 +86,6 @@ class SimulationConfig:
         ``True`` reproduces the paper's exponential service assumption;
         ``False`` uses deterministic service times equal to the mean (an
         ablation of the M/M/1 assumption).
-    batch_count:
-        Number of batches for the batch-means confidence interval.
     stats_mode:
         Observation-sink strategy (:data:`repro.stats.modes.STATS_MODES`):
         ``"array"`` retains every sample and message (bit-identical legacy
@@ -97,13 +94,12 @@ class SimulationConfig:
         length is bounded by CPU rather than RAM.
     histogram_range:
         Optional explicit ``(low, high)`` range (seconds) of the online
-        sink's quantile histogram.  Fixing the range up front skips
-        auto-calibration and makes online-mode histograms *mergeable*
-        across backend shards (auto-calibrated ranges are data-dependent,
-        so two shards would bin differently).  Only meaningful with
-        ``stats_mode="online"`` — the array sink keeps every sample and
-        needs no histogram, so combining it with ``stats_mode="array"``
-        raises a :class:`~repro.errors.ConfigurationError`.
+        sink's quantile histogram.  Fixing the range up front replaces the
+        range the sink would otherwise calibrate on its first 1,024
+        observations.  Only meaningful with ``stats_mode="online"`` — the
+        array sink keeps every sample and needs no histogram, so combining
+        it with ``stats_mode="array"`` raises a
+        :class:`~repro.errors.ConfigurationError`.
     failures:
         Optional :class:`~repro.simulation.fault_spec.FaultSpec` (or its JSON
         mapping) attaching seeded failure/repair schedules to links and/or
@@ -118,7 +114,6 @@ class SimulationConfig:
     warmup_fraction: float = 0.1
     seed: int = 0
     exponential_service: bool = True
-    batch_count: int = 20
     stats_mode: str = "array"
     histogram_range: Optional[Tuple[float, float]] = None
     failures: Optional[FaultSpec] = None
@@ -140,8 +135,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction!r}"
             )
-        if self.batch_count < 2:
-            raise ConfigurationError(f"batch_count must be >= 2, got {self.batch_count!r}")
         # A float, bool or str seed would run as int(seed) while the result
         # reports the original value; a negative one fails deep in NumPy.
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
@@ -214,7 +207,6 @@ class MultiClusterSimulator:
             self.config.num_messages,
             warmup,
             stats_mode=self.config.stats_mode,
-            batch_count=self.config.batch_count,
             histogram_range=self.config.histogram_range,
         )
 
@@ -424,14 +416,6 @@ class MultiClusterSimulator:
         """Fold the sink and service centres of a run that stopped at ``now``."""
         sink = self.sink
         config = self.config
-
-        # Both sink implementations expose the StatsSink protocol; in array
-        # mode batch_means_interval delegates to the historical batch_means
-        # call on the full value array, keeping the result bit-identical.
-        ci: Optional[ConfidenceInterval] = None
-        if sink.latencies.count >= config.batch_count:
-            ci = sink.latencies.batch_means_interval(config.batch_count)
-
         remote_count = sink.remote_latencies.count
         measured = sink.measured
 
@@ -455,7 +439,6 @@ class MultiClusterSimulator:
 
         return SimulationResult(
             mean_latency_s=sink.latencies.mean(),
-            confidence_interval=ci,
             mean_local_latency_s=(
                 sink.local_latencies.mean() if sink.local_latencies.count else 0.0
             ),

@@ -11,7 +11,6 @@ __all__ = [
     "RunningStatistics",
     "ConfidenceInterval",
     "mean_confidence_interval",
-    "batch_means",
     "t_quantile",
     "Histogram",
     "relative_error",
@@ -29,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "mean_absolute_percentage_error", "relative_error", "root_mean_square_error",
     ),
     ".histogram": ("Histogram",),
-    ".intervals": ("batch_means", "ConfidenceInterval", "mean_confidence_interval", "t_quantile"),
+    ".intervals": ("ConfidenceInterval", "mean_confidence_interval", "t_quantile"),
     ".modes": ("STATS_MODES", "validate_stats_mode"),
     ".online": ("RunningStatistics",),
     ".sinks": ("Monitor", "OnlineMonitor", "StatsSink"),

@@ -1,11 +1,9 @@
-"""Confidence intervals and batch-means output analysis.
+"""Confidence intervals for simulated means.
 
-Simulation output is autocorrelated, so a naive confidence interval on raw
-per-message latencies underestimates variance.  The standard remedy used by
-the paper's methodology (steady-state output analysis) is the *batch means*
-method: split the (post-warm-up) output sequence into ``k`` batches, treat
-the batch averages as approximately i.i.d. and build a Student-t interval on
-them.
+Every interval the tool reports comes from independent replications: a
+Student-t interval (:func:`mean_confidence_interval`) over the replication
+means, which are i.i.d.  One run's per-message latencies are
+autocorrelated, so a single run yields a mean but no interval.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Sequence
 
 from ..errors import ConvergenceError
 
-__all__ = ["ConfidenceInterval", "t_quantile", "mean_confidence_interval", "batch_means"]
+__all__ = ["ConfidenceInterval", "t_quantile", "mean_confidence_interval"]
 
 
 @dataclass(frozen=True)
@@ -226,48 +224,3 @@ def mean_confidence_interval(
     half = t_quantile(confidence, n - 1) * sem
     return ConfidenceInterval(mean, half, confidence, n)
 
-
-def batch_means(
-    observations: Sequence[float],
-    num_batches: int = 20,
-    confidence: float = 0.95,
-) -> ConfidenceInterval:
-    """Batch-means confidence interval for a steady-state mean.
-
-    Parameters
-    ----------
-    observations:
-        Post-warm-up output sequence (e.g. per-message latencies).
-    num_batches:
-        Number of batches ``k``; 10–30 is the classical recommendation.
-    confidence:
-        Confidence level of the interval.
-
-    Raises
-    ------
-    ValueError
-        If there are fewer observations than batches.
-
-    Notes
-    -----
-    When ``len(observations)`` is not a multiple of ``num_batches``, the
-    remainder is folded into the final batch (which is then up to
-    ``batch_size + num_batches - 1`` observations long) so that **no
-    observation is discarded** — dropping the tail would bias the estimate
-    towards older output whenever the run length is not batch-aligned.
-    """
-    import numpy as np
-
-    data = np.asarray(list(observations), dtype=float)
-    if num_batches < 2:
-        raise ValueError(f"num_batches must be >= 2, got {num_batches!r}")
-    if data.size < num_batches:
-        raise ValueError(
-            f"need at least {num_batches} observations for {num_batches} batches, got {data.size}"
-        )
-    batch_size = data.size // num_batches
-    head = batch_size * (num_batches - 1)
-    means = np.empty(num_batches, dtype=float)
-    means[:-1] = data[:head].reshape(num_batches - 1, batch_size).mean(axis=1)
-    means[-1] = data[head:].mean()  # final batch absorbs the remainder
-    return mean_confidence_interval(means, confidence)

@@ -29,8 +29,7 @@ def validate_histogram_range(value) -> Tuple[float, float]:
     """Validate an explicit ``(low, high)`` histogram range; return a float pair.
 
     The range fixes :class:`OnlineMonitor`'s quantile histogram up front,
-    which is what makes online-mode histograms mergeable across backend
-    shards (auto-calibrated ranges are data-dependent).  Raises
+    so the sink does not calibrate it on its first observations.  Raises
     :class:`ValueError` on anything that is not a finite, increasing pair.
     """
     try:

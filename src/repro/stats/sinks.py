@@ -12,11 +12,10 @@ interchangeable implementations exist:
   (pinned by the golden-trace fixtures).
 * :class:`OnlineMonitor` — the bounded-memory streaming sink built on
   :class:`~repro.stats.online.RunningStatistics` (Welford mean/variance/
-  extrema), a :class:`~repro.stats.histogram.Histogram` for quantiles at a
-  documented resolution, and per-batch Welford accumulators for the
-  batch-means confidence interval.  Memory is O(bins + batches) no matter
-  how many observations stream through, so simulation length is bounded
-  by CPU, not RAM (``stats_mode="online"``).
+  extrema) and a :class:`~repro.stats.histogram.Histogram` for quantiles
+  at a documented resolution.  Memory is O(bins) no matter how many
+  observations stream through, so simulation length is bounded by CPU,
+  not RAM (``stats_mode="online"``).
 
 Both sinks take the observation time in :meth:`StatsSink.record` and
 neither retains it.
@@ -25,9 +24,8 @@ Exactness contract of the online sink relative to the array sink, for the
 same observation stream:
 
 * ``count``, ``minimum``, ``maximum`` and ``total`` are **exact**;
-* ``mean``/``std``/``variance`` and the batch-means confidence interval
-  agree to within ~1e-12 relative (Welford vs NumPy pairwise summation —
-  the test suite pins 1e-9);
+* ``mean``/``std``/``variance`` agree to within ~1e-12 relative (Welford
+  vs NumPy pairwise summation — the test suite pins 1e-9);
 * percentiles are approximate: the histogram auto-calibrates its range on
   the first ``calibration_samples`` observations (quantiles are *exact*
   until then) and afterwards resolves quantiles to one bin width —
@@ -39,12 +37,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from .histogram import Histogram
-from .intervals import ConfidenceInterval, batch_means, mean_confidence_interval
 from .online import RunningStatistics
 
 __all__ = [
@@ -52,15 +49,6 @@ __all__ = [
     "Monitor",
     "OnlineMonitor",
 ]
-
-try:  # pragma: no cover - typing affordance only
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - pre-3.8 fallback, never hit in CI
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 
 @runtime_checkable
 class StatsSink(Protocol):
@@ -92,10 +80,6 @@ class StatsSink(Protocol):
     def percentile(self, q: float) -> float: ...
 
     def summary(self) -> Dict[str, float]: ...
-
-    def batch_means_interval(
-        self, num_batches: int, confidence: float = 0.95
-    ) -> ConfidenceInterval: ...
 
 
 class Monitor:
@@ -129,11 +113,6 @@ class Monitor:
     def count(self) -> int:
         """Number of recorded observations."""
         return len(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Observation values as an array (an independent snapshot)."""
-        return np.frombuffer(self._values, dtype=np.float64).copy()
 
     def mean(self) -> float:
         """Sample mean of the observations (NaN when empty)."""
@@ -175,17 +154,6 @@ class Monitor:
             "p99": self.percentile(99),
         }
 
-    def batch_means_interval(
-        self, num_batches: int, confidence: float = 0.95
-    ) -> ConfidenceInterval:
-        """Batch-means confidence interval over the retained observations.
-
-        Delegates to :func:`repro.stats.intervals.batch_means` on the full
-        value array, so it is bit-identical to calling that function
-        directly.
-        """
-        return batch_means(self.values, num_batches=num_batches, confidence=confidence)
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -194,20 +162,12 @@ class Monitor:
 
 
 class OnlineMonitor:
-    """Bounded-memory streaming sink: Welford + histogram + batch means.
+    """Bounded-memory streaming sink: Welford + histogram.
 
     Parameters
     ----------
     name:
         Sink name used in reports (mirrors :class:`Monitor`).
-    batch_count, expected_count:
-        When both are given, the sink maintains ``batch_count`` per-batch
-        Welford accumulators sized for ``expected_count`` observations —
-        batch ``i`` covers observations ``[i*bs, (i+1)*bs)`` with
-        ``bs = expected_count // batch_count`` and the final batch absorbs
-        the remainder, exactly the layout of
-        :func:`repro.stats.intervals.batch_means` when the stream length
-        matches ``expected_count`` (simulation runs know both up front).
     quantile_bins:
         Regular bins of the quantile histogram; the quantile resolution is
         ``calibrated range / quantile_bins``.
@@ -233,18 +193,12 @@ class OnlineMonitor:
         "_quantile_bins",
         "_fixed_range",
         "_track_quantiles",
-        "_batch_count",
-        "_batch_size",
-        "_expected_count",
-        "_batches",
     )
 
     def __init__(
         self,
         name: str = "monitor",
         *,
-        batch_count: Optional[int] = None,
-        expected_count: Optional[int] = None,
         quantile_bins: int = 4096,
         calibration_samples: int = 1024,
         histogram_range: Optional[Tuple[float, float]] = None,
@@ -271,39 +225,11 @@ class OnlineMonitor:
             else:
                 self._pending = array("d")
 
-        self._batch_count: Optional[int] = None
-        self._batch_size: Optional[int] = None
-        self._expected_count: Optional[int] = None
-        self._batches: List[RunningStatistics] = []
-        if batch_count is not None or expected_count is not None:
-            if batch_count is None or expected_count is None:
-                raise ValueError(
-                    "batch_count and expected_count must be given together"
-                )
-            if batch_count < 2:
-                raise ValueError(f"batch_count must be >= 2, got {batch_count!r}")
-            if expected_count < 1:
-                raise ValueError(
-                    f"expected_count must be >= 1, got {expected_count!r}"
-                )
-            self._batch_count = int(batch_count)
-            self._expected_count = int(expected_count)
-            self._batch_size = max(self._expected_count // self._batch_count, 1)
-            self._batches = [RunningStatistics() for _ in range(self._batch_count)]
-
     # -- recording ------------------------------------------------------------
 
     def record(self, time: float, value: float) -> None:
         """Incorporate one observation (the ``time`` is not retained)."""
         value = float(value)
-        if self._batch_size is not None:
-            # Observation index before the push selects the batch; the final
-            # batch absorbs everything past the nominal layout, mirroring
-            # repro.stats.intervals.batch_means.
-            idx = self._stats.count // self._batch_size
-            if idx >= self._batch_count:
-                idx = self._batch_count - 1
-            self._batches[idx].push(value)
         self._stats.push(value)
         if self._histogram is not None:
             self._histogram.add(value)
@@ -392,38 +318,6 @@ class OnlineMonitor:
             "p99": self.percentile(99),
         }
 
-    # -- batch means ----------------------------------------------------------
-
-    def batch_means_interval(
-        self, num_batches: int, confidence: float = 0.95
-    ) -> ConfidenceInterval:
-        """Batch-means confidence interval from the streaming accumulators.
-
-        ``num_batches`` must match the configured ``batch_count`` (the
-        layout was fixed when the sink was built).  Matches the array
-        path's :func:`~repro.stats.intervals.batch_means` exactly in batch
-        layout whenever the stream length equals ``expected_count``; the
-        batch means themselves are Welford-accumulated, so the interval
-        agrees with the array path to ~1e-12 relative.
-        """
-        if self._batch_count is None:
-            raise ValueError(
-                f"sink {self.name!r} was built without batch-means accumulators "
-                "(pass batch_count and expected_count)"
-            )
-        if num_batches != self._batch_count:
-            raise ValueError(
-                f"sink {self.name!r} accumulates {self._batch_count} batches, "
-                f"cannot produce a {num_batches}-batch interval"
-            )
-        if self.count < self._batch_count:
-            raise ValueError(
-                f"need at least {self._batch_count} observations for "
-                f"{self._batch_count} batches, got {self.count}"
-            )
-        means = np.array([b.mean for b in self._batches if b.count], dtype=float)
-        return mean_confidence_interval(means, confidence)
-
     # -- merging --------------------------------------------------------------
 
     def merge(self, other: "OnlineMonitor") -> "OnlineMonitor":
@@ -432,10 +326,8 @@ class OnlineMonitor:
         Scalar statistics merge exactly for any split
         (:meth:`RunningStatistics.merge`).  Histograms merge only when both
         sinks were built with the same explicit ``histogram_range`` — the
-        auto-calibrated range is data-dependent, so two shards would bin
-        differently.  Per-batch accumulators merge index-wise, which is
-        exact when the split lies on batch boundaries (how a sharded
-        backend partitions a run).
+        auto-calibrated range is data-dependent, so two partial streams
+        would bin differently.
         """
         if not isinstance(other, OnlineMonitor):
             raise TypeError("can only merge with another OnlineMonitor")
@@ -448,12 +340,8 @@ class OnlineMonitor:
                     "explicit histogram_range (auto-calibrated ranges are "
                     "data-dependent)"
                 )
-        if (self._batch_count, self._batch_size) != (other._batch_count, other._batch_size):
-            raise ValueError("cannot merge sinks with different batch layouts")
         merged = OnlineMonitor(
             self.name,
-            batch_count=self._batch_count,
-            expected_count=self._expected_count,
             quantile_bins=self._quantile_bins,
             calibration_samples=self._calibration_samples,
             histogram_range=self._fixed_range,
@@ -462,10 +350,6 @@ class OnlineMonitor:
         merged._stats = self._stats.merge(other._stats)
         if merged._histogram is not None:
             merged._histogram = self._histogram.merge(other._histogram)
-        if self._batch_count is not None:
-            merged._batches = [
-                a.merge(b) for a, b in zip(self._batches, other._batches)
-            ]
         return merged
 
     def __len__(self) -> int:

@@ -101,6 +101,24 @@ class TestOutcomeRoundTrip:
         with pytest.raises(CachePayloadError):
             outcome_from_payload(payload, plan)
 
+    def test_version_1_payload_rejected(self):
+        """Version 1 also carried an interval in every replication's run."""
+        plan = small_plan(mode="simulate", replications=1)
+        payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))
+        payload["payload_version"] = 1
+        with pytest.raises(CachePayloadError, match="version 1"):
+            outcome_from_payload(payload, plan)
+
+    def test_replications_carry_no_interval_of_their_own(self):
+        plan = small_plan(mode="simulate", replications=2)
+        payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))
+        (point,) = payload["replicated"]
+        assert set(point["latency_interval"]) == {
+            "mean", "half_width", "confidence", "sample_size"
+        }
+        for run in point["per_replication"]:
+            assert not any("interval" in key for key in run)
+
     def test_point_count_mismatch_rejected(self):
         plan = small_plan(mode="analysis")
         payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))

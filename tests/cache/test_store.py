@@ -270,6 +270,21 @@ class TestCorruptionRecovery:
         assert cache.get_outcome(plan) is None
         assert cache.stats().corrupt_dropped == 1
 
+    def test_version_1_payload_is_dropped_and_recomputed(self, tmp_path):
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        # Version 1 also carried an interval in every replication's run.
+        envelope["outcome"]["payload_version"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        recomputed = ExperimentRunner(cache=cache).run(plan, TableCollector())
+        assert cache.stats().corrupt_dropped == 1
+        assert recomputed.to_rows() == TableCollector().collect(compute_outcome(plan)).to_rows()
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["outcome"]["payload_version"] == 2
+        assert cache.get_outcome(plan) is not None
+
     def test_wrong_key_payload_recovers_as_miss(self, tmp_path):
         cache, plan, path = self.put_one(tmp_path)
         with open(path, "r", encoding="utf-8") as handle:

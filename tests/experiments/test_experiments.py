@@ -13,7 +13,11 @@ from repro.experiments.ablations import (
     sweep_switch_latency,
     sweep_switch_ports,
 )
-from repro.experiments.blocking_ratio import run_blocking_ratio_study
+from repro.experiments.blocking_ratio import (
+    BlockingRatioStudy,
+    RatioPoint,
+    run_blocking_ratio_study,
+)
 from repro.experiments.figures import FIGURE_SPECS, run_figure
 from repro.experiments.scenarios import (
     CASE_1,
@@ -144,6 +148,13 @@ class TestBlockingRatioStudy:
         assert study.min_ratio > 1.0
         assert study.max_ratio >= study.mean_ratio >= study.min_ratio
         assert study.paper_band == (1.4, 3.1)
+
+    def test_mean_ratio_is_correctly_rounded(self):
+        # Ten ratios of 0.1: a plain left-to-right sum reads
+        # 0.9999999999999999 on Python 3.11 (3.12's sum() compensates), so
+        # the mean would depend on the interpreter.
+        study = BlockingRatioStudy([RatioPoint("case-1", 1, 512, 10.0, 1.0)] * 10)
+        assert study.mean_ratio == 0.1
 
     def test_rows_and_markdown(self):
         study = run_blocking_ratio_study(cluster_counts=[4], message_sizes=[1024])

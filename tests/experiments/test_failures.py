@@ -6,13 +6,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.pipeline import (
+    ExperimentOutcome,
     ExperimentRunner,
     ExperimentSpec,
+    TableCollector,
     build_plan,
     smoke_spec,
 )
 from repro.experiments.scenarios import get_scenario, scenario_names
 from repro.simulation.fault_spec import FaultSpec
+from repro.simulation.results import ReplicatedResult, SimulationResult
 
 FAILURE_SCENARIOS = ("das2-churn", "llnl-failures", "case-1-lossy")
 
@@ -106,3 +109,29 @@ class TestFailureRuns:
         serial = ExperimentRunner().run(build_plan(spec))
         pooled = ExperimentRunner(jobs=2).run(build_plan(spec))
         assert [p.as_dict() for p in serial.points] == [p.as_dict() for p in pooled.points]
+
+
+class TestFaultColumnsAcrossReplications:
+    def test_replication_averages_are_correctly_rounded(self):
+        # Ten replications at availability 0.1 and throughput 0.1 msg/s: a
+        # plain left-to-right sum reads 0.9999999999999999 on Python 3.11
+        # (3.12's sum() compensates), so the columns would depend on the
+        # interpreter.
+        spec = ExperimentSpec(
+            scenario="case-1", mode="simulate", cluster_counts=(2,),
+            message_sizes=(512,), replications=10,
+            failures=FaultSpec(mtbf_s=20.0, mttr_s=2.0),
+        )
+        plan = build_plan(spec)
+        run = SimulationResult(
+            mean_latency_s=1e-3, mean_local_latency_s=1e-3, mean_remote_latency_s=1e-3,
+            measured_messages=1, completed_messages=1, remote_fraction=0.5,
+            simulated_time_s=10.0, utilizations={}, mean_occupancies={}, seed=0,
+            availability={"icn2": 0.1}, dropped_messages=2,
+        )
+        replicated = ReplicatedResult(10, 1e-3, None, [run] * 10)
+        outcome = ExperimentOutcome(plan=plan, analysis=None, replicated=[replicated])
+        (point,) = TableCollector().collect(outcome).points
+        assert point.availability == 0.1
+        assert point.throughput_msg_s == 0.1
+        assert point.dropped_messages == 20

@@ -1,8 +1,7 @@
 """Tests for the ``histogram_range`` knob (spec -> plan -> sink -> CLI).
 
-A fixed quantile-histogram range makes the online sink's histograms
-*exactly* mergeable across parallel shards (auto-calibrated ranges differ
-per shard, so merged quantiles drift).  The knob threads from
+A fixed quantile-histogram range replaces the range the online sink would
+otherwise calibrate on its first 1,024 observations.  The knob threads from
 ``ExperimentSpec`` through ``build_plan`` and ``SimulationConfig`` into
 the ``LatencySink``'s main :class:`~repro.stats.sinks.OnlineMonitor`.
 """

@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.pipeline import (
     ExperimentRunner,
     ExperimentSpec,
+    TableCollector,
     build_plan,
     smoke_spec,
 )
@@ -24,6 +25,7 @@ from repro.experiments.scenarios import (
     scenario_names,
 )
 from repro.parallel import spawn_seeds
+from repro.stats.intervals import mean_confidence_interval
 
 
 def cli(*argv):
@@ -431,6 +433,23 @@ class TestRunnerEndToEnd:
                             generation_rate=0.25),
             ).evaluate()
             assert point.analysis_latency_ms == report.mean_latency_ms
+
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_point_interval_needs_two_replications(self, replications):
+        spec = ExperimentSpec(
+            scenario="case-1", mode="simulate", cluster_counts=(2,),
+            message_sizes=(512,), replications=replications, simulation_messages=120,
+        )
+        outcome = ExperimentRunner().run_outcome(build_plan(spec))
+        (replicated,) = outcome.replicated
+        (point,) = TableCollector().collect(outcome).points
+        if replications == 1:
+            assert point.simulation_ci_half_width_ms is None
+        else:
+            means = [run.mean_latency_s for run in replicated.per_replication]
+            half_width = mean_confidence_interval(means).half_width
+            assert point.simulation_ci_half_width_ms == half_width * 1e3
+            assert point.simulation_ci_half_width_ms > 0
 
     def test_serial_and_pool_are_bit_identical(self):
         spec = smoke_spec("bursty-hyper", messages=150)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,14 @@ from repro.simulation.fault_spec import FaultSpec
 from repro.simulation.faults import FaultSchedule, FaultyServiceCenterSim
 from repro.simulation.message import Message
 from repro.parallel import spawn_seeds
-from repro.simulation.runner import run_replications, validate_against_analysis
+from repro.simulation.runner import (
+    aggregate_replications,
+    replication_configs,
+    run_replications,
+    run_simulation_task,
+    validate_against_analysis,
+)
+from repro.stats.intervals import mean_confidence_interval, t_quantile
 from repro.simulation.simulator import MultiClusterSimulator, SimulationConfig
 from repro.workload.arrivals import DeterministicArrivals
 from repro.workload.destinations import LocalizedDestinations
@@ -389,8 +397,6 @@ class TestSimulationConfig:
             SimulationConfig(num_messages=0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup_fraction=1.0)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(batch_count=1)
         # A NaN size or rate would keep the event loop from ever finishing.
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="message size"):
@@ -443,7 +449,6 @@ class TestMultiClusterSimulator:
         assert result.mean_latency_ms == pytest.approx(result.mean_latency_s * 1e3)
         assert result.simulated_time_s > 0
         assert 0.0 <= result.remote_fraction <= 1.0
-        assert result.confidence_interval is not None
         assert "mean_latency_ms" in result.as_dict()
 
     def test_throughput_is_zero_at_zero_simulated_time(self, small_case1_system, small_config):
@@ -587,6 +592,33 @@ class TestRunnerAndValidation:
         assert seeds == spawn_seeds(21, 3)
         assert len(set(seeds)) == 3
         assert not set(seeds) & set(spawn_seeds(22, 3))
+
+    def test_one_replication_has_no_interval(self, small_case1_system):
+        config = SimulationConfig(num_messages=200, seed=4)
+        (run,) = [run_simulation_task(small_case1_system, c) for c in replication_configs(config, 1)]
+        aggregate = aggregate_replications([run])
+        assert aggregate.latency_interval is None
+        assert aggregate.mean_latency_s == run.mean_latency_s
+
+    @pytest.mark.parametrize("replications", [2, 3, 5])
+    def test_interval_is_the_t_interval_of_the_replication_means(
+        self, small_case1_system, replications
+    ):
+        config = SimulationConfig(num_messages=200, seed=4)
+        runs = [
+            run_simulation_task(small_case1_system, c)
+            for c in replication_configs(config, replications)
+        ]
+        means = [run.mean_latency_s for run in runs]
+        expected = mean_confidence_interval(means)
+        aggregate = aggregate_replications(runs)
+        assert aggregate.latency_interval == expected
+        assert aggregate.latency_interval.half_width.hex() == expected.half_width.hex()
+        assert aggregate.latency_interval.sample_size == replications
+        assert aggregate.mean_latency_s.hex() == expected.mean.hex()
+        # The 95% Student-t half-width, from the stdlib.
+        half_width = t_quantile(0.95, replications - 1) * statistics.stdev(means)
+        assert expected.half_width == pytest.approx(half_width / math.sqrt(replications), rel=1e-12)
 
     def test_run_replications_validation(self, small_case1_system):
         with pytest.raises(ConfigurationError):

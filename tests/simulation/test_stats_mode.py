@@ -4,8 +4,8 @@ Two contracts, both acceptance criteria of the streaming observation layer:
 
 * **parity** — the same simulation run in ``array`` and ``online`` mode
   produces identical event sequences (the sinks only observe), so count /
-  min / max / simulated time agree exactly and mean / std / CI agree to
-  within 1e-9 relative;
+  min / max / simulated time agree exactly and mean / std agree to within
+  1e-9 relative;
 * **bounded memory** — under a hard ``RLIMIT_AS`` address-space cap the
   array sink's run length has a ceiling (it retains every observation)
   while the online sink survives at least 10x that length under the same
@@ -87,15 +87,6 @@ class TestArrayOnlineParity:
         assert _rel(onl.mean_remote_latency_s, arr.mean_remote_latency_s) < PARITY_REL
         assert _rel(onl.latency_summary["std"], arr.latency_summary["std"]) < PARITY_REL
 
-    def test_confidence_interval_within_1e9_relative(self, pair):
-        arr, onl = pair
-        assert arr.confidence_interval is not None
-        assert onl.confidence_interval is not None
-        assert _rel(onl.confidence_interval.mean, arr.confidence_interval.mean) < PARITY_REL
-        assert _rel(
-            onl.confidence_interval.half_width, arr.confidence_interval.half_width
-        ) < PARITY_REL
-
     def test_percentiles_close(self, pair):
         arr, onl = pair
         for key in ("p50", "p95", "p99"):
@@ -105,13 +96,15 @@ class TestArrayOnlineParity:
                 arr.latency_summary[key], rel=0.05
             )
 
-    def test_short_run_skips_interval_in_both_modes(self):
-        # Below batch_count there is no CI; neither mode may crash.
+    def test_short_run_agrees_in_both_modes(self):
+        # Nine measured messages: fewer than the online histogram's
+        # calibration buffer, so even its percentiles are exact.
         arr = _run("array", messages=10)
         onl = _run("online", messages=10)
-        assert arr.confidence_interval is None
-        assert onl.confidence_interval is None
+        assert onl.measured_messages == arr.measured_messages == 9
+        assert onl.simulated_time_s.hex() == arr.simulated_time_s.hex()
         assert _rel(onl.mean_latency_s, arr.mean_latency_s) < PARITY_REL
+        assert onl.latency_summary["p50"] == arr.latency_summary["p50"]
 
 
 class TestTaskLayer:
@@ -140,9 +133,9 @@ class TestMemoryCap:
     """The headline claim: online mode decouples run length from RSS.
 
     Under one fixed address-space cap (post-import footprint + 48 MiB) the
-    array sink fits 100k messages and cannot finish 400k, 2x its ceiling
-    (it first fails between 200k and 250k), while the online sink finishes
-    1M — 10x the 100k success case.
+    array sink fits 100k messages and cannot finish 400k, at least 1.3x its
+    ceiling (it first fails between 250k and 300k), while the online sink
+    finishes 1M — 10x the 100k success case.
     """
 
     SLACK_MB = "48"

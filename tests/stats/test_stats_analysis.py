@@ -17,7 +17,7 @@ from repro.stats.compare import (
     root_mean_square_error,
 )
 from repro.stats.histogram import Histogram
-from repro.stats.intervals import batch_means, mean_confidence_interval, t_quantile
+from repro.stats.intervals import mean_confidence_interval, t_quantile
 
 
 #: Exact two-sided Student-t quantiles, rounded to the nearest double:
@@ -186,47 +186,6 @@ class TestConfidenceIntervals:
 
     def test_relative_half_width_of_a_zero_mean_is_nan(self):
         assert math.isnan(mean_confidence_interval([-1.0, 1.0, -2.0, 2.0]).relative_half_width)
-
-    def test_batch_means_requires_enough_data(self):
-        with pytest.raises(ValueError):
-            batch_means([1.0, 2.0], num_batches=10)
-        with pytest.raises(ValueError):
-            batch_means(list(range(100)), num_batches=1)
-
-    def test_batch_means_interval_reasonable(self):
-        rng = np.random.default_rng(5)
-        data = rng.exponential(2.0, size=2000)
-        ci = batch_means(data, num_batches=20)
-        assert ci.mean == pytest.approx(2.0, rel=0.1)
-        assert ci.sample_size == 20
-
-    def test_batch_means_drops_no_observation(self):
-        """Regression: the tail remainder folds into the final batch."""
-        # 107 = 5 batches of 21 + remainder 2; the old code silently dropped
-        # the last 2 observations.  With equal-size head batches the grand
-        # batch-mean average weighted by batch length must equal the overall
-        # mean of *all* observations.
-        data = np.arange(107, dtype=float)
-        num_batches = 5
-        ci = batch_means(data, num_batches=num_batches)
-        batch_size = data.size // num_batches
-        head = batch_size * (num_batches - 1)
-        expected_means = [
-            data[i * batch_size:(i + 1) * batch_size].mean()
-            for i in range(num_batches - 1)
-        ] + [data[head:].mean()]
-        assert ci.mean == pytest.approx(np.mean(expected_means))
-        # The final batch's observations (including the tail) are all used:
-        # shifting only the tail values must change the interval.
-        shifted = data.copy()
-        shifted[-2:] += 1000.0
-        assert batch_means(shifted, num_batches=num_batches).mean != ci.mean
-
-    def test_batch_means_exact_multiple_unchanged(self):
-        data = np.arange(100, dtype=float)
-        ci = batch_means(data, num_batches=5)
-        assert ci.mean == pytest.approx(data.mean())
-        assert ci.sample_size == 5
 
 
 class TestHistogram:

@@ -3,10 +3,9 @@
 The acceptance contract of the streaming observation layer: for the same
 observation stream, :class:`OnlineMonitor` must agree with the array-backed
 :class:`Monitor` *exactly* on ``count``/``min``/``max``/``total`` and to
-within 1e-9 relative on ``mean``/``std`` and the batch-means confidence
-interval — across adversarial streams (constant, heavy-tailed,
-warmup-truncated).  Merging partial sinks (how a sharded backend combines
-results) must be associative.
+within 1e-9 relative on ``mean``/``std`` — across adversarial streams
+(constant, heavy-tailed, warmup-truncated).  Merging partial sinks must
+not depend on where the stream was split.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import numpy as np
 import pytest
 
 from repro.stats.histogram import Histogram
-from repro.stats.intervals import batch_means
 from repro.stats.online import RunningStatistics
 from repro.stats.modes import STATS_MODES, validate_stats_mode
 from repro.stats.sinks import Monitor, OnlineMonitor, StatsSink
 
-BATCHES = 20
 PARITY_REL = 1e-9
 
 
@@ -58,9 +55,7 @@ STREAMS = _adversarial_streams()
 def _filled_pair(values: np.ndarray):
     """An array Monitor and an OnlineMonitor fed the identical stream."""
     mon = Monitor("latency")
-    online = OnlineMonitor(
-        "latency", batch_count=BATCHES, expected_count=len(values)
-    )
+    online = OnlineMonitor("latency")
     for i, v in enumerate(values):
         mon.record(float(i), float(v))
         online.record(float(i), float(v))
@@ -114,25 +109,23 @@ class TestOnlineArrayParity:
             assert _rel(online.variance(), mon.variance()) < PARITY_REL
 
     @pytest.mark.parametrize("name", sorted(STREAMS))
-    def test_batch_means_interval_within_1e9_relative(self, name):
-        values = STREAMS[name]
-        mon, online = _filled_pair(values)
-        ref = batch_means(values, num_batches=BATCHES)
-        arr = mon.batch_means_interval(BATCHES)
-        onl = online.batch_means_interval(BATCHES)
-        # The array sink delegates to batch_means, so it is bit-identical.
-        assert arr.mean.hex() == ref.mean.hex()
-        assert arr.half_width.hex() == ref.half_width.hex()
-        assert _rel(onl.mean, ref.mean) < PARITY_REL
-        if ref.half_width > 0:
-            assert _rel(onl.half_width, ref.half_width) < PARITY_REL
-        else:
-            assert onl.half_width == pytest.approx(0.0, abs=1e-18)
-
-    @pytest.mark.parametrize("name", sorted(STREAMS))
     def test_summary_keys_match_array_sink(self, name):
         mon, online = _filled_pair(STREAMS[name])
         assert set(online.summary()) == set(mon.summary())
+
+    @pytest.mark.parametrize("length", [1, 2, 19])
+    def test_short_stream_matches_the_array_sink(self, length):
+        values = STREAMS["lognormal"][:length]
+        mon, online = _filled_pair(values)
+        assert online.count == mon.count == length
+        assert _rel(online.mean(), mon.mean()) < PARITY_REL
+        assert (online.minimum(), online.maximum()) == (mon.minimum(), mon.maximum())
+        if length == 1:
+            assert math.isnan(online.variance()) and math.isnan(mon.variance())
+        else:
+            assert _rel(online.variance(), mon.variance()) < PARITY_REL
+        for q in (0.0, 50.0, 99.0):
+            assert online.percentile(q) == mon.percentile(q)
 
     def test_percentiles_exact_while_calibrating(self):
         values = STREAMS["lognormal"][:512]  # below calibration_samples
@@ -153,47 +146,8 @@ class TestOnlineArrayParity:
             assert online.minimum() <= approx <= online.maximum()
 
 
-class TestBatchLayout:
-    def test_final_batch_absorbs_remainder_like_array_path(self):
-        # 103 observations over 20 batches: bs=5, final batch holds 8.
-        values = np.linspace(1.0, 103.0, 103)
-        online = OnlineMonitor("x", batch_count=BATCHES, expected_count=103)
-        for i, v in enumerate(values):
-            online.record(float(i), float(v))
-        ref = batch_means(values, num_batches=BATCHES)
-        got = online.batch_means_interval(BATCHES)
-        assert _rel(got.mean, ref.mean) < PARITY_REL
-        assert _rel(got.half_width, ref.half_width) < PARITY_REL
-
-    def test_wrong_batch_count_rejected(self):
-        online = OnlineMonitor("x", batch_count=10, expected_count=100)
-        for i in range(100):
-            online.record(float(i), 1.0)
-        with pytest.raises(ValueError, match="10 batches"):
-            online.batch_means_interval(20)
-
-    def test_unconfigured_sink_rejects_interval(self):
-        online = OnlineMonitor("x")
-        online.record(0.0, 1.0)
-        with pytest.raises(ValueError, match="without batch-means"):
-            online.batch_means_interval(20)
-
-    def test_too_few_observations_rejected(self):
-        online = OnlineMonitor("x", batch_count=20, expected_count=100)
-        for i in range(5):
-            online.record(float(i), 1.0)
-        with pytest.raises(ValueError, match="at least 20"):
-            online.batch_means_interval(20)
-
-    def test_batch_config_must_come_paired(self):
-        with pytest.raises(ValueError, match="together"):
-            OnlineMonitor("x", batch_count=20)
-        with pytest.raises(ValueError, match="together"):
-            OnlineMonitor("x", expected_count=100)
-
-
 class TestMergeAssociativity:
-    """Backend-split combining: merges must not depend on shard boundaries."""
+    """Combining partial streams must not depend on where they were split."""
 
     def test_running_statistics_merge_associative(self):
         rng = np.random.default_rng(7)
@@ -234,47 +188,25 @@ class TestMergeAssociativity:
             for q in (0.1, 0.5, 0.9, 0.99):
                 assert merged.quantile(q) == whole.quantile(q)
 
-    def test_online_monitor_merge_across_batch_boundary(self):
+    @pytest.mark.parametrize("cut", [1, 777, 1_999])
+    def test_online_monitor_merge_matches_the_unsplit_stream(self, cut):
         rng = np.random.default_rng(9)
         values = rng.exponential(1e-4, size=2_000)
         hist_range = (0.0, 2e-3)
-        cut = 1_000  # 10 of 20 batches, a clean shard boundary
 
-        def shard(chunk, start):
-            sink = OnlineMonitor(
-                "latency",
-                batch_count=BATCHES,
-                expected_count=len(values),
-                histogram_range=hist_range,
-            )
-            # Replay with the global observation index so batch selection
-            # matches the unsharded stream.
+        def fed(chunk):
+            sink = OnlineMonitor("latency", histogram_range=hist_range)
             for i, v in enumerate(chunk):
-                sink._batches[
-                    min((start + i) // sink._batch_size, BATCHES - 1)
-                ].push(float(v))
-                sink._stats.push(float(v))
-                sink._histogram.add(float(v))
+                sink.record(float(i), float(v))
             return sink
 
-        a, b = shard(values[:cut], 0), shard(values[cut:], cut)
-        merged = a.merge(b)
-        whole = OnlineMonitor(
-            "latency",
-            batch_count=BATCHES,
-            expected_count=len(values),
-            histogram_range=hist_range,
-        )
-        for i, v in enumerate(values):
-            whole.record(float(i), float(v))
+        merged = fed(values[:cut]).merge(fed(values[cut:]))
+        whole = fed(values)
         assert merged.count == whole.count
         assert merged.minimum() == whole.minimum()
         assert merged.maximum() == whole.maximum()
         assert _rel(merged.mean(), whole.mean()) < PARITY_REL
-        ref = whole.batch_means_interval(BATCHES)
-        got = merged.batch_means_interval(BATCHES)
-        assert _rel(got.mean, ref.mean) < PARITY_REL
-        assert _rel(got.half_width, ref.half_width) < PARITY_REL
+        assert _rel(merged.variance(), whole.variance()) < PARITY_REL
         for q in (50.0, 95.0):
             assert merged.percentile(q) == whole.percentile(q)
 
@@ -290,14 +222,6 @@ class TestMergeAssociativity:
         a = OnlineMonitor("x", track_quantiles=False)
         b = OnlineMonitor("x")
         with pytest.raises(ValueError, match="quantile tracking"):
-            a.merge(b)
-
-    def test_merge_rejects_different_batch_layouts(self):
-        a = OnlineMonitor("x", batch_count=10, expected_count=100,
-                          track_quantiles=False)
-        b = OnlineMonitor("x", batch_count=20, expected_count=100,
-                          track_quantiles=False)
-        with pytest.raises(ValueError, match="batch layouts"):
             a.merge(b)
 
     def test_merge_without_quantiles_is_exact(self):
@@ -360,8 +284,6 @@ class TestOnlineMonitorEdgeCases:
         [
             ({"quantile_bins": 0}, "quantile_bins"),
             ({"calibration_samples": 0}, "calibration_samples"),
-            ({"batch_count": 1, "expected_count": 100}, "batch_count"),
-            ({"batch_count": 20, "expected_count": 0}, "expected_count"),
         ],
     )
     def test_constructor_validation(self, kwargs, match):
