@@ -6,9 +6,11 @@ of an entry is the SHA-256 of the canonical JSON of its
 fingerprint of the installed ``repro`` sources
 (:func:`~repro.cache.fingerprint.code_fingerprint`).  Identical spec +
 identical code ⇒ identical key ⇒ the second run is a lookup, not a
-computation — and because payloads store every float as ``float.hex()``
-and the plan is rebuilt from the spec on the way back out, a hit renders
-byte-identical tables, CSV files and figures to the miss that filled it.
+computation — and because payloads store every float bit-exactly
+(scalars as ``float.hex()``, float maps and grid columns as hex strings of
+packed little-endian IEEE-754 doubles) and the plan is rebuilt from the
+spec on the way back out, a hit renders byte-identical tables, CSV files
+and figures to the miss that filled it.
 
 Modules
 -------

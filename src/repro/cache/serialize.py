@@ -2,11 +2,23 @@
 
 The cache's bit-identity contract — a hit renders the *same bytes* as the
 miss that filled it — rules out plain ``json.dumps(float)`` round trips for
-anything downstream formatting touches.  Every float therefore travels as
-``float.hex()`` (exact for finite values, NaN and the infinities alike),
-every integer as a JSON integer, and the tuple columns of a
-:class:`~repro.core.vectorized.GridEvaluation` as lists restored with
-their original types (floats, and ints for ``iterations``).
+anything downstream formatting touches.  Floats therefore travel in one of
+two exact forms:
+
+* a scalar as ``float.hex()``;
+* a float map (a run's per-centre ``utilizations`` and
+  ``mean_occupancies``, its ``latency_summary`` and ``availability``) as
+  its key list plus one hex string of its values packed as little-endian
+  IEEE-754 doubles (``struct.pack("<Nd")``), and every float column of a
+  :class:`~repro.core.vectorized.GridEvaluation` as one such string.
+
+A packed double is the value's own 64 bits, so finite values, signed
+zeros, subnormals, NaN and the infinities all come back bit for bit.  A
+packed string decodes with ``bytes.fromhex`` and ``struct.unpack``, which
+run in C: a paper-grid entry holds thousands of per-centre values (2C+1
+centres per run, C up to 256), and decoding them one Python call per value
+was most of a hit's cost.  Integers travel as JSON integers; the integer
+grid columns (``iterations``, ``scalar_fallback``) as lists of them.
 
 Only the two execution passes are serialised — the analysis grid and the
 per-point :class:`~repro.simulation.results.ReplicatedResult` aggregates
@@ -24,7 +36,8 @@ misread.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+import struct
+from typing import Any, Collection, Dict, Optional, Tuple
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -34,7 +47,7 @@ __all__ = [
 ]
 
 #: Schema version of cached payloads; bump on any layout change.
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 
 class CachePayloadError(ValueError):
@@ -60,31 +73,57 @@ def _int(value: Any, name: str) -> int:
     return value
 
 
-def _hex_map(mapping: Dict[str, float]) -> Dict[str, str]:
-    return {str(k): _hex(v) for k, v in mapping.items()}
+def _pack(values: Collection[float]) -> str:
+    """``values`` as one hex string of little-endian IEEE-754 doubles."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
 
 
-def _unhex_map(data: Any, name: str) -> Dict[str, float]:
+def _unpack(text: Any, count: int, name: str) -> Tuple[float, ...]:
+    """The ``count`` doubles of a :func:`_pack` string."""
+    if not isinstance(text, str):
+        raise CachePayloadError(f"{name} missing or not a packed hex string")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise CachePayloadError(f"{name} is not a hex string") from exc
+    if len(raw) != 8 * count:
+        raise CachePayloadError(f"{name} has {len(raw)} bytes, expected {count} doubles")
+    return struct.unpack(f"<{count}d", raw)
+
+
+def _map_to_payload(mapping: Dict[str, float]) -> Dict[str, Any]:
+    return {"keys": [str(k) for k in mapping], "values": _pack(mapping.values())}
+
+
+def _map_from_payload(data: Any, name: str) -> Dict[str, float]:
     if not isinstance(data, dict):
         raise CachePayloadError(f"{name} must be an object, got {data!r}")
-    return {str(k): _unhex(v) for k, v in data.items()}
+    keys = data.get("keys")
+    # set(map(type, ...)) checks the key types in C, like the unpacking.
+    if not isinstance(keys, list) or not set(map(type, keys)) <= {str}:
+        raise CachePayloadError(f"{name} keys missing or not a list of strings")
+    return dict(zip(keys, _unpack(data.get("values"), len(keys), name)))
 
 
 # -- GridEvaluation ----------------------------------------------------------
 
+#: The float columns of a GridEvaluation, each one packed string.
+_GRID_FLOATS = (
+    "mean_latency_s",
+    "local_latency_s",
+    "remote_latency_s",
+    "effective_rate",
+    "outgoing_probability",
+    "icn2_utilization",
+    "throttling_factor",
+)
+
 
 def _grid_to_payload(grid) -> Dict[str, Any]:
-    return {
-        "mean_latency_s": [_hex(v) for v in grid.mean_latency_s],
-        "local_latency_s": [_hex(v) for v in grid.local_latency_s],
-        "remote_latency_s": [_hex(v) for v in grid.remote_latency_s],
-        "effective_rate": [_hex(v) for v in grid.effective_rate],
-        "outgoing_probability": [_hex(v) for v in grid.outgoing_probability],
-        "iterations": [int(v) for v in grid.iterations],
-        "icn2_utilization": [_hex(v) for v in grid.icn2_utilization],
-        "throttling_factor": [_hex(v) for v in grid.throttling_factor],
-        "scalar_fallback": [int(v) for v in grid.scalar_fallback],
-    }
+    payload: Dict[str, Any] = {name: _pack(getattr(grid, name)) for name in _GRID_FLOATS}
+    payload["iterations"] = [int(v) for v in grid.iterations]
+    payload["scalar_fallback"] = [int(v) for v in grid.scalar_fallback]
+    return payload
 
 
 def _grid_from_payload(data: Any, n_points: int):
@@ -92,29 +131,20 @@ def _grid_from_payload(data: Any, n_points: int):
 
     if not isinstance(data, dict):
         raise CachePayloadError(f"analysis payload must be an object, got {data!r}")
-
-    def column(name: str) -> list:
-        values = data.get(name)
-        if not isinstance(values, list):
-            raise CachePayloadError(f"analysis field {name!r} missing or not a list")
-        if len(values) != n_points:
-            raise CachePayloadError(
-                f"analysis field {name!r} has {len(values)} entries, plan has {n_points} points"
-            )
-        return values
-
-    def floats(name: str) -> Tuple[float, ...]:
-        return tuple(_unhex(v) for v in column(name))
-
+    iterations = data.get("iterations")
+    if not isinstance(iterations, list):
+        raise CachePayloadError("analysis field 'iterations' missing or not a list")
+    if len(iterations) != n_points:
+        raise CachePayloadError(
+            f"analysis field 'iterations' has {len(iterations)} entries, plan has "
+            f"{n_points} points"
+        )
     return GridEvaluation(
-        mean_latency_s=floats("mean_latency_s"),
-        local_latency_s=floats("local_latency_s"),
-        remote_latency_s=floats("remote_latency_s"),
-        effective_rate=floats("effective_rate"),
-        outgoing_probability=floats("outgoing_probability"),
-        iterations=tuple(_int(v, "iterations") for v in column("iterations")),
-        icn2_utilization=floats("icn2_utilization"),
-        throttling_factor=floats("throttling_factor"),
+        **{
+            name: _unpack(data.get(name), n_points, f"analysis field {name!r}")
+            for name in _GRID_FLOATS
+        },
+        iterations=tuple(_int(v, "iterations") for v in iterations),
         scalar_fallback=tuple(
             _int(v, "scalar_fallback") for v in data.get("scalar_fallback", [])
         ),
@@ -159,18 +189,20 @@ def _simulation_result_to_payload(result) -> Dict[str, Any]:
         "completed_messages": int(result.completed_messages),
         "remote_fraction": _hex(result.remote_fraction),
         "simulated_time_s": _hex(result.simulated_time_s),
-        "utilizations": _hex_map(result.utilizations),
-        "mean_occupancies": _hex_map(result.mean_occupancies),
+        "utilizations": _map_to_payload(result.utilizations),
+        "mean_occupancies": _map_to_payload(result.mean_occupancies),
         "seed": int(result.seed),
         "stats_mode": str(result.stats_mode),
         "latency_summary": (
-            None if result.latency_summary is None else _hex_map(result.latency_summary)
+            None
+            if result.latency_summary is None
+            else _map_to_payload(result.latency_summary)
         ),
     }
     # Fault columns only on fault-enabled runs, so fault-free payloads keep
     # their historical bytes.
     if result.availability is not None:
-        payload["availability"] = _hex_map(result.availability)
+        payload["availability"] = _map_to_payload(result.availability)
         payload["dropped_messages"] = int(result.dropped_messages)
     return payload
 
@@ -190,13 +222,15 @@ def _simulation_result_from_payload(data: Any):
         completed_messages=_int(data.get("completed_messages"), "completed_messages"),
         remote_fraction=_unhex(data.get("remote_fraction")),
         simulated_time_s=_unhex(data.get("simulated_time_s")),
-        utilizations=_unhex_map(data.get("utilizations"), "utilizations"),
-        mean_occupancies=_unhex_map(data.get("mean_occupancies"), "mean_occupancies"),
+        utilizations=_map_from_payload(data.get("utilizations"), "utilizations"),
+        mean_occupancies=_map_from_payload(data.get("mean_occupancies"), "mean_occupancies"),
         seed=_int(data.get("seed"), "seed"),
         stats_mode=str(data.get("stats_mode", "array")),
-        latency_summary=None if summary is None else _unhex_map(summary, "latency_summary"),
+        latency_summary=(
+            None if summary is None else _map_from_payload(summary, "latency_summary")
+        ),
         availability=(
-            None if availability is None else _unhex_map(availability, "availability")
+            None if availability is None else _map_from_payload(availability, "availability")
         ),
         dropped_messages=_int(data.get("dropped_messages", 0), "dropped_messages"),
     )

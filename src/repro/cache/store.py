@@ -9,7 +9,7 @@ on disk::
 
     <root>/
       index.sqlite          -- entry metadata + hit/miss counters
-      objects/<k0k1>/<key>.json  -- one hex-exact payload per entry
+      objects/<k0k1>/<key>.json  -- one bit-exact payload per entry
 
 The SQLite file is only an *index* (spec provenance, sizes, hit counts);
 the payloads themselves are plain JSON files written atomically (temp file
@@ -209,6 +209,12 @@ class ResultCache:
         except FileNotFoundError:
             return bool(removed)
 
+    def _drop_corrupt(self, key: str) -> None:
+        """Drop an entry whose payload cannot be served, and count a miss."""
+        self._drop_entry(key, "corrupt_dropped")
+        with closing(self._connect()) as conn, conn:
+            self._bump(conn, "misses")
+
     # -- keys --------------------------------------------------------------
 
     def key_for_spec(self, spec) -> str:
@@ -236,7 +242,7 @@ class ResultCache:
     def get_outcome(self, plan):
         """The cached :class:`ExperimentOutcome` for ``plan``, or ``None``.
 
-        A hit rehydrates the stored passes against ``plan`` (hex-exact, so
+        A hit rehydrates the stored passes against ``plan`` (bit-exact, so
         every downstream table/CSV byte matches the run that filled the
         entry) and bumps the entry's hit count.  A corrupt or
         schema-incompatible payload is dropped and reported as a miss.
@@ -250,9 +256,7 @@ class ResultCache:
         try:
             outcome = outcome_from_payload(payload.get("outcome"), plan)
         except CachePayloadError:
-            self._drop_entry(key, "corrupt_dropped")
-            with closing(self._connect()) as conn, conn:
-                self._bump(conn, "misses")
+            self._drop_corrupt(key)
             return None
         with closing(self._connect()) as conn, conn:
             self._bump(conn, "hits")
@@ -313,27 +317,35 @@ class ResultCache:
         return key
 
     def _load_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read one payload envelope; drop the entry and miss on any damage."""
-        with closing(self._connect()) as conn:
-            row = conn.execute("SELECT key FROM entries WHERE key = ?", (key,)).fetchone()
+        """Read one payload envelope; drop the entry and miss on any damage.
+
+        The payload file is read first, so a hit opens the index only to
+        count itself.  A missing file opens it to tell a plain miss (no row
+        either) from an entry whose payload is gone.
+        """
         path = self._payload_path(key)
-        if row is None and not os.path.exists(path):
-            with closing(self._connect()) as conn, conn:
-                self._bump(conn, "misses")
-            return None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             if not isinstance(payload, dict) or payload.get("key") != key:
                 raise CachePayloadError(f"payload {path!r} does not describe key {key}")
-        except (OSError, ValueError) as exc:
-            # Index row without a readable payload (truncated write,
-            # hand-edited file, deleted object): recover by dropping the
-            # entry — the caller recomputes.
-            del exc
-            self._drop_entry(key, "corrupt_dropped")
-            with closing(self._connect()) as conn, conn:
-                self._bump(conn, "misses")
+        except FileNotFoundError:
+            # A plain miss, unless the index lists the key.  Writers store
+            # the file before the row, so a listed key whose file is still
+            # missing is an entry that lost its payload, not a write in
+            # flight.
+            with closing(self._connect()) as conn:
+                row = conn.execute("SELECT key FROM entries WHERE key = ?", (key,)).fetchone()
+            if row is not None and not os.path.exists(path):
+                self._drop_corrupt(key)
+            else:
+                with closing(self._connect()) as conn, conn:
+                    self._bump(conn, "misses")
+            return None
+        except (OSError, ValueError):
+            # A payload that cannot be read back (truncated write,
+            # hand-edited file): the caller recomputes.
+            self._drop_corrupt(key)
             return None
         return payload
 

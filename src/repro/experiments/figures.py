@@ -110,6 +110,10 @@ class FigurePoint:
         if self.simulation_latency_ms is not None:
             row["simulation_ms"] = self.simulation_latency_ms
             row["rel_error"] = self.relative_error
+        # The replication interval (replications >= 2 only, so one-run rows
+        # keep their shape).
+        if self.simulation_ci_half_width_ms is not None:
+            row["ci_half_width_ms"] = self.simulation_ci_half_width_ms
         return row
 
 

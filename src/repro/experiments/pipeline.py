@@ -812,6 +812,10 @@ class ExperimentPointResult:
             row["simulation_ms"] = self.simulation_latency_ms
             if self.relative_error is not None:
                 row["rel_error"] = self.relative_error
+        # The replication interval (replications >= 2 only, so one-run rows
+        # keep their shape).
+        if self.simulation_ci_half_width_ms is not None:
+            row["ci_half_width_ms"] = self.simulation_ci_half_width_ms
         if self.availability is not None:
             row["availability"] = self.availability
         if self.throughput_msg_s is not None:

@@ -56,8 +56,7 @@ class SimulationResult:
         """Unweighted mean availability across fault targets (``None`` without faults)."""
         if not self.availability:
             return None
-        # fsum: the mean must not depend on the dict's key order, which a
-        # cache round trip (sorted keys) changes.
+        # fsum: the mean must not depend on the dict's key order.
         return math.fsum(self.availability.values()) / len(self.availability)
 
     @property

@@ -9,8 +9,7 @@ that remark be tested quantitatively (ablation ``traffic_locality``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Sequence, Tuple
 
 from ..batching import DEFAULT_BLOCK_SIZE
 from ..errors import ConfigurationError
@@ -32,14 +31,6 @@ NodeAddress = Tuple[int, int]
 AddressTable = Tuple[NodeAddress, ...]
 
 
-@lru_cache(maxsize=32)
-def _address_table(cluster_sizes: Tuple[int, ...]) -> AddressTable:
-    """Flat node index -> (cluster, processor), shared by every policy over ``cluster_sizes``."""
-    return tuple(
-        (cluster, proc) for cluster, size in enumerate(cluster_sizes) for proc in range(size)
-    )
-
-
 class DestinationPolicy:
     """Base class for destination selection policies.
 
@@ -47,7 +38,15 @@ class DestinationPolicy:
     processor) order.  Subclasses implement :meth:`_pick`, which gets the
     source's flat index and the flat index -> address table along with the
     source's address, both resolved once per chooser.
+
+    Each cluster's first flat index and the address table are derived from
+    ``cluster_sizes`` once per policy, so resolving a source costs O(1).
+    They stay out of the pickled state: policies travel as task arguments,
+    which journal fingerprints hash, and unpickling derives them again.
     """
+
+    #: Attributes derived from ``cluster_sizes`` (see :meth:`_derive`).
+    _DERIVED = ("_starts", "_table")
 
     def __init__(self, cluster_sizes: Sequence[int]) -> None:
         if not cluster_sizes or any(s < 1 for s in cluster_sizes):
@@ -56,10 +55,27 @@ class DestinationPolicy:
         self.total_nodes = sum(self.cluster_sizes)
         if self.total_nodes < 2:
             raise ConfigurationError("destination selection needs at least two nodes")
+        self._derive()
+
+    def _derive(self) -> None:
+        starts = []
+        table = []
+        for cluster, size in enumerate(self.cluster_sizes):
+            starts.append(len(table))
+            table.extend((cluster, proc) for proc in range(size))
+        self._starts: Tuple[int, ...] = tuple(starts)
+        self._table: AddressTable = tuple(table)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     def choose(self, source: NodeAddress, rng: VariateGenerator) -> NodeAddress:
         """Pick a destination different from ``source``."""
-        return self._pick(source, self._flatten(source), _address_table(self.cluster_sizes), rng)
+        return self._pick(source, self._flatten(source), self._table, rng)
 
     def chooser(
         self, source: NodeAddress, rng: VariateGenerator, block_size: int = DEFAULT_BLOCK_SIZE
@@ -74,7 +90,7 @@ class DestinationPolicy:
         ``rng``, so it must be the stream's only consumer.
         """
         src_flat = self._flatten(source)
-        table = _address_table(self.cluster_sizes)
+        table = self._table
         pick = self._pick
         return lambda: pick(source, src_flat, table, rng)
 
@@ -128,7 +144,7 @@ class DestinationPolicy:
             raise ConfigurationError(f"cluster index {cluster} out of range")
         if not 0 <= proc < self.cluster_sizes[cluster]:
             raise ConfigurationError(f"processor index {proc} out of range for cluster {cluster}")
-        return sum(self.cluster_sizes[:cluster]) + proc
+        return self._starts[cluster] + proc
 
 
 class UniformDestinations(DestinationPolicy):
@@ -150,7 +166,7 @@ class UniformDestinations(DestinationPolicy):
         """
         src_flat = self._flatten(source)
         pick_stream = rng.integer_stream(0, self.total_nodes - 2, block_size)
-        table = _address_table(self.cluster_sizes)
+        table = self._table
 
         def choose() -> NodeAddress:
             pick = pick_stream()

@@ -1,15 +1,32 @@
-"""Unit tests for the hex-exact cache payload (de)hydration."""
+"""Unit tests for the bit-exact cache payload (de)hydration."""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import json
 import math
+import struct
 
 import pytest
 
 from repro.cache import CachePayloadError, outcome_from_payload, outcome_to_payload
-from repro.cache.serialize import _hex, _unhex
+from repro.cache.serialize import (
+    _hex,
+    _map_from_payload,
+    _map_to_payload,
+    _unhex,
+)
 from repro.experiments.pipeline import ExperimentRunner, ExperimentSpec, build_plan
+
+#: Values whose bits a decimal or float.hex() round trip is most likely to
+#: lose: NaN, both infinities, negative zero, the smallest subnormal.
+SPECIAL = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "subnormal": 5e-324}
+
+
+def bits(values):
+    """The IEEE-754 bits of each value (NaN compares equal to itself here)."""
+    return [struct.pack("<d", value) for value in values]
 
 
 def small_plan(**overrides):
@@ -46,6 +63,41 @@ class TestFloatHex:
             _unhex(1.5)
 
 
+class TestPackedMaps:
+    def test_special_values_round_trip_bit_exact(self):
+        payload = json.loads(json.dumps(_map_to_payload(SPECIAL)))
+        assert set(payload) == {"keys", "values"}
+        assert len(payload["values"]) == 16 * len(SPECIAL)
+        restored = _map_from_payload(payload, "m")
+        assert list(restored) == list(SPECIAL)  # key order kept
+        assert bits(restored.values()) == bits(SPECIAL.values())
+        assert all(type(value) is float for value in restored.values())
+
+    def test_empty_map_round_trips(self):
+        payload = json.loads(json.dumps(_map_to_payload({})))
+        assert payload == {"keys": [], "values": ""}
+        assert _map_from_payload(payload, "m") == {}
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p: p.update(values=p["values"][:-16]), "m has 32 bytes, expected 5 doubles"),
+            (lambda p: p.update(values=p["values"][:-1]), "m is not a hex string"),
+            (lambda p: p.update(values="zz" + p["values"][2:]), "m is not a hex string"),
+            (lambda p: p.update(values=p["values"] * 2), "m has 80 bytes, expected 5 doubles"),
+            (lambda p: p["keys"].pop(), "m has 40 bytes, expected 4 doubles"),
+            (lambda p: p["keys"].__setitem__(0, 1), "m keys missing or not a list of strings"),
+            (lambda p: p.pop("keys"), "m keys missing"),
+            (lambda p: p.update(values=[1.0] * 5), "m missing or not a packed hex string"),
+        ],
+    )
+    def test_damaged_map_is_a_payload_error(self, damage, match):
+        payload = _map_to_payload({"a": 1.0, "b": 2.0, "c": -0.0, "d": 4.0, "e": 5.0})
+        damage(payload)
+        with pytest.raises(CachePayloadError, match=match):
+            _map_from_payload(payload, "m")
+
+
 class TestOutcomeRoundTrip:
     def test_round_trip_is_bit_exact(self):
         plan = small_plan()
@@ -65,18 +117,38 @@ class TestOutcomeRoundTrip:
             assert theirs == mine
 
     def test_round_trip_survives_json(self):
-        import json
-
         plan = small_plan(replications=1)
         outcome = ExperimentRunner().run_outcome(plan)
         payload = json.loads(json.dumps(outcome_to_payload(outcome)))
         restored = outcome_from_payload(payload, plan)
         assert restored.replicated == outcome.replicated
 
+    def test_special_values_in_every_float_form_round_trip(self):
+        """NaN, infinities, -0.0 and a subnormal survive in a grid column,
+        a per-centre map and a scalar, and an empty map stays empty."""
+        plan = small_plan(cluster_counts=[1, 2, 4, 8, 16], replications=1)
+        outcome = ExperimentRunner().run_outcome(plan)
+        grid = dataclasses.replace(outcome.analysis, mean_latency_s=tuple(SPECIAL.values()))
+        first = outcome.replicated[0]
+        run = dataclasses.replace(
+            first.per_replication[0], utilizations=dict(SPECIAL), latency_summary={},
+            mean_latency_s=-0.0, simulated_time_s=math.inf,
+        )
+        replicated = [dataclasses.replace(first, per_replication=[run])] + outcome.replicated[1:]
+        outcome = dataclasses.replace(outcome, analysis=grid, replicated=replicated)
+
+        payload = json.loads(json.dumps(outcome_to_payload(outcome)))
+        restored = outcome_from_payload(payload, plan)
+        assert bits(restored.analysis.mean_latency_s) == bits(SPECIAL.values())
+        back = restored.replicated[0].per_replication[0]
+        assert list(back.utilizations) == list(SPECIAL)
+        assert bits(back.utilizations.values()) == bits(SPECIAL.values())
+        assert back.latency_summary == {}
+        assert bits([back.mean_latency_s, back.simulated_time_s]) == bits([-0.0, math.inf])
+        assert restored.replicated[1:] == outcome.replicated[1:]
+
     def test_fault_columns_round_trip(self):
         """availability and dropped_messages survive a cache round trip."""
-        import json
-
         plan = small_plan(
             scenario="case-1-lossy", mode="simulate", replications=1,
             simulation_messages=300, cluster_counts=[4],
@@ -108,6 +180,22 @@ class TestOutcomeRoundTrip:
         payload["payload_version"] = 1
         with pytest.raises(CachePayloadError, match="version 1"):
             outcome_from_payload(payload, plan)
+
+    def test_payload_packs_every_float_map_and_grid_column(self):
+        plan = small_plan(mode="both", cluster_counts=[2, 4], replications=1)
+        payload = outcome_to_payload(ExperimentRunner().run_outcome(plan))
+        for name, column in payload["analysis"].items():
+            if name in ("iterations", "scalar_fallback"):
+                assert all(type(v) is int for v in column)
+            else:
+                assert isinstance(column, str) and len(column) == 16 * 2
+        for point in payload["replicated"]:
+            (run,) = point["per_replication"]
+            for name in ("utilizations", "mean_occupancies", "latency_summary"):
+                assert len(run[name]["values"]) == 16 * len(run[name]["keys"])
+            # 2C + 1 centres: C ICN1s, C ECN1s and the ICN2.
+            assert len(run["utilizations"]["keys"]) in (5, 9)
+            assert run["mean_occupancies"]["keys"] == run["utilizations"]["keys"]
 
     def test_replications_carry_no_interval_of_their_own(self):
         plan = small_plan(mode="simulate", replications=2)
@@ -161,6 +249,11 @@ def _drop(key):
         (lambda p: p.update(analysis=[1.0]), "analysis payload must be an object"),
         (lambda p: _drop("local_latency_s")(p["analysis"]), "'local_latency_s' missing"),
         (lambda p: _drop("iterations")(p["analysis"]), "'iterations' missing"),
+        # A version-2 column: one float.hex() string per point.
+        (
+            lambda p: p["analysis"].update(effective_rate=["0x1.0p+0"]),
+            "'effective_rate' missing or not a packed hex string",
+        ),
         (lambda p: p.update(replicated={"0": {}}), "'replicated' field is not a list"),
         (lambda p: p.update(replicated=p["replicated"] * 2), "simulation pass has 2 points"),
         (lambda p: p.update(replicated=["x"]), "replicated result must be an object"),
@@ -168,8 +261,19 @@ def _drop(key):
         # Ragged sections: a column shorter than the plan, a point whose
         # per-replication list disagrees with its replication count.
         (
-            lambda p: p["analysis"].update(effective_rate=[], iterations=[]),
-            "'effective_rate' has 0 entries, plan has 1 points",
+            lambda p: p["analysis"].update(effective_rate=""),
+            "'effective_rate' has 0 bytes, expected 1 doubles",
+        ),
+        (
+            lambda p: p["analysis"].update(iterations=[]),
+            "'iterations' has 0 entries, plan has 1 points",
+        ),
+        # A version-2 map: one float.hex() string per key.
+        (
+            lambda p: p["replicated"][0]["per_replication"][0].update(
+                utilizations={"icn2": "0x0p+0"}
+            ),
+            "utilizations keys missing",
         ),
         (
             lambda p: p["replicated"][0]["per_replication"].pop(),

@@ -8,8 +8,10 @@ rows a cold run computes.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -22,6 +24,7 @@ from repro.cache import (
     coerce_cache,
     spec_cache_key,
 )
+from repro.cache.serialize import PAYLOAD_VERSION
 from repro.experiments.pipeline import (
     ExperimentRunner,
     ExperimentSpec,
@@ -168,6 +171,30 @@ class TestStoreLifecycle:
         assert entry.scenario == "case-1"
         assert entry.last_hit_at is not None
 
+    def test_a_hit_opens_the_index_only_to_count_itself(self, tmp_path, monkeypatch):
+        """The payload file is read before the index: a hit opens one
+        connection (the counter write), a plain miss opens the index to
+        tell it from an entry whose payload is gone."""
+        cache = ResultCache(tmp_path / "store", fingerprint=FP_A)
+        plan = build_plan(small_spec())
+        cache.put_outcome(plan, compute_outcome(plan))
+        opened = []
+        connect = cache._connect
+
+        def counting_connect():
+            opened.append(1)
+            return connect()
+
+        monkeypatch.setattr(cache, "_connect", counting_connect)
+        assert cache.get_outcome(plan) is not None
+        assert len(opened) == 1
+        assert cache.get_entry(cache.key_for_plan(plan)).hits == 1
+        opened.clear()
+        assert cache.get_outcome(build_plan(small_spec(seed=1))) is None
+        assert len(opened) == 2  # the index lookup, then the miss counter
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.corrupt_dropped) == (1, 1, 0)
+
     def test_counters_persist_across_opens(self, tmp_path):
         root = tmp_path / "store"
         cache = ResultCache(root, fingerprint=FP_A)
@@ -260,6 +287,26 @@ class TestCorruptionRecovery:
         assert cache.get_outcome(plan) is None
         assert cache.stats().corrupt_dropped == 1
 
+    def test_a_write_landing_during_a_miss_is_kept(self, tmp_path, monkeypatch):
+        """A reader that finds no payload file while a writer stores the
+        entry counts a plain miss: the writer's file lands before its index
+        row, so the reader sees the row with its file and drops nothing."""
+        cache = ResultCache(tmp_path / "store", fingerprint=FP_A)
+        plan = build_plan(small_spec())
+        outcome = compute_outcome(plan)
+        connect = cache._connect
+
+        def writer_lands_first():
+            monkeypatch.setattr(cache, "_connect", connect)
+            cache.put_outcome(plan, outcome)
+            return connect()
+
+        monkeypatch.setattr(cache, "_connect", writer_lands_first)
+        assert cache.get_outcome(plan) is None
+        stats = cache.stats()
+        assert (stats.misses, stats.corrupt_dropped, stats.entries) == (1, 0, 1)
+        assert cache.get_outcome(plan) is not None
+
     def test_schema_drift_recovers_as_miss(self, tmp_path):
         cache, plan, path = self.put_one(tmp_path)
         with open(path, "r", encoding="utf-8") as handle:
@@ -282,7 +329,59 @@ class TestCorruptionRecovery:
         assert cache.stats().corrupt_dropped == 1
         assert recomputed.to_rows() == TableCollector().collect(compute_outcome(plan)).to_rows()
         with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["outcome"]["payload_version"] == 2
+            assert json.load(handle)["outcome"]["payload_version"] == PAYLOAD_VERSION
+        assert cache.get_outcome(plan) is not None
+
+    def test_version_2_payload_is_dropped_and_recomputed(self, tmp_path):
+        """A payload in the version-2 layout (one float.hex() string per
+        float) is dropped, recomputed and rewritten packed."""
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["outcome"] = as_version_2(envelope["outcome"])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle, sort_keys=True)
+        recomputed = ExperimentRunner(cache=cache).run(plan, TableCollector())
+        assert cache.stats().corrupt_dropped == 1
+        assert recomputed.to_rows() == TableCollector().collect(compute_outcome(plan)).to_rows()
+        with open(path, "r", encoding="utf-8") as handle:
+            outcome = json.load(handle)["outcome"]
+        assert outcome["payload_version"] == PAYLOAD_VERSION
+        assert isinstance(outcome["analysis"]["mean_latency_s"], str)
+        assert cache.get_outcome(plan) is not None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda packed: packed[:-16], id="truncated"),
+            pytest.param(lambda packed: "xy" + packed[2:], id="non-hex"),
+            pytest.param(lambda packed: packed + "00", id="wrong-length"),
+        ],
+    )
+    def test_damaged_packed_string_is_dropped_and_recomputed(self, tmp_path, damage):
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        utilizations = envelope["outcome"]["replicated"][0]["per_replication"][0]["utilizations"]
+        utilizations["values"] = damage(utilizations["values"])
+        self.assert_dropped_and_recomputed(cache, plan, path, envelope)
+
+    def test_key_value_count_mismatch_is_dropped_and_recomputed(self, tmp_path):
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        run = envelope["outcome"]["replicated"][0]["per_replication"][0]
+        run["mean_occupancies"]["keys"].append("icn1-extra")
+        self.assert_dropped_and_recomputed(cache, plan, path, envelope)
+
+    def assert_dropped_and_recomputed(self, cache, plan, path, envelope):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        recomputed = ExperimentRunner(cache=cache).run(plan, TableCollector())
+        stats = cache.stats()
+        assert (stats.corrupt_dropped, stats.misses, stats.hits) == (1, 1, 0)
+        cold = TableCollector().collect(compute_outcome(plan))
+        assert rows_to_csv_text(recomputed.to_rows()) == rows_to_csv_text(cold.to_rows())
         assert cache.get_outcome(plan) is not None
 
     def test_wrong_key_payload_recovers_as_miss(self, tmp_path):
@@ -294,6 +393,28 @@ class TestCorruptionRecovery:
             json.dump(envelope, handle)
         assert cache.get_outcome(plan) is None
         assert cache.stats().corrupt_dropped == 1
+
+
+def as_version_2(outcome):
+    """``outcome`` (a packed payload) rewritten in the version-2 layout."""
+
+    def hexes(packed):
+        raw = bytes.fromhex(packed)
+        return [value.hex() for value in struct.unpack(f"<{len(raw) // 8}d", raw)]
+
+    def mapping(packed):
+        return None if packed is None else dict(zip(packed["keys"], hexes(packed["values"])))
+
+    old = copy.deepcopy(outcome)
+    old["payload_version"] = 2
+    for name, column in old["analysis"].items():
+        if isinstance(column, str):
+            old["analysis"][name] = hexes(column)
+    for point in old["replicated"]:
+        for run in point["per_replication"]:
+            for name in ("utilizations", "mean_occupancies", "latency_summary"):
+                run[name] = mapping(run[name])
+    return old
 
 
 class TestHitEqualsMiss:
@@ -308,6 +429,26 @@ class TestHitEqualsMiss:
         assert rows_to_csv_text(warm.to_rows()) == rows_to_csv_text(cold.to_rows())
         cold_acc, warm_acc = cold.accuracy_summary(), warm.accuracy_summary()
         assert warm_acc.as_dict() == cold_acc.as_dict()
+
+    def test_hit_equals_miss_over_the_paper_cluster_counts(self, tmp_path):
+        """Every per-centre value of a paper-grid campaign (2C + 1 centres
+        per point, C up to 256) comes back bit-exact."""
+        spec = small_spec(
+            mode="simulate", cluster_counts=list(PAPER_PARAMETERS.cluster_counts),
+            message_sizes=list(PAPER_PARAMETERS.message_sizes), simulation_messages=300,
+        )
+        assert len(PAPER_PARAMETERS.cluster_counts) == 9
+        cache = ResultCache(tmp_path / "store")
+        cold_outcome = ExperimentRunner(cache=cache).run_outcome(build_plan(spec))
+        warm_outcome = ExperimentRunner(cache=cache).run_outcome(build_plan(spec))
+        assert cache.stats().hits == 1
+        assert warm_outcome.replicated == cold_outcome.replicated
+        runs = [agg.per_replication[0] for agg in warm_outcome.replicated]
+        assert max(len(run.utilizations) for run in runs) == 2 * 256 + 1
+        cold = TableCollector().collect(cold_outcome)
+        warm = TableCollector().collect(warm_outcome)
+        assert warm.to_rows() == cold.to_rows()
+        assert rows_to_csv_text(warm.to_rows()) == rows_to_csv_text(cold.to_rows())
 
     def test_hit_equals_miss_without_simulation(self, tmp_path):
         spec = small_spec(mode="analysis", cluster_counts=[2, 4, 8])

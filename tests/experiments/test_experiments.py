@@ -119,6 +119,24 @@ class TestFigureDriver:
         assert summary is not None
         assert summary.n_points == 1
 
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_figure_rows_print_the_replication_interval(self, replications):
+        result = run_figure(
+            6, include_simulation=True, cluster_counts=[2], message_sizes=[512],
+            simulation_messages=120, replications=replications, seed=3,
+        )
+        (point,) = result.points
+        (row,) = result.to_rows()
+        columns = ["clusters", "message_bytes", "analysis_ms", "simulation_ms", "rel_error"]
+        if replications == 1:
+            assert point.simulation_ci_half_width_ms is None
+            assert list(row) == columns
+        else:
+            assert point.simulation_ci_half_width_ms > 0
+            assert list(row) == columns + ["ci_half_width_ms"]
+            assert row["ci_half_width_ms"] == point.simulation_ci_half_width_ms
+            assert "ci_half_width_ms" in result.to_text_table()
+
     def test_rendering_helpers(self):
         result = run_figure(4, include_simulation=False,
                             cluster_counts=[1, 16, 256], message_sizes=[1024])

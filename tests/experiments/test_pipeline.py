@@ -434,22 +434,32 @@ class TestRunnerEndToEnd:
             ).evaluate()
             assert point.analysis_latency_ms == report.mean_latency_ms
 
+    @pytest.mark.parametrize("mode", ["simulate", "both"])
     @pytest.mark.parametrize("replications", [1, 2])
-    def test_point_interval_needs_two_replications(self, replications):
+    def test_point_interval_needs_two_replications(self, replications, mode):
         spec = ExperimentSpec(
-            scenario="case-1", mode="simulate", cluster_counts=(2,),
+            scenario="case-1", mode=mode, cluster_counts=(2,),
             message_sizes=(512,), replications=replications, simulation_messages=120,
         )
         outcome = ExperimentRunner().run_outcome(build_plan(spec))
         (replicated,) = outcome.replicated
         (point,) = TableCollector().collect(outcome).points
+        row = point.as_dict()
+        columns = ["clusters", "message_bytes", "rate"]
+        columns += ["analysis_ms", "simulation_ms", "rel_error"] if mode == "both" else [
+            "simulation_ms"
+        ]
         if replications == 1:
             assert point.simulation_ci_half_width_ms is None
+            assert list(row) == columns
         else:
             means = [run.mean_latency_s for run in replicated.per_replication]
             half_width = mean_confidence_interval(means).half_width
             assert point.simulation_ci_half_width_ms == half_width * 1e3
             assert point.simulation_ci_half_width_ms > 0
+            # The interval is printed right after the simulated mean.
+            assert list(row) == columns + ["ci_half_width_ms"]
+            assert row["ci_half_width_ms"] == point.simulation_ci_half_width_ms
 
     def test_serial_and_pool_are_bit_identical(self):
         spec = smoke_spec("bursty-hyper", messages=150)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.workload.arrivals import (
     PoissonArrivals,
 )
 from repro.workload.destinations import (
+    DestinationPolicy,
     HotspotDestinations,
     LocalizedDestinations,
     UniformDestinations,
@@ -142,6 +146,54 @@ class TestDestinations:
         policy = LocalizedDestinations([4], locality=0.0)
         picks = {policy.choose((0, 1), rng) for _ in range(200)}
         assert picks == {(0, 0), (0, 2), (0, 3)}
+
+    def test_flatten_matches_the_sum_formula(self):
+        sizes = [3, 1, 4, 1, 5, 9, 2]
+        policy = UniformDestinations(sizes)
+        flat = [
+            policy._flatten((cluster, proc))
+            for cluster, size in enumerate(sizes)
+            for proc in range(size)
+        ]
+        assert flat == [
+            sum(sizes[:cluster]) + proc
+            for cluster, size in enumerate(sizes)
+            for proc in range(size)
+        ]
+        assert flat == list(range(sum(sizes)))
+        assert [policy._table[i] for i in flat] == [
+            (cluster, proc) for cluster, size in enumerate(sizes) for proc in range(size)
+        ]
+
+    @pytest.mark.parametrize(
+        "policy, declared",
+        [
+            (UniformDestinations([3, 5, 1]), ["cluster_sizes", "total_nodes"]),
+            (
+                LocalizedDestinations([3, 5, 1], locality=0.6),
+                ["cluster_sizes", "total_nodes", "locality"],
+            ),
+            (
+                HotspotDestinations([3, 5, 1], hotspot=(1, 2), hotspot_fraction=0.3),
+                ["cluster_sizes", "total_nodes", "hotspot", "hotspot_fraction"],
+            ),
+        ],
+        ids=["uniform", "localized", "hotspot"],
+    )
+    def test_pickled_state_holds_no_derived_attribute(self, policy, declared):
+        """Policies are task arguments, and journal fingerprints hash their
+        pickles: only the declared attributes may travel."""
+        assert list(policy.__getstate__()) == declared
+        data = pickle.dumps(policy, protocol=4)
+        for name in DestinationPolicy._DERIVED:
+            assert hasattr(policy, name)
+            assert name.encode() not in data
+        for clone in (pickle.loads(data), copy.deepcopy(policy)):
+            assert pickle.dumps(clone, protocol=4) == data
+            assert (clone._starts, clone._table) == (policy._starts, policy._table)
+            chooser = clone.chooser((1, 2), RandomStreams(5).stream("destinations"))
+            twin = policy.chooser((1, 2), RandomStreams(5).stream("destinations"))
+            assert [chooser() for _ in range(200)] == [twin() for _ in range(200)]
 
     def test_invalid_cluster_sizes(self):
         with pytest.raises(ConfigurationError):
