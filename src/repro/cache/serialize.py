@@ -6,11 +6,13 @@ anything downstream formatting touches.  Floats therefore travel in one of
 two exact forms:
 
 * a scalar as ``float.hex()``;
-* a float map (a run's per-centre ``utilizations`` and
-  ``mean_occupancies``, its ``latency_summary`` and ``availability``) as
-  its key list plus one hex string of its values packed as little-endian
-  IEEE-754 doubles (``struct.pack("<Nd")``), and every float column of a
-  :class:`~repro.core.vectorized.GridEvaluation` as one such string.
+* a float map (a run's ``latency_summary`` and ``availability``) as its
+  key list plus one hex string of its values packed as little-endian
+  IEEE-754 doubles (``struct.pack("<Nd")``); a run's per-centre
+  ``utilizations`` and ``mean_occupancies``, which the simulator fills
+  from one centre list, as that list once plus one such string each; and
+  every float column of a :class:`~repro.core.vectorized.GridEvaluation`
+  as one such string.
 
 A packed double is the value's own 64 bits, so finite values, signed
 zeros, subnormals, NaN and the infinities all come back bit for bit.  A
@@ -37,7 +39,7 @@ misread.
 from __future__ import annotations
 
 import struct
-from typing import Any, Collection, Dict, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Tuple
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 #: Schema version of cached payloads; bump on any layout change.
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 
 class CachePayloadError(ValueError):
@@ -91,6 +93,13 @@ def _unpack(text: Any, count: int, name: str) -> Tuple[float, ...]:
     return struct.unpack(f"<{count}d", raw)
 
 
+def _keys(keys: Any, name: str) -> List[str]:
+    # set(map(type, ...)) checks the key types in C, like the unpacking.
+    if not isinstance(keys, list) or not set(map(type, keys)) <= {str}:
+        raise CachePayloadError(f"{name} missing or not a list of strings")
+    return keys
+
+
 def _map_to_payload(mapping: Dict[str, float]) -> Dict[str, Any]:
     return {"keys": [str(k) for k in mapping], "values": _pack(mapping.values())}
 
@@ -98,10 +107,7 @@ def _map_to_payload(mapping: Dict[str, float]) -> Dict[str, Any]:
 def _map_from_payload(data: Any, name: str) -> Dict[str, float]:
     if not isinstance(data, dict):
         raise CachePayloadError(f"{name} must be an object, got {data!r}")
-    keys = data.get("keys")
-    # set(map(type, ...)) checks the key types in C, like the unpacking.
-    if not isinstance(keys, list) or not set(map(type, keys)) <= {str}:
-        raise CachePayloadError(f"{name} keys missing or not a list of strings")
+    keys = _keys(data.get("keys"), f"{name} keys")
     return dict(zip(keys, _unpack(data.get("values"), len(keys), name)))
 
 
@@ -181,6 +187,12 @@ def _interval_from_payload(data: Any):
 
 
 def _simulation_result_to_payload(result) -> Dict[str, Any]:
+    centres = list(result.utilizations)
+    if list(result.mean_occupancies) != centres:
+        raise CachePayloadError(
+            "a run's utilizations and mean_occupancies name different centres; "
+            "the payload stores one centre list for both"
+        )
     payload = {
         "mean_latency_s": _hex(result.mean_latency_s),
         "mean_local_latency_s": _hex(result.mean_local_latency_s),
@@ -189,8 +201,9 @@ def _simulation_result_to_payload(result) -> Dict[str, Any]:
         "completed_messages": int(result.completed_messages),
         "remote_fraction": _hex(result.remote_fraction),
         "simulated_time_s": _hex(result.simulated_time_s),
-        "utilizations": _map_to_payload(result.utilizations),
-        "mean_occupancies": _map_to_payload(result.mean_occupancies),
+        "centres": [str(k) for k in centres],
+        "utilizations": _pack(result.utilizations.values()),
+        "mean_occupancies": _pack(result.mean_occupancies.values()),
         "seed": int(result.seed),
         "stats_mode": str(result.stats_mode),
         "latency_summary": (
@@ -214,6 +227,7 @@ def _simulation_result_from_payload(data: Any):
         raise CachePayloadError(f"simulation result must be an object, got {data!r}")
     summary = data.get("latency_summary")
     availability = data.get("availability")
+    centres = _keys(data.get("centres"), "centres")
     return SimulationResult(
         mean_latency_s=_unhex(data.get("mean_latency_s")),
         mean_local_latency_s=_unhex(data.get("mean_local_latency_s")),
@@ -222,8 +236,12 @@ def _simulation_result_from_payload(data: Any):
         completed_messages=_int(data.get("completed_messages"), "completed_messages"),
         remote_fraction=_unhex(data.get("remote_fraction")),
         simulated_time_s=_unhex(data.get("simulated_time_s")),
-        utilizations=_map_from_payload(data.get("utilizations"), "utilizations"),
-        mean_occupancies=_map_from_payload(data.get("mean_occupancies"), "mean_occupancies"),
+        utilizations=dict(
+            zip(centres, _unpack(data.get("utilizations"), len(centres), "utilizations"))
+        ),
+        mean_occupancies=dict(
+            zip(centres, _unpack(data.get("mean_occupancies"), len(centres), "mean_occupancies"))
+        ),
         seed=_int(data.get("seed"), "seed"),
         stats_mode=str(data.get("stats_mode", "array")),
         latency_summary=(

@@ -272,12 +272,12 @@ def build_journal(args: argparse.Namespace) -> Optional[SweepJournal]:
 def check_idle_journal(engine: SweepEngine) -> None:
     """Reject a foreign ``--resume`` journal on a command that ran no sweeps.
 
-    Closed-form commands (``ratio``, the analysis ablations, analysis-only
-    ``figure``/``report``/``run``) evaluate in-process vectorized passes and
-    start no engine runs, so the engine's fingerprint check never sees the
-    journal.  Resuming a journal that *does* record sweep runs with such a
-    command would silently succeed while matching nothing — raise the same
-    :class:`CheckpointError` the fingerprint check would have.
+    Analysis-only ``figure``/``report``/``run`` evaluate in-process
+    vectorized passes and start no engine runs, so the engine's fingerprint
+    check never sees the journal.  Resuming a journal that *does* record
+    sweep runs with such a command would silently succeed while matching
+    nothing — raise the same :class:`CheckpointError` the fingerprint check
+    would have.
     """
     journal = getattr(engine, "journal", None)
     if journal is not None and journal.runs_started == 0 and journal.recorded_runs > 0:
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ratio = sub.add_parser("ratio", help="blocking vs non-blocking latency ratio study")
     ratio.add_argument("--csv", type=str, default=None, help="write the points to a CSV file")
-    add_backend_flags(ratio)
 
     val = sub.add_parser("validate", help="analysis vs simulation at one configuration")
     val.add_argument("--case", choices=sorted(SCENARIOS), default="case-1")
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["switch-ports", "switch-latency", "generation-rate", "message-size",
                  "fixed-point-vs-mva"],
     )
-    add_backend_flags(abl)
 
     rep = sub.add_parser("report", help="generate the full paper-vs-measured report")
     rep.add_argument("--output", type=str, default=None,
@@ -537,9 +535,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_ratio(args: argparse.Namespace) -> int:
     from .experiments.blocking_ratio import run_blocking_ratio_study
 
-    engine = build_engine(args)
-    study = run_blocking_ratio_study(engine=engine)
-    check_idle_journal(engine)
+    study = run_blocking_ratio_study()
     print("Blocking vs non-blocking mean latency ratio (paper section 6 claim)")
     print()
     print(format_fixed_width_table(study.to_rows()))
@@ -603,12 +599,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "message-size": sweep_message_size,
         "fixed-point-vs-mva": fixed_point_vs_exact_mva,
     }
-    # Every ablation flows through the pipeline's ExperimentRunner, so the
-    # full --jobs/--backend/--checkpoint policy applies uniformly (the
-    # fixed-point-vs-MVA comparison used to reject backend flags outright).
-    engine = build_engine(args)
-    study = studies[args.study](engine=engine)
-    check_idle_journal(engine)
+    study = studies[args.study]()
     print(study.name)
     print()
     print(format_fixed_width_table(study.to_rows()))

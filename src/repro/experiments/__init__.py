@@ -40,14 +40,12 @@ __all__ = [
     "sweep_generation_rate",
     "sweep_message_size",
     "fixed_point_vs_exact_mva",
-    "service_distribution_ablation",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".ablations": (
-        "AblationRow", "AblationStudy", "fixed_point_vs_exact_mva",
-        "service_distribution_ablation", "sweep_generation_rate", "sweep_message_size",
-        "sweep_switch_latency", "sweep_switch_ports",
+        "AblationRow", "AblationStudy", "fixed_point_vs_exact_mva", "sweep_generation_rate",
+        "sweep_message_size", "sweep_switch_latency", "sweep_switch_ports",
     ),
     ".blocking_ratio": ("BlockingRatioStudy", "RatioPoint", "run_blocking_ratio_study"),
     ".figures": ("FIGURE_SPECS", "FigurePoint", "FigureResult", "FigureSpec", "run_figure"),

@@ -12,32 +12,25 @@ DESIGN.md calls out four modelling decisions worth probing:
 4. **Finite-source correction** (Eq. 7) vs the *exact* closed-network
    solution (MVA): how good the paper's approximation is.
 
-The closed-form sweeps (1–3) are evaluated through
-:func:`~repro.core.vectorized.evaluate_latency_grid` — one in-process pass
-for the whole sweep, bit-identical to the historical per-row
-:class:`~repro.core.model.AnalyticalModel` evaluations.  The MVA
-comparison (4) and the simulator-based service-distribution ablation run
-as ordinary sweep tasks through the pipeline's
-:class:`~repro.experiments.pipeline.ExperimentRunner`, so *every* ablation
-honours the same ``--jobs``/``--backend``/``--checkpoint`` execution
-policy as the other drivers.
+Every study is closed-form and runs in-process: the sweeps (1–3) in one
+:func:`~repro.core.vectorized.evaluate_latency_grid` pass, bit-identical
+to per-row :class:`~repro.core.model.AnalyticalModel` evaluations, and the
+MVA comparison (4) as one call to each method.  None of them starts a
+sweep task, so none takes an execution engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.model import AnalyticalModel, ModelConfig
 from ..core.routing import outgoing_probability
 from ..core.service_centers import build_service_centers
 from ..core.vectorized import GridEvaluation, evaluate_latency_grid
 from ..network.switch import SwitchFabric
-from ..parallel.engine import SweepEngine, SweepTask
 from ..queueing.mva import MVAStation, mean_value_analysis
-from ..simulation.simulator import MultiClusterSimulator, SimulationConfig
 from ..viz.tables import format_markdown_table
-from .pipeline import ExperimentRunner
 from .scenarios import (
     CASE_1,
     NetworkScenario,
@@ -45,10 +38,6 @@ from .scenarios import (
     PaperParameters,
     build_scenario_system,
 )
-
-if TYPE_CHECKING:
-    from ..parallel.backends import Backend
-    from ..parallel.checkpoint import SweepJournal
 
 __all__ = [
     "AblationRow",
@@ -58,7 +47,6 @@ __all__ = [
     "sweep_generation_rate",
     "sweep_message_size",
     "fixed_point_vs_exact_mva",
-    "service_distribution_ablation",
 ]
 
 
@@ -140,17 +128,8 @@ def sweep_switch_ports(
     architecture: str = "non-blocking",
     message_bytes: float = 1024.0,
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> AblationStudy:
-    """Ablation 1: how the switch port count Pr shapes the latency.
-
-    (``jobs``/``engine``/``backend``/``checkpoint`` are accepted for
-    interface compatibility; the sweep is closed-form and evaluated in one
-    in-process grid pass.)
-    """
+    """Ablation 1: how the switch port count Pr shapes the latency (closed-form)."""
     evaluations = [
         (
             build_scenario_system(
@@ -179,10 +158,6 @@ def sweep_switch_latency(
     architecture: str = "non-blocking",
     message_bytes: float = 1024.0,
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> AblationStudy:
     """Ablation 2: sensitivity to the per-switch latency α_sw (closed-form)."""
     evaluations = [
@@ -215,10 +190,6 @@ def sweep_generation_rate(
     architecture: str = "non-blocking",
     message_bytes: float = 1024.0,
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> AblationStudy:
     """Ablation 3a: offered load sweep (the paper's λ = 0.25 is nearly idle).
 
@@ -257,10 +228,6 @@ def sweep_message_size(
     num_clusters: int = 16,
     architecture: str = "non-blocking",
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> AblationStudy:
     """Ablation 3b: message-size sweep beyond the paper's 512/1024 bytes."""
     system = build_scenario_system(scenario, num_clusters, parameters)
@@ -286,7 +253,7 @@ def _fixed_point_method_row(
     generation_rate: float,
     parameters: PaperParameters,
 ) -> AblationRow:
-    """The Eq. (7) fixed-point latency (picklable sweep task)."""
+    """The Eq. (7) fixed-point latency."""
     system = build_scenario_system(scenario, num_clusters, parameters)
     report = AnalyticalModel(
         system,
@@ -309,7 +276,7 @@ def _exact_mva_method_row(
     generation_rate: float,
     parameters: PaperParameters,
 ) -> AblationRow:
-    """The exact closed-network (MVA) latency (picklable sweep task).
+    """The exact closed-network (MVA) latency.
 
     The closed model has the N processors as a delay (think) station with
     mean think time 1/λ, and the ICN1 / ECN1 / ICN2 centres visited with
@@ -359,76 +326,10 @@ def fixed_point_vs_exact_mva(
     message_bytes: float = 1024.0,
     generation_rate: float = 0.25,
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> AblationStudy:
-    """Ablation 4: the Eq. (7) fixed point vs the exact closed-network (MVA) solution.
-
-    The two methods are independent sweep tasks executed through the
-    pipeline's runner, so — like every other ablation — the study accepts
-    the full ``--jobs``/``--backend``/``--checkpoint`` execution policy
-    (it used to reject backend flags outright).
-    """
+    """Ablation 4: the Eq. (7) fixed point vs the exact closed-network (MVA) solution."""
     args = (scenario, num_clusters, architecture, message_bytes, generation_rate, parameters)
-    tasks = [
-        SweepTask(fn=_fixed_point_method_row, args=args, label="method=fixed-point"),
-        SweepTask(fn=_exact_mva_method_row, args=args, label="method=exact-mva"),
-    ]
-    runner = ExperimentRunner(engine=engine, jobs=jobs, backend=backend, checkpoint=checkpoint)
-    rows = runner.run_tasks(tasks)
-    return AblationStudy("fixed-point-vs-exact-mva", rows)
-
-
-def _simulate_service_distribution(system, config: SimulationConfig):
-    """Run one simulator configuration (picklable sweep task)."""
-    return MultiClusterSimulator(system, config).run()
-
-
-def service_distribution_ablation(
-    scenario: NetworkScenario = CASE_1,
-    num_clusters: int = 8,
-    architecture: str = "non-blocking",
-    message_bytes: float = 1024.0,
-    num_messages: int = 2_000,
-    seed: int = 7,
-    parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
-) -> AblationStudy:
-    """Simulator ablation: exponential (paper assumption) vs deterministic service."""
-    system = build_scenario_system(scenario, num_clusters, parameters)
-    variants = (True, False)
-    tasks = [
-        SweepTask(
-            fn=_simulate_service_distribution,
-            args=(
-                system,
-                SimulationConfig(
-                    architecture=architecture,
-                    message_bytes=message_bytes,
-                    generation_rate=parameters.generation_rate,
-                    num_messages=num_messages,
-                    seed=seed,
-                    exponential_service=exponential,
-                ),
-            ),
-            label=f"exponential_service={exponential}",
-        )
-        for exponential in variants
-    ]
-    runner = ExperimentRunner(engine=engine, jobs=jobs, backend=backend, checkpoint=checkpoint)
-    results = runner.run_tasks(tasks)
-    rows = [
-        AblationRow(
-            "exponential_service",
-            1.0 if exponential else 0.0,
-            result.mean_latency_ms,
-            {"remote_fraction": result.remote_fraction},
-        )
-        for exponential, result in zip(variants, results)
-    ]
-    return AblationStudy("service-distribution", rows)
+    return AblationStudy(
+        "fixed-point-vs-exact-mva",
+        [_fixed_point_method_row(*args), _exact_mva_method_row(*args)],
+    )

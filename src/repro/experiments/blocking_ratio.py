@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.model import ModelConfig
 from ..core.vectorized import evaluate_latency_grid
@@ -25,11 +25,6 @@ from .scenarios import (
     PaperParameters,
     build_scenario_system,
 )
-
-if TYPE_CHECKING:
-    from ..parallel.backends import Backend
-    from ..parallel.checkpoint import SweepJournal
-    from ..parallel.engine import SweepEngine
 
 __all__ = ["RatioPoint", "BlockingRatioStudy", "run_blocking_ratio_study"]
 
@@ -114,23 +109,13 @@ def run_blocking_ratio_study(
     cluster_counts: Optional[Sequence[int]] = None,
     message_sizes: Optional[Sequence[int]] = None,
     parameters: PaperParameters = PAPER_PARAMETERS,
-    jobs: Optional[int] = 1,
-    engine: Optional[SweepEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> BlockingRatioStudy:
     """Compute the blocking/non-blocking ratio over the paper's sweep grid.
 
     The study is closed-form: both architectures of every grid point are
-    evaluated in a single
-    :func:`~repro.core.vectorized.evaluate_latency_grid` sweep, which is
-    bit-identical to the historical per-point
-    :class:`~repro.core.model.AnalyticalModel` tasks on every execution
-    backend (and ~two orders of magnitude faster at paper scale).  The
-    ``jobs``/``engine``/``backend``/``checkpoint`` parameters are accepted
-    for interface compatibility with the simulating drivers; a closed-form
-    grid has no sweep tasks to distribute or journal, so they do not affect
-    the computation.
+    evaluated in-process in a single
+    :func:`~repro.core.vectorized.evaluate_latency_grid` pass, bit-identical
+    to per-point :class:`~repro.core.model.AnalyticalModel` evaluations.
     """
     cases = list(scenarios) if scenarios is not None else [CASE_1, CASE_2]
     counts = list(cluster_counts) if cluster_counts is not None else list(parameters.cluster_counts)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from ..core.vectorized import evaluate_latency_grid
 from ..errors import ExperimentError
 from ..stats.compare import compare_series, ComparisonSummary
 from ..viz.ascii_chart import line_chart
@@ -251,7 +250,9 @@ def run_figure(
     :class:`~repro.experiments.pipeline.ExperimentSpec`, whose plan carries
     the analysis grid and the seeded, labelled simulation tasks
     (labels keep the historical ``fig<N> M=<mb> C=<nc> rep[<i>]`` shape, so
-    existing checkpoint journals keep matching).
+    existing checkpoint journals keep matching), and an
+    :class:`~repro.experiments.pipeline.ExperimentRunner` executes or
+    serves the plan and folds it through a :class:`FigureCollector`.
 
     Parameters
     ----------
@@ -283,7 +284,8 @@ def run_figure(
         Results are bit-identical to the serial ``jobs=1`` default for
         every choice.
     checkpoint:
-        Optional :class:`~repro.parallel.SweepJournal` (or journal path):
+        Optional :class:`~repro.parallel.SweepJournal` (or journal path,
+        opened, and created if missing, even when no simulation runs):
         completed simulations are journaled as they finish, and a killed
         sweep re-run with the same journal resumes bit-identically,
         re-executing only the unfinished tasks.
@@ -332,27 +334,7 @@ def run_figure(
         ),
     )
 
-    from ..cache.store import coerce_cache
-
-    store = coerce_cache(cache)
-    if store is not None:
-        cached = store.get_outcome(plan)
-        if cached is not None:
-            return FigureCollector(spec, parameters).collect(cached)
-
-    # Analysis pass — always computed, in-process and bit-identical to
-    # per-point AnalyticalModel calls.  The execution engine is resolved
-    # only when a simulation pass actually runs (so an analysis-only call
-    # never opens checkpoints or spins up backends).
-    analysis = evaluate_latency_grid(plan.analysis_evaluations())
-    replicated = None
-    if plan.include_simulation:
-        runner = ExperimentRunner(
-            engine=engine, jobs=jobs, backend=backend, checkpoint=checkpoint
-        )
-        replicated = runner.run_simulation_plan(plan.simulation)
-
-    outcome = ExperimentOutcome(plan=plan, analysis=analysis, replicated=replicated)
-    if store is not None:
-        store.put_outcome(plan, outcome)
-    return FigureCollector(spec, parameters).collect(outcome)
+    runner = ExperimentRunner(
+        engine=engine, jobs=jobs, backend=backend, checkpoint=checkpoint, cache=cache
+    )
+    return runner.run(plan, FigureCollector(spec, parameters))

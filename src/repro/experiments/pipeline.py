@@ -1,8 +1,9 @@
 """Declarative experiment pipeline: Spec → Plan → Execute → Collect → Artifact.
 
-Every experiment driver in this package — the figure sweeps, the
-blocking-ratio study, the ablations, the validation runner and the CLI's
-``repro run`` verb — is built on the same five stages:
+The figure sweeps, the reproduction report, the replication runner
+behind ``repro validate``, the CLI's ``repro run`` verb and ``repro serve``
+are built on the same five stages (the closed-form ratio study and
+ablations evaluate in one in-process pass and need none of them):
 
 1. **Spec** — an :class:`ExperimentSpec`: a frozen, JSON-round-trippable
    description of *what* to run (scenario, architecture, sweep axes,
@@ -19,13 +20,14 @@ blocking-ratio study, the ablations, the validation runner and the CLI's
    from the point seed, so results are bit-identical on every execution
    backend and :class:`~repro.parallel.checkpoint.SweepJournal`
    fingerprints (task count + labels) are stable.
-3. **Execute** — an :class:`ExperimentRunner` owns the execution policy
-   uniformly: backend selection, checkpoint journaling and progress
-   reporting all flow through one :class:`~repro.parallel.engine.SweepEngine`.
+3. **Execute** — an :class:`ExperimentRunner` serves the plan from the
+   result cache or runs its passes: the analysis grid in-process, the
+   simulation tasks through one :class:`~repro.parallel.engine.SweepEngine`,
+   which owns backend selection, checkpoint journaling and progress
+   reporting.
 4. **Collect** — a :class:`Collector` folds the per-point grid evaluation
-   and the ``(index, result)`` simulation outcomes into a result type; the
-   drivers install collectors producing their traditional artefacts
-   (``FigureResult``, ``BlockingRatioStudy``, ``AblationStudy``, ...).
+   and the per-point replicated simulation results into a result type
+   (``FigureCollector`` produces the figure drivers' ``FigureResult``).
 5. **Artifact** — the default :class:`TableCollector` produces an
    :class:`ExperimentResult` with the table/CSV renderings the CLI prints.
 
@@ -671,9 +673,8 @@ class ExperimentRunner:
 
     One runner owns one :class:`~repro.parallel.SweepEngine`, so backend
     selection (serial / pool / socket / ssh), checkpoint journaling and
-    progress reporting behave identically for *every* driver built on the
-    pipeline — including studies (like the ablations) that historically
-    hand-rolled their own execution plumbing.
+    progress reporting (a callback of the engine passed in) behave
+    identically for every campaign that runs simulation tasks.
 
     Pass ``cache`` (a :class:`~repro.cache.ResultCache` or a directory
     path) to memoise whole campaigns by content address: a plan whose
@@ -687,29 +688,25 @@ class ExperimentRunner:
         jobs: Optional[int] = 1,
         backend: Optional[Union[str, Backend]] = None,
         checkpoint: Optional[Union[str, SweepJournal]] = None,
-        progress: Optional[Callable[[int, int, str], None]] = None,
         cache: Optional[Any] = None,
     ) -> None:
-        self.engine = resolve_engine(
-            jobs, engine, backend, progress=progress, checkpoint=checkpoint
-        )
+        self.engine = resolve_engine(jobs, engine, backend, checkpoint=checkpoint)
         from ..cache.store import coerce_cache
 
         self.cache = coerce_cache(cache)
 
     # -- execution passes --------------------------------------------------
 
-    def run_analysis(self, evaluations: Sequence[Tuple[Any, ModelConfig]]) -> GridEvaluation:
-        """Evaluate the closed-form model for a grid (bit-exact per point)."""
-        return evaluate_latency_grid(evaluations)
-
     def run_plan_analysis(self, plan: ExperimentPlan) -> GridEvaluation:
-        """Evaluate the analysis pass with the model ``plan.analysis_kind`` names."""
+        """Evaluate the analysis pass with the model ``plan.analysis_kind`` names.
+
+        Bit-exact per point against scalar model evaluations.
+        """
         if plan.analysis_kind == "cluster-of-clusters":
             from ..core.cluster_of_clusters import evaluate_heterogeneous_grid
 
             return evaluate_heterogeneous_grid(plan.analysis_evaluations())
-        return self.run_analysis(plan.analysis_evaluations())
+        return evaluate_latency_grid(plan.analysis_evaluations())
 
     def run_simulation_plan(self, simulation: SimulationPlan) -> List[ReplicatedResult]:
         """Execute a simulation plan and fold results per point, in order."""
@@ -720,10 +717,6 @@ class ExperimentRunner:
         for point_idx, result in zip(simulation.task_point, results):
             per_point[point_idx].append(result)
         return [aggregate_replications(group) for group in per_point]
-
-    def run_tasks(self, tasks: Sequence[SweepTask]) -> List[Any]:
-        """Run raw sweep tasks through the campaign's engine (task order)."""
-        return self.engine.run(tasks)
 
     # -- the full pipeline -------------------------------------------------
 
@@ -764,9 +757,9 @@ class ExperimentRunner:
 class Collector:
     """Folds an :class:`ExperimentOutcome` into a result artefact.
 
-    Driver modules subclass this to produce their traditional result types
-    (``FigureResult``, ``BlockingRatioStudy``, ``AblationStudy``);
-    :class:`TableCollector` is the generic artefact behind ``repro run``.
+    Driver modules subclass this to produce their result types
+    (``FigureCollector`` → ``FigureResult``); :class:`TableCollector` is the
+    generic artefact behind ``repro run``.
     """
 
     def collect(self, outcome: ExperimentOutcome):

@@ -188,7 +188,5 @@ def generate_report(
         )
         for number in numbers
     }
-    ratio = run_blocking_ratio_study(
-        cluster_counts=cluster_counts, parameters=parameters, engine=engine
-    )
+    ratio = run_blocking_ratio_study(cluster_counts=cluster_counts, parameters=parameters)
     return ReproductionReport(figures=results, ratio_study=ratio, parameters=parameters)

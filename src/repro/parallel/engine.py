@@ -331,10 +331,9 @@ def resolve_engine(
     jobs: Optional[int] = 1,
     engine: Optional[SweepEngine] = None,
     backend: Optional[Union[str, Backend]] = None,
-    progress: Optional[Callable[[int, int, str], None]] = None,
     checkpoint: Optional[Union[str, SweepJournal]] = None,
 ) -> SweepEngine:
-    """The shared ``jobs``/``engine``/``backend`` policy of every sweep driver.
+    """The shared ``jobs``/``engine``/``backend`` policy of every simulating driver.
 
     A caller-supplied ``engine`` wins; otherwise one is built from ``jobs``
     and ``backend``.  Experiment entry points accept the whole triple (plus
@@ -370,4 +369,4 @@ def resolve_engine(
                 # Same path: keep the attached journal — its run ordinals
                 # continue the campaign across repeated driver calls.
         return engine
-    return SweepEngine(jobs=jobs, progress=progress, backend=backend, journal=checkpoint)
+    return SweepEngine(jobs=jobs, backend=backend, journal=checkpoint)

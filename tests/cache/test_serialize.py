@@ -131,8 +131,9 @@ class TestOutcomeRoundTrip:
         grid = dataclasses.replace(outcome.analysis, mean_latency_s=tuple(SPECIAL.values()))
         first = outcome.replicated[0]
         run = dataclasses.replace(
-            first.per_replication[0], utilizations=dict(SPECIAL), latency_summary={},
-            mean_latency_s=-0.0, simulated_time_s=math.inf,
+            first.per_replication[0], utilizations=dict(SPECIAL),
+            mean_occupancies=dict(zip(SPECIAL, reversed(SPECIAL.values()))),
+            latency_summary={}, mean_latency_s=-0.0, simulated_time_s=math.inf,
         )
         replicated = [dataclasses.replace(first, per_replication=[run])] + outcome.replicated[1:]
         outcome = dataclasses.replace(outcome, analysis=grid, replicated=replicated)
@@ -141,8 +142,9 @@ class TestOutcomeRoundTrip:
         restored = outcome_from_payload(payload, plan)
         assert bits(restored.analysis.mean_latency_s) == bits(SPECIAL.values())
         back = restored.replicated[0].per_replication[0]
-        assert list(back.utilizations) == list(SPECIAL)
+        assert list(back.utilizations) == list(back.mean_occupancies) == list(SPECIAL)
         assert bits(back.utilizations.values()) == bits(SPECIAL.values())
+        assert bits(back.mean_occupancies.values()) == bits(reversed(SPECIAL.values()))
         assert back.latency_summary == {}
         assert bits([back.mean_latency_s, back.simulated_time_s]) == bits([-0.0, math.inf])
         assert restored.replicated[1:] == outcome.replicated[1:]
@@ -191,11 +193,37 @@ class TestOutcomeRoundTrip:
                 assert isinstance(column, str) and len(column) == 16 * 2
         for point in payload["replicated"]:
             (run,) = point["per_replication"]
-            for name in ("utilizations", "mean_occupancies", "latency_summary"):
-                assert len(run[name]["values"]) == 16 * len(run[name]["keys"])
-            # 2C + 1 centres: C ICN1s, C ECN1s and the ICN2.
-            assert len(run["utilizations"]["keys"]) in (5, 9)
-            assert run["mean_occupancies"]["keys"] == run["utilizations"]["keys"]
+            # One centre list per run, 2C + 1 names: C ICN1s, C ECN1s and the
+            # ICN2, each stored once; both per-centre maps are packed against it.
+            centres = run["centres"]
+            assert len(centres) in (5, 9)
+            assert all(json.dumps(run).count(json.dumps(name)) == 1 for name in centres)
+            for name in ("utilizations", "mean_occupancies"):
+                assert isinstance(run[name], str) and len(run[name]) == 16 * len(centres)
+            summary = run["latency_summary"]
+            assert len(summary["values"]) == 16 * len(summary["keys"])
+
+    @pytest.mark.parametrize(
+        "occupancies",
+        [
+            pytest.param(lambda m: dict(reversed(m.items())), id="reordered"),
+            pytest.param(lambda m: {**m, "icn1-extra": 0.0}, id="extra-centre"),
+            pytest.param(lambda m: dict(list(m.items())[1:]), id="missing-centre"),
+        ],
+    )
+    def test_maps_naming_different_centres_are_refused(self, occupancies):
+        """The payload holds one centre list per run, so a run whose two
+        per-centre maps disagree raises instead of writing a lossy entry."""
+        plan = small_plan(mode="simulate", replications=1)
+        outcome = ExperimentRunner().run_outcome(plan)
+        first = outcome.replicated[0]
+        run = first.per_replication[0]
+        run = dataclasses.replace(run, mean_occupancies=occupancies(run.mean_occupancies))
+        outcome = dataclasses.replace(
+            outcome, replicated=[dataclasses.replace(first, per_replication=[run])]
+        )
+        with pytest.raises(CachePayloadError, match="name different centres"):
+            outcome_to_payload(outcome)
 
     def test_replications_carry_no_interval_of_their_own(self):
         plan = small_plan(mode="simulate", replications=2)
@@ -273,7 +301,13 @@ def _drop(key):
             lambda p: p["replicated"][0]["per_replication"][0].update(
                 utilizations={"icn2": "0x0p+0"}
             ),
-            "utilizations keys missing",
+            "utilizations missing or not a packed hex string",
+        ),
+        # A version-3 run: a key list in each per-centre map, no centre list.
+        (lambda p: _drop("centres")(p["replicated"][0]["per_replication"][0]), "centres missing"),
+        (
+            lambda p: p["replicated"][0]["per_replication"][0].update(centres=[0, 1]),
+            "centres missing or not a list of strings",
         ),
         (
             lambda p: p["replicated"][0]["per_replication"].pop(),

@@ -332,6 +332,25 @@ class TestCorruptionRecovery:
             assert json.load(handle)["outcome"]["payload_version"] == PAYLOAD_VERSION
         assert cache.get_outcome(plan) is not None
 
+    def test_version_3_payload_is_dropped_and_recomputed(self, tmp_path):
+        """A payload in the version-3 layout (a key list in each per-centre
+        map) is dropped, recomputed and rewritten with one centre list."""
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["outcome"] = as_version_3(envelope["outcome"])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle, sort_keys=True)
+        recomputed = ExperimentRunner(cache=cache).run(plan, TableCollector())
+        assert cache.stats().corrupt_dropped == 1
+        assert recomputed.to_rows() == TableCollector().collect(compute_outcome(plan)).to_rows()
+        with open(path, "r", encoding="utf-8") as handle:
+            outcome = json.load(handle)["outcome"]
+        assert outcome["payload_version"] == PAYLOAD_VERSION
+        run = outcome["replicated"][0]["per_replication"][0]
+        assert isinstance(run["centres"], list) and isinstance(run["utilizations"], str)
+        assert cache.get_outcome(plan) is not None
+
     def test_version_2_payload_is_dropped_and_recomputed(self, tmp_path):
         """A payload in the version-2 layout (one float.hex() string per
         float) is dropped, recomputed and rewritten packed."""
@@ -362,8 +381,8 @@ class TestCorruptionRecovery:
         cache, plan, path = self.put_one(tmp_path)
         with open(path, "r", encoding="utf-8") as handle:
             envelope = json.load(handle)
-        utilizations = envelope["outcome"]["replicated"][0]["per_replication"][0]["utilizations"]
-        utilizations["values"] = damage(utilizations["values"])
+        run = envelope["outcome"]["replicated"][0]["per_replication"][0]
+        run["utilizations"] = damage(run["utilizations"])
         self.assert_dropped_and_recomputed(cache, plan, path, envelope)
 
     def test_key_value_count_mismatch_is_dropped_and_recomputed(self, tmp_path):
@@ -371,7 +390,20 @@ class TestCorruptionRecovery:
         with open(path, "r", encoding="utf-8") as handle:
             envelope = json.load(handle)
         run = envelope["outcome"]["replicated"][0]["per_replication"][0]
-        run["mean_occupancies"]["keys"].append("icn1-extra")
+        run["centres"].append("icn1-extra")
+        self.assert_dropped_and_recomputed(cache, plan, path, envelope)
+
+    @pytest.mark.parametrize("name", ["utilizations", "mean_occupancies"])
+    def test_centre_list_disagreeing_with_one_value_string_is_dropped_and_recomputed(
+        self, tmp_path, name
+    ):
+        """Each packed string is checked against the one centre list: a
+        string one double short is corrupt even when the other one fits."""
+        cache, plan, path = self.put_one(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        run = envelope["outcome"]["replicated"][0]["per_replication"][0]
+        run[name] = run[name][:-16]
         self.assert_dropped_and_recomputed(cache, plan, path, envelope)
 
     def assert_dropped_and_recomputed(self, cache, plan, path, envelope):
@@ -395,8 +427,21 @@ class TestCorruptionRecovery:
         assert cache.stats().corrupt_dropped == 1
 
 
+def as_version_3(outcome):
+    """``outcome`` (a current payload) rewritten in the version-3 layout:
+    each per-centre map carries its own copy of the centre list."""
+    old = copy.deepcopy(outcome)
+    old["payload_version"] = 3
+    for point in old["replicated"]:
+        for run in point["per_replication"]:
+            centres = run.pop("centres")
+            for name in ("utilizations", "mean_occupancies"):
+                run[name] = {"keys": list(centres), "values": run[name]}
+    return old
+
+
 def as_version_2(outcome):
-    """``outcome`` (a packed payload) rewritten in the version-2 layout."""
+    """``outcome`` (a current payload) rewritten in the version-2 layout."""
 
     def hexes(packed):
         raw = bytes.fromhex(packed)
@@ -405,7 +450,7 @@ def as_version_2(outcome):
     def mapping(packed):
         return None if packed is None else dict(zip(packed["keys"], hexes(packed["values"])))
 
-    old = copy.deepcopy(outcome)
+    old = as_version_3(outcome)
     old["payload_version"] = 2
     for name, column in old["analysis"].items():
         if isinstance(column, str):

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.ablations import (
     fixed_point_vs_exact_mva,
-    service_distribution_ablation,
     sweep_generation_rate,
     sweep_message_size,
     sweep_switch_latency,
@@ -211,15 +210,6 @@ class TestAblations:
         fixed_point_ms, mva_ms = study.latencies()
         # At the paper's nearly-idle operating point the two must agree well.
         assert fixed_point_ms == pytest.approx(mva_ms, rel=0.15)
-
-    def test_service_distribution_ablation(self):
-        study = service_distribution_ablation(num_messages=800)
-        assert len(study.rows) == 2
-        exponential_ms, deterministic_ms = study.latencies()
-        # Deterministic service removes service-time variance, so the mean
-        # latency cannot be larger than the exponential case by much; at the
-        # paper's load both are essentially the bare service time.
-        assert deterministic_ms == pytest.approx(exponential_ms, rel=0.25)
 
     def test_markdown_rendering(self):
         study = sweep_message_size(size_values=(64, 1024))

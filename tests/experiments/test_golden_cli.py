@@ -75,18 +75,6 @@ class TestCliGoldenOtherBackends:
         text = run_case("cli_validate.txt", tmp_path, ["--backend", "pool", "--jobs", "2"])
         assert text == golden_text("cli_validate.txt")
 
-    def test_ratio_accepts_backend_flags(self, tmp_path):
-        # Closed-form and vectorized: the backend cannot change the bytes.
-        text = run_case("cli_ratio.csv", tmp_path, ["--backend", "serial"])
-        assert text == golden_text("cli_ratio.csv")
-
-    def test_ablation_fixed_point_backend_now_accepted(self, tmp_path):
-        # The historical no-backend restriction is lifted; results unchanged.
-        text = run_case(
-            "cli_ablation_fixed_point.txt", tmp_path, ["--backend", "pool", "--jobs", "2"]
-        )
-        assert text == golden_text("cli_ablation_fixed_point.txt")
-
 
 class TestDriverGoldenResults:
     """float.hex()-exact driver results (independent of table formatting)."""

@@ -634,8 +634,8 @@ class TestSpecIntegerFields:
 
 class TestForeignJournalOnVectorizedCommands:
     """--resume with a foreign journal must fail on task-less commands too
-    (pre-pipeline, the per-point ratio tasks tripped the fingerprint check;
-    the vectorized passes start no engine runs, so the CLI checks instead)."""
+    (analysis-only passes start no engine runs, so the fingerprint check
+    never sees the journal and the CLI checks instead)."""
 
     def _figure_journal(self, tmp_path):
         journal = str(tmp_path / "fig.journal")
@@ -646,16 +646,6 @@ class TestForeignJournalOnVectorizedCommands:
         assert code == 0
         return journal
 
-    def test_ratio_rejects_foreign_journal(self, tmp_path):
-        journal = self._figure_journal(tmp_path)
-        with pytest.raises(SystemExit, match="checkpoint error"):
-            cli("ratio", "--resume", journal)
-
-    def test_analysis_ablation_rejects_foreign_journal(self, tmp_path):
-        journal = self._figure_journal(tmp_path)
-        with pytest.raises(SystemExit, match="checkpoint error"):
-            cli("ablation", "message-size", "--resume", journal)
-
     def test_analysis_only_run_rejects_foreign_journal(self, tmp_path):
         journal = self._figure_journal(tmp_path)
         with pytest.raises(SystemExit, match="checkpoint error"):
@@ -663,10 +653,10 @@ class TestForeignJournalOnVectorizedCommands:
                 "--sizes", "512", "--resume", journal)
 
     def test_own_empty_journal_still_resumes(self, tmp_path):
-        journal = str(tmp_path / "ratio.journal")
-        code, first = cli("ratio", "--checkpoint", journal)
+        journal = str(tmp_path / "fig.journal")
+        code, first = cli("figure", "4", "--clusters", "2", "--checkpoint", journal)
         assert code == 0
-        code, resumed = cli("ratio", "--resume", journal)
+        code, resumed = cli("figure", "4", "--clusters", "2", "--resume", journal)
         assert code == 0
         assert resumed == first
 

@@ -275,54 +275,41 @@ class TestCliBackendSelection:
     def test_backend_flags_on_every_sweep_command(self):
         parser = build_parser()
         for argv in (
-            ["ratio", "--backend", "serial"],
+            ["figure", "4", "--backend", "serial"],
             ["validate", "--backend", "pool", "--jobs", "2"],
-            ["ablation", "message-size", "--backend", "serial"],
             ["report", "--backend", "serial"],
+            ["run", "case-1", "--backend", "socket"],
         ):
             assert parser.parse_args(argv).backend == argv[argv.index("--backend") + 1]
 
     def test_build_engine_maps_socket_spec(self):
         args = build_parser().parse_args(
-            ["ratio", "--backend", "socket", "--workers", "host:9999"]
+            ["validate", "--backend", "socket", "--workers", "host:9999"]
         )
         engine = build_engine(args)
         assert isinstance(engine.backend, SocketBackend)
         assert engine.backend.worker_addresses == [("host", 9999)]
 
     def test_build_engine_defaults_socket_workers_to_jobs(self):
-        args = build_parser().parse_args(["ratio", "--backend", "socket", "--jobs", "3"])
+        args = build_parser().parse_args(["validate", "--backend", "socket", "--jobs", "3"])
         engine = build_engine(args)
         assert isinstance(engine.backend, SocketBackend)
         assert engine.backend.spawn_workers == 3
 
     def test_build_engine_socket_jobs_zero_means_all_cores(self):
-        args = build_parser().parse_args(["ratio", "--backend", "socket", "--jobs", "0"])
+        args = build_parser().parse_args(["validate", "--backend", "socket", "--jobs", "0"])
         engine = build_engine(args)
         assert engine.backend.spawn_workers == (os.cpu_count() or 1)
 
     def test_workers_without_socket_backend_rejected(self):
-        args = build_parser().parse_args(["ratio", "--workers", "2"])
+        args = build_parser().parse_args(["validate", "--workers", "2"])
         with pytest.raises(SystemExit):
             build_engine(args)
 
     def test_plain_backend_names_pass_through(self):
-        args = build_parser().parse_args(["ratio", "--backend", "pool", "--jobs", "2"])
+        args = build_parser().parse_args(["validate", "--backend", "pool", "--jobs", "2"])
         engine = build_engine(args)
         assert engine.backend == "pool" and engine.jobs == 2
-
-    def test_closed_form_ablation_accepts_backend_flags(self, capsys):
-        # The MVA comparison runs as an ordinary 2-task sweep through the
-        # pipeline runner, so backend flags apply to it like to every other
-        # ablation (it used to reject them outright).
-        from repro.cli import main
-
-        assert main(["ablation", "fixed-point-vs-mva", "--backend", "serial"]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(["ablation", "fixed-point-vs-mva", "--backend", "pool", "--jobs", "2"]) == 0
-        pool_out = capsys.readouterr().out
-        assert serial_out == pool_out
-        assert "fixed-point-vs-exact-mva" in serial_out
 
 
 class TestSocketExecution:

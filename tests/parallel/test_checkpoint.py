@@ -333,20 +333,6 @@ class TestCrashResumeBitIdentity:
             )
         assert engine.run(tasks) == uninterrupted
 
-    def test_service_distribution_ablation_honours_checkpoint(self, tmp_path):
-        from repro.experiments.ablations import service_distribution_ablation
-
-        journal_path = tmp_path / "svc.journal"
-        first = service_distribution_ablation(
-            num_clusters=4, num_messages=300, checkpoint=str(journal_path)
-        )
-        assert journal_path.exists()
-        assert SweepJournal(journal_path).restored_count == 2
-        resumed = service_distribution_ablation(
-            num_clusters=4, num_messages=300, checkpoint=str(journal_path)
-        )
-        assert resumed.to_rows() == first.to_rows()
-
     def test_run_replications_checkpoint_roundtrip(self, tmp_path, small_case1_system):
         config = SimulationConfig(num_messages=200, seed=5)
         reference = run_replications(small_case1_system, config, replications=2, jobs=1)
@@ -422,9 +408,8 @@ class TestAbortHookAndCli:
 
     def test_cli_checkpoint_error_is_a_clean_exit(self, tmp_path):
         # Resuming with changed parameters must print the CheckpointError
-        # message, not a traceback.  (The ratio study is closed-form and
-        # vectorized — it journals no tasks — so the campaign here is a
-        # small simulating figure sweep.)
+        # message, not a traceback.  (Only simulating commands journal
+        # tasks, so the campaign here is a small simulating figure sweep.)
         journal = str(tmp_path / "fig4.journal")
         base = ["figure", "4", "--simulate", "--sizes", "512", "--messages", "100"]
         first = self._cli(*base, "--clusters", "2", "--checkpoint", journal,
@@ -444,7 +429,7 @@ class TestAbortHookAndCli:
         from repro.cli import build_engine, build_parser
 
         args = build_parser().parse_args(
-            ["ratio", "--resume", str(tmp_path / "absent.journal")]
+            ["validate", "--resume", str(tmp_path / "absent.journal")]
         )
         with pytest.raises(SystemExit, match="no such journal"):
             build_engine(args)
@@ -453,7 +438,7 @@ class TestAbortHookAndCli:
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["ratio", "--checkpoint", "a", "--resume", "b"])
+            build_parser().parse_args(["validate", "--checkpoint", "a", "--resume", "b"])
         assert "not allowed with" in capsys.readouterr().err
 
     def test_checkpoint_flags_on_every_sweep_command(self):
@@ -462,30 +447,8 @@ class TestAbortHookAndCli:
         parser = build_parser()
         for argv in (
             ["figure", "4", "--checkpoint", "j"],
-            ["ratio", "--checkpoint", "j"],
             ["validate", "--checkpoint", "j"],
-            ["ablation", "message-size", "--checkpoint", "j"],
             ["report", "--checkpoint", "j"],
+            ["run", "case-1", "--checkpoint", "j"],
         ):
             assert parser.parse_args(argv).checkpoint == "j"
-
-    def test_closed_form_ablation_accepts_checkpoint(self, tmp_path, capsys):
-        # fixed-point-vs-mva now runs as a 2-task sweep through the
-        # pipeline runner, so --checkpoint/--resume journal it like any
-        # other ablation (the flags used to be rejected).
-        from repro.cli import main
-
-        journal = str(tmp_path / "mva.journal")
-        assert main(["ablation", "fixed-point-vs-mva", "--checkpoint", journal]) == 0
-        first = capsys.readouterr().out
-        assert os.path.exists(journal)
-        assert main(["ablation", "fixed-point-vs-mva", "--resume", journal]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_cli_checkpoint_then_resume_ratio(self, tmp_path):
-        journal = str(tmp_path / "ratio.journal")
-        first = self._cli("ratio", "--checkpoint", journal, "--csv", "a.csv", cwd=str(tmp_path))
-        assert first.returncode == 0, first.stderr
-        resumed = self._cli("ratio", "--resume", journal, "--csv", "b.csv", cwd=str(tmp_path))
-        assert resumed.returncode == 0, resumed.stderr
-        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()

@@ -194,7 +194,7 @@ class TestSSHCli:
         monkeypatch.setenv("REPRO_SSH_PYTHON", sys.executable)
         monkeypatch.setenv("REPRO_SSH_PYTHONPATH", _SRC_DIR)
         args = build_parser().parse_args(
-            ["ratio", "--backend", "ssh", "--workers", "localhost,localhost"]
+            ["validate", "--backend", "ssh", "--workers", "localhost,localhost"]
         )
         engine = build_engine(args)
         assert isinstance(engine.backend, SSHBackend)
@@ -204,13 +204,13 @@ class TestSSHCli:
         assert engine.backend.remote_pythonpath == _SRC_DIR
 
     def test_ssh_backend_requires_workers(self):
-        args = build_parser().parse_args(["ratio", "--backend", "ssh"])
+        args = build_parser().parse_args(["validate", "--backend", "ssh"])
         with pytest.raises(SystemExit):
             build_engine(args)
 
     def test_bad_ssh_spec_is_a_clean_cli_error(self):
         args = build_parser().parse_args(
-            ["ratio", "--backend", "ssh", "--workers", "hostA,,hostB"]
+            ["validate", "--backend", "ssh", "--workers", "hostA,,hostB"]
         )
         with pytest.raises(SystemExit):
             build_engine(args)

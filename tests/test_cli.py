@@ -23,6 +23,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "3"])
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--backend", "serial"], ["--workers", "2"],
+         ["--checkpoint", "j"], ["--resume", "j"]],
+        ids=lambda flag: flag[0].lstrip("-"),
+    )
+    @pytest.mark.parametrize(
+        "verb", [["ratio"], ["ablation", "message-size"]], ids=lambda verb: verb[0]
+    )
+    def test_closed_form_verbs_take_no_execution_flags(
+        self, verb, flag, tmp_path, monkeypatch, capsys
+    ):
+        # ratio and ablation evaluate in-process and start no sweep task,
+        # so they accept no backend, worker or journal options.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*verb, *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "j").exists()
+
 
 class TestCommands:
     def test_info(self, capsys):

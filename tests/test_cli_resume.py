@@ -17,9 +17,7 @@ MISSING = "/nonexistent/dir/sweep.journal"
 RESUME_CASES = [
     ["figure", "6", "--simulate", "--resume", MISSING],
     ["figure", "4", "--resume", MISSING],  # analysis-only: engine never built
-    ["ratio", "--resume", MISSING],
     ["validate", "--resume", MISSING],
-    ["ablation", "switch-ports", "--resume", MISSING],
     ["report", "--resume", MISSING],
     ["run", "case-1", "--resume", MISSING],
 ]
